@@ -12,10 +12,11 @@ from .model import (
     Network,
     NetworkError,
     NodeSpec,
+    Tally,
     cpt_probability,
     joint_probability,
-    label_levels,
     node_factor,
+    noisy_or_absent,
     nps_holds,
     parse_evidence,
     parse_network,
@@ -48,7 +49,6 @@ from .engine import (
     EpsilonSchedule,
     SearchResult,
     TraceRow,
-    complete,
     format_accepted,
     run_schedule,
     top_epsilon,

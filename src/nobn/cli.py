@@ -73,7 +73,10 @@ def _fmt(x: float) -> str:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise NetworkError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _load_network(path: str) -> Network:
@@ -82,6 +85,31 @@ def _load_network(path: str) -> Network:
 
 def _load_case(net: Network, evidence_path: str):
     return parse_evidence(_read(evidence_path), net)
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo (violations are usage errors, exit 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= lo:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+
+    return parse
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _parse_schedule(text: str) -> EpsilonSchedule:
@@ -99,6 +127,17 @@ def _pruned_for(net: Network, evidence):
         (pruned.node_id(net.nodes[nid].name), state) for nid, state in evidence
     )
     return pruned, remapped
+
+
+def _schedule_rows(case_id, pruned, evidence, epsilons, gold, keep_last=False):
+    """Search once per threshold, in order; yields each result with its CSV
+    row.  ``keep_last`` keeps the accepted set of the last run only."""
+    last = len(epsilons) - 1
+    for i, eps in enumerate(epsilons):
+        t0 = time.perf_counter()
+        res = top_epsilon(pruned, evidence, eps, keep_accepted=keep_last and i == last)
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        yield res, _csv_row(case_id, eps, res, gold, elapsed_ms)
 
 
 def _csv_row(case_id, eps, res, gold, elapsed_ms):
@@ -197,14 +236,9 @@ def _cmd_infer(args) -> int:
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    last = None
-    for i, eps in enumerate(epsilons):
-        keep = args.dump_accepted is not None and i == len(epsilons) - 1
-        t0 = time.perf_counter()
-        res = top_epsilon(pruned, pev, eps, keep_accepted=keep)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        writer.writerow(_csv_row(case_id, eps, res, gold, elapsed_ms))
-        last = res
+    keep = args.dump_accepted is not None
+    for last, row in _schedule_rows(case_id, pruned, pev, epsilons, gold, keep):
+        writer.writerow(row)
 
     post_path = Path(args.post) if args.post else Path(args.evidence + ".post")
     posteriors = last.posteriors
@@ -243,18 +277,15 @@ def _bench_case(job):
     rows = []
     states = []
     convergence_eps = None
-    for eps in schedule_values:
-        t0 = time.perf_counter()
-        res = top_epsilon(pruned, pev, eps)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(_csv_row(case.case_id, eps, res, gold, elapsed_ms))
+    for res, row in _schedule_rows(case.case_id, pruned, pev, schedule_values, gold):
+        rows.append(row)
         states.append(res.states_explored)
         if (
             convergence_eps is None
             and gold
             and res.mass_accumulated / gold >= 0.99
         ):
-            convergence_eps = eps
+            convergence_eps = res.epsilon_target
     return case.case_id, rows, gold, convergence_eps, states
 
 
@@ -330,7 +361,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_gen(args) -> int:
-    counts = tuple(int(tok) for tok in args.nodes_per_level.split(","))
+    counts = args.nodes_per_level
     shape = NetShape(
         levels=len(counts),
         nodes_per_level=counts,
@@ -384,7 +415,7 @@ def _build_parser() -> _ArgParser:
     p = sub.add_parser("exact", help="brute-force exact inference")
     p.add_argument("network")
     p.add_argument("evidence")
-    p.add_argument("--cap", type=int, default=DEFAULT_FREE_NODE_CAP,
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP,
                    help="max free nodes to enumerate (default %(default)s)")
     p.set_defaults(func=_cmd_exact)
 
@@ -402,7 +433,7 @@ def _build_parser() -> _ArgParser:
     group.add_argument("--schedule", help="comma-separated decreasing thresholds")
     p.add_argument("--gold", action="store_true",
                    help="also run the exact oracle and fill the gold columns")
-    p.add_argument("--cap", type=int, default=DEFAULT_FREE_NODE_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP)
     p.add_argument("--dump-accepted", metavar="PATH",
                    help="write accepted instantiations of the last run to PATH")
     p.add_argument("--post", metavar="PATH",
@@ -411,14 +442,14 @@ def _build_parser() -> _ArgParser:
 
     p = sub.add_parser("bench", help="run sampled cases through a schedule")
     p.add_argument("network")
-    p.add_argument("--cases", type=int, required=True)
+    p.add_argument("--cases", type=_int_at_least(0), required=True)
     p.add_argument("--findings", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", help="comma-separated decreasing thresholds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--gold", default="none",
                    help="'none', 'exact', or a deep-run epsilon (default %(default)s)")
-    p.add_argument("--cap", type=int, default=DEFAULT_FREE_NODE_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP)
     p.add_argument("--summary", metavar="PATH",
                    help="write the per-case summary to PATH instead of stderr")
     p.set_defaults(func=_cmd_bench)
@@ -426,7 +457,7 @@ def _build_parser() -> _ArgParser:
     p = sub.add_parser("gen", help="generate a seeded network and optional cases")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes-per-level", default="3,10,15,20,97")
+    p.add_argument("--nodes-per-level", type=_int_list, default="3,10,15,20,97")
     p.add_argument("--max-parents", type=int, default=3)
     p.add_argument("--locality", type=float, default=0.8)
     p.add_argument("--prior-range", default="0.001,0.1")
@@ -434,7 +465,7 @@ def _build_parser() -> _ArgParser:
     p.add_argument("--leak-range", default="0.0,0.05")
     p.add_argument("--finding-leak-range", default=None,
                    help="override the leak range on the deepest level")
-    p.add_argument("--cases", type=int, default=0)
+    p.add_argument("--cases", type=_int_at_least(0), default=0)
     p.add_argument("--findings", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
 

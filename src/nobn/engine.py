@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .epsilonml import Extension, iter_level_extensions
-from .model import Assignment, Network, NetworkError
+from .model import Assignment, Network, NetworkError, Tally
 
 __all__ = [
     "SearchResult",
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "TraceRow",
     "ConvergenceTrace",
-    "complete",
     "top_epsilon",
     "run_schedule",
     "format_accepted",
@@ -108,11 +107,6 @@ class ConvergenceTrace:
         return len(self.rows)
 
 
-def complete(net: Network, a: Assignment) -> bool:
-    """True iff every node of the network is assigned."""
-    return a.unassigned_count == 0
-
-
 _DONE = object()
 
 
@@ -137,14 +131,10 @@ def top_epsilon(
             f"epsilon_target must be a finite value >= 0, got {epsilon_target!r}"
         )
     a = Assignment.from_evidence(net, evidence)
-    n = len(net.nodes)
     track_log = a.track_log
     log_eps = -math.inf if epsilon_target == 0.0 else math.log(epsilon_target)
 
-    mass_s = 0.0
-    mass_c = 0.0
-    score_s = [0.0] * n
-    score_c = [0.0] * n
+    tally = Tally(len(net.nodes))
     accepted: list[tuple[Assignment, float]] | None = [] if keep_accepted else None
     accepted_count = 0
     states_explored = 0
@@ -169,25 +159,10 @@ def top_epsilon(
         return epsilon_target / p
 
     def accept() -> None:
-        nonlocal mass_s, mass_c, accepted_count
+        nonlocal accepted_count
         joint = a.known_factor_product
         accepted_count += 1
-        t = mass_s + joint
-        if abs(mass_s) >= joint:
-            mass_c += (mass_s - t) + joint
-        else:
-            mass_c += (joint - t) + mass_s
-        mass_s = t
-        values = a.raw_values()
-        for i in range(n):
-            if values[i]:
-                s = score_s[i]
-                t = s + joint
-                if abs(s) >= joint:
-                    score_c[i] += (s - t) + joint
-                else:
-                    score_c[i] += (joint - t) + s
-                score_s[i] = t
+        tally.add(a.raw_values(), joint)
         if accepted is not None:
             accepted.append((a.copy(), joint))
 
@@ -236,11 +211,10 @@ def top_epsilon(
         else:
             stack.append(expander())
 
-    score = tuple(score_s[i] + score_c[i] for i in range(n))
     return SearchResult(
         epsilon_target=epsilon_target,
-        mass_accumulated=mass_s + mass_c,
-        score=score,
+        mass_accumulated=tally.mass,
+        score=tally.scores(),
         states_explored=states_explored,
         accepted_count=accepted_count,
         accepted=accepted,

@@ -12,6 +12,12 @@ true prior of every free root parent.  Free non-root parents contribute 1:
 their own conditional factor is unknown until their level is expanded, and 1
 is its only safe bound.  That keeps the threshold a necessary condition for
 any completion of the joint, which is what the driving engine relies on.
+
+There is one subproblem collector (``_collect``) and one search kernel
+(``_search``).  :func:`build_subproblem` + :func:`iter_extensions` is the
+inspectable two-step form; :func:`iter_level_extensions` is the engine's
+one-call form over the same two pieces, so both yield the same extensions in
+the same order.
 """
 
 from __future__ import annotations
@@ -76,29 +82,39 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     """
     if not 0 <= level <= net.max_level:
         raise NetworkError(f"level {level} out of range")
+    findings, free = _collect(net, a, level)
+    values = a.raw_values()
+    fixed = {
+        p: values[p]
+        for nid, _ in findings
+        for p, _ in net._links_omq[nid]
+        if values[p] is not None
+    }
+    return Subproblem(tuple(findings), free, fixed)
+
+
+def _collect(
+    net: Network, a: Assignment, level: int
+) -> tuple[list[tuple[int, bool]], tuple[int, ...]]:
+    """The expandable findings at ``level`` and their free parents in search
+    order (descending best activation probability, ties by id)."""
     values = a.raw_values()
     findings: list[tuple[int, bool]] = []
     for nid in net.level_nodes[level]:
         state = values[nid]
-        if state is None or a.unassigned_parent_count(nid) == 0:
-            continue
-        findings.append((nid, state))
+        if state is not None and a.unassigned_parent_count(nid):
+            findings.append((nid, state))
     if not findings:
         raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
     # level labeling forbids arcs inside a level, so no finding feeds another
     best_q: dict[int, float] = {}
-    fixed: dict[int, bool] = {}
     for nid, _ in findings:
-        for p, omq in zip(net._link_parents[nid], net._link_omq[nid]):
-            ps = values[p]
-            if ps is None:
+        for p, omq in net._links_omq[nid]:
+            if values[p] is None:
                 q = 1.0 - omq
                 if q > best_q.get(p, -1.0):
                     best_q[p] = q
-            else:
-                fixed[p] = ps
-    order = sorted(best_q, key=lambda p: (-best_q[p], p))
-    return Subproblem(tuple(findings), tuple(order), fixed)
+    return findings, tuple(sorted(best_q, key=lambda p: (-best_q[p], p)))
 
 
 def iter_extensions(
@@ -123,27 +139,12 @@ def iter_extensions(
 def iter_level_extensions(
     net: Network, a: Assignment, level: int, epsilon: float
 ) -> Iterator[Extension]:
-    """Fused build_subproblem + iter_extensions, skipping the intermediate
-    objects; the engine's per-state hot path.  Same results as the two-step
-    form, same ordering."""
-    values = a.raw_values()
-    findings: list[tuple[int, bool]] = []
-    for nid in net.level_nodes[level]:
-        state = values[nid]
-        if state is not None and a.unassigned_parent_count(nid):
-            findings.append((nid, state))
-    if not findings:
-        raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
-    best_q: dict[int, float] = {}
-    for nid, _ in findings:
-        for p, omq in zip(net._link_parents[nid], net._link_omq[nid]):
-            if values[p] is None:
-                q = 1.0 - omq
-                if q > best_q.get(p, -1.0):
-                    best_q[p] = q
-    free = tuple(sorted(best_q, key=lambda p: (-best_q[p], p)))
+    """build_subproblem + iter_extensions without the Subproblem object or
+    its fixed-parent dict; the engine's per-state hot path.  Same results as
+    the two-step form, same ordering."""
+    findings, free = _collect(net, a, level)
     # assigned parents are read straight off the value list
-    return _search(net, findings, free, values, epsilon, None)
+    return _search(net, findings, free, a.raw_values(), epsilon, None)
 
 
 def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
@@ -160,7 +161,7 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
         present[fi] = state
         base = net._leak_c[nid]
         lf: list[tuple[int, float]] = []
-        for p, omq in zip(net._link_parents[nid], net._link_omq[nid]):
+        for p, omq in net._links_omq[nid]:
             pos = pos_of.get(p)
             if pos is None:
                 if fixed[p]:
@@ -283,16 +284,15 @@ def upper_bound(
         # fold fixed parents in link order, then free parents in search order,
         # mirroring the search's own accumulation so a complete decision
         # reproduces the extension product bit for bit
-        spec = nodes[nid]
-        w = 1.0 - spec.leak
+        w = net._leak_c[nid]
         free_links = []
-        for p, q in spec.links:
+        for p, omq in net._links_omq[nid]:
             pos = pos_of.get(p)
             if pos is None:
                 if sub.fixed_parents[p]:
-                    w *= 1.0 - q
+                    w *= omq
             else:
-                free_links.append((pos, 1.0 - q))
+                free_links.append((pos, omq))
         free_links.sort()
         if state:
             for pos, omq in free_links:

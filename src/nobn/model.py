@@ -10,6 +10,11 @@ Each node is labeled with its level, the largest number of arcs on any
 directed path from a root to it.  Arcs therefore always go strictly level-up,
 which is what lets the search modules expand assignments level by level.
 
+The building blocks every inference module shares live here, once each:
+:func:`noisy_or_absent` is the only place the noisy-OR product over present
+parents is written out, and :class:`Tally` is the only compensated
+(Neumaier) accumulator of probability mass and per-node present-score.
+
 Probabilities are doubles multiplied in linear space.  Assignments over more
 than ``LOG_TRACK_MIN_NODES`` nodes additionally maintain a log-space product
 so threshold comparisons survive linear underflow on very deep networks.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -29,12 +35,13 @@ __all__ = [
     "NodeSpec",
     "Network",
     "Assignment",
+    "Tally",
     "parse_network",
     "print_network",
     "parse_evidence",
     "validate_evidence",
-    "label_levels",
     "cpt_probability",
+    "noisy_or_absent",
     "node_factor",
     "nps_holds",
     "partial_probability",
@@ -107,8 +114,7 @@ class Network:
         "arc_count",
         "_priors",
         "_leak_c",
-        "_link_parents",
-        "_link_omq",
+        "_links_omq",
     )
 
     def __init__(self, nodes: Sequence[NodeSpec]):
@@ -169,9 +175,9 @@ class Network:
         self._leak_c = tuple(
             1.0 - spec.leak if spec.leak is not None else 1.0 for spec in nodes
         )
-        self._link_parents = tuple(spec.parent_ids() for spec in nodes)
-        self._link_omq = tuple(
-            tuple(1.0 - q for _, q in spec.links) for spec in nodes
+        # per node: (parent id, 1 - q) in link order
+        self._links_omq = tuple(
+            tuple((p, 1.0 - q) for p, q in spec.links) for spec in nodes
         )
 
     def __len__(self) -> int:
@@ -225,16 +231,6 @@ def _longest_path_levels(parents, children) -> tuple[tuple[int, ...], int]:
             "cycle detected involving: " + ", ".join(str(i) for i in stuck)
         )
     return tuple(levels), max(levels, default=-1)
-
-
-def label_levels(net: Network) -> tuple[tuple[int, ...], int]:
-    """Per-node level labels and the maximum level.
-
-    A node's level is the greatest number of arcs between it and any root;
-    roots are level 0.  Labels are computed once at construction, so this
-    just exposes them under the operation's name.
-    """
-    return net.levels, net.max_level
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +404,28 @@ def cpt_probability(
     spec = net.nodes[node]
     if spec.is_root:
         raise NetworkError(f"node {spec.name!r} is a root; use its prior directly")
-    w = 1.0 - spec.leak
-    for p, q in spec.links:
-        try:
-            present = parent_states[p]
-        except KeyError:
-            raise NetworkError(
-                f"missing state for parent {net.nodes[p].name!r} of {spec.name!r}"
-            ) from None
-        if present:
-            w *= 1.0 - q
+    try:
+        w = noisy_or_absent(net, node, parent_states)
+    except KeyError as e:
+        raise NetworkError(
+            f"missing state for parent {net.nodes[e.args[0]].name!r} of {spec.name!r}"
+        ) from None
     return 1.0 - w if node_state else w
+
+
+def noisy_or_absent(
+    net: Network, node: int, states: Sequence[bool | None] | Mapping[int, bool]
+) -> float:
+    """P(node absent | parents) = (1 - leak) * prod(1 - q_p : parent p present).
+
+    ``states`` is indexed by parent id (a value list or a mapping).  A root
+    has no links and a unit leak complement, so it gets 1.
+    """
+    w = net._leak_c[node]
+    for p, omq in net._links_omq[node]:
+        if states[p]:
+            w *= omq
+    return w
 
 
 def node_factor(net: Network, node: int, values: Sequence[bool | None]) -> float:
@@ -428,10 +435,7 @@ def node_factor(net: Network, node: int, values: Sequence[bool | None]) -> float
     state = values[node]
     if prior is not None:
         return prior if state else 1.0 - prior
-    w = net._leak_c[node]
-    for p, omq in zip(net._link_parents[node], net._link_omq[node]):
-        if values[p]:
-            w *= omq
+    w = noisy_or_absent(net, node, values)
     return 1.0 - w if state else w
 
 
@@ -479,10 +483,6 @@ class Assignment:
         self.track_log = n > LOG_TRACK_MIN_NODES
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def empty(cls, net: Network) -> "Assignment":
-        return cls(net)
 
     @classmethod
     def from_evidence(cls, net: Network, evidence: Iterable[tuple[int, bool]]) -> "Assignment":
@@ -538,9 +538,6 @@ class Assignment:
                 return lvl
         return None
 
-    def as_tuple(self) -> tuple[bool | None, ...]:
-        return tuple(self._values)
-
     def copy(self) -> "Assignment":
         c = Assignment.__new__(Assignment)
         c.net = self.net
@@ -571,18 +568,13 @@ class Assignment:
         prod = self.known_factor_product
         track = self.track_log
         log_total = self.log_known
-        leak_c = net._leak_c
-        link_parents = net._link_parents
-        link_omq = net._link_omq
+        absent = noisy_or_absent
         if counts[nid] == 0:
             prior = net._priors[nid]
             if prior is not None:
                 f = prior if state else 1.0 - prior
             else:
-                w = leak_c[nid]
-                for p, omq in zip(link_parents[nid], link_omq[nid]):
-                    if values[p]:
-                        w *= omq
+                w = absent(net, nid, values)
                 f = 1.0 - w if state else w
             prod *= f
             if track:
@@ -593,10 +585,7 @@ class Assignment:
             k = counts[c] - 1
             counts[c] = k
             if k == 0 and values[c] is not None:
-                w = leak_c[c]
-                for p, omq in zip(link_parents[c], link_omq[c]):
-                    if values[p]:
-                        w *= omq
+                w = absent(net, c, values)
                 f = 1.0 - w if values[c] else w
                 prod *= f
                 if track:
@@ -666,6 +655,49 @@ def joint_probability(net: Network, a: Assignment) -> float:
             f"assignment is incomplete ({a.unassigned_count} nodes unassigned)"
         )
     return partial_probability(net, a)
+
+
+# ---------------------------------------------------------------------------
+# Compensated accumulation
+# ---------------------------------------------------------------------------
+
+
+class Tally:
+    """Neumaier-compensated sums of the joints of complete instantiations:
+    the total mass, and per node the mass of the instantiations where it is
+    present.  Posterior estimates are ``scores()[i] / mass``.
+
+    The mass is kept in the extra slot after the ``n`` node slots, so one
+    compensated step serves both.  Joints are never negative.
+    """
+
+    __slots__ = ("_sums", "_comps", "_ids", "_mass_slot")
+
+    def __init__(self, n: int):
+        self._sums = [0.0] * (n + 1)
+        self._comps = [0.0] * (n + 1)
+        self._ids = range(n)
+        self._mass_slot = (n,)
+
+    def add(self, values: Sequence[bool | None], joint: float) -> None:
+        """Count one complete instantiation (``values`` in node-id order)."""
+        sums = self._sums
+        comps = self._comps
+        for i in chain(compress(self._ids, values), self._mass_slot):
+            s = sums[i]
+            t = s + joint
+            if abs(s) >= joint:
+                comps[i] += (s - t) + joint
+            else:
+                comps[i] += (joint - t) + s
+            sums[i] = t
+
+    @property
+    def mass(self) -> float:
+        return self._sums[-1] + self._comps[-1]
+
+    def scores(self) -> tuple[float, ...]:
+        return tuple(s + c for s, c in zip(self._sums[:-1], self._comps[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Assignment, Network, NetworkError, NodeSpec
+from .model import Assignment, Network, NetworkError, NodeSpec, noisy_or_absent
 
 __all__ = [
     "SplitMix64",
@@ -223,18 +223,12 @@ def forward_sample(net: Network, seed: int) -> Assignment:
     """Ancestral sample: one uniform draw per node in (level, id) order,
     roots by prior, children by their noisy-OR conditional."""
     rng = SplitMix64(derive_seed(seed, _TAG_SAMPLE))
-    a = Assignment.empty(net)
+    a = Assignment(net)
     values = a.raw_values()
     for nid in net.topo_order:
-        spec = net.nodes[nid]
-        if spec.is_root:
-            p = spec.prior
-        else:
-            w = 1.0 - spec.leak
-            for par, q in spec.links:
-                if values[par]:
-                    w *= 1.0 - q
-            p = 1.0 - w
+        p = net.nodes[nid].prior
+        if p is None:
+            p = 1.0 - noisy_or_absent(net, nid, values)
         a.assign(nid, rng.random() < p)
     return a
 

@@ -2,8 +2,11 @@
 
 Deliberately unsophisticated: this is the gold standard every search result
 is checked against, so simplicity beats speed.  The only concessions are a
-free-node cap (2^free instantiations is real money) and compensated
-summation, since posteriors here back tolerances down to 1e-9.
+free-node cap (2^free instantiations is real money), compensated summation
+through the same :class:`~nobn.model.Tally` the search engine uses (posteriors
+here back tolerances down to 1e-9), and a counting loop instead of recursion,
+so the depth of the network never limits the enumeration.  Factors come from
+:func:`~nobn.model.node_factor`, the search engine's own arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import Assignment, Network, NetworkError, validate_evidence
+from .model import Assignment, Network, NetworkError, Tally, node_factor, validate_evidence
 
 __all__ = [
     "DEFAULT_FREE_NODE_CAP",
@@ -52,28 +55,6 @@ class ExactResult:
     instantiation_count: int
 
 
-class _Kahan:
-    """Neumaier-compensated accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
-
-
 def _enum_values(
     net: Network, evidence: Iterable[tuple[int, bool]], cap: int
 ) -> Iterator[tuple[list[bool], float]]:
@@ -92,39 +73,36 @@ def _enum_values(
 
     # trigger[i] = nodes whose factor becomes computable once ids 0..i are set
     trigger: list[list[int]] = [[] for _ in range(n)]
-    nodes = net.nodes
     for x in range(n):
-        last = max((p for p, _ in nodes[x].links), default=-1)
+        last = max((p for p, _ in net.nodes[x].links), default=-1)
         trigger[max(x, last)].append(x)
+    return _binary_count(net, values, free, trigger)
 
-    def factor(x: int) -> float:
-        spec = nodes[x]
-        if spec.prior is not None:
-            return spec.prior if values[x] else 1.0 - spec.prior
-        w = 1.0 - spec.leak
-        for p, q in spec.links:
-            if values[p]:
-                w *= 1.0 - q
-        return 1.0 - w if values[x] else w
 
-    def rec(i: int, prod: float) -> Iterator[tuple[list[bool], float]]:
-        if i == n:
-            yield values, prod  # type: ignore[misc]
-            return
-        if values[i] is None:
-            for state in (False, True):
-                values[i] = state
-                p = prod
-                for x in trigger[i]:
-                    p *= factor(x)
-                yield from rec(i + 1, p)
-            values[i] = None
-        else:
+def _binary_count(net, values, free, trigger) -> Iterator[tuple[list[bool], float]]:
+    # prefix[i] is the product of the factors triggered by ids 0..i-1, folded
+    # left to right; a counting step only refolds from the flipped id on.
+    n = len(values)
+    prefix = [1.0] * (n + 1)
+    for i in free:
+        values[i] = False
+    start = 0
+    while True:
+        for i in range(start, n):
+            p = prefix[i]
             for x in trigger[i]:
-                prod *= factor(x)
-            yield from rec(i + 1, prod)
-
-    return rec(0, 1.0)
+                p *= node_factor(net, x, values)
+            prefix[i + 1] = p
+        yield values, prefix[n]
+        # binary increment, the highest free id being the lowest digit
+        k = len(free) - 1
+        while k >= 0 and values[free[k]]:
+            values[free[k]] = False
+            k -= 1
+        if k < 0:
+            return
+        values[free[k]] = True
+        start = free[k]
 
 
 def enumerate_consistent(
@@ -146,29 +124,17 @@ def exact_inference(
 ) -> ExactResult:
     """Evidence probability and per-node present-posteriors by exhaustive
     enumeration.  Raises :class:`ImpossibleEvidenceError` on zero mass."""
-    n = len(net.nodes)
-    total = _Kahan()
-    score_s = [0.0] * n
-    score_c = [0.0] * n
+    tally = Tally(len(net.nodes))
     count = 0
     for values, joint in _enum_values(net, evidence, cap):
         count += 1
-        total.add(joint)
-        for i in range(n):
-            if values[i]:
-                s = score_s[i]
-                t = s + joint
-                if abs(s) >= joint:
-                    score_c[i] += (s - t) + joint
-                else:
-                    score_c[i] += (joint - t) + s
-                score_s[i] = t
-    mass = total.value
+        tally.add(values, joint)
+    mass = tally.mass
     if mass <= 0.0:
         raise ImpossibleEvidenceError(
             "evidence has probability zero; posteriors are undefined"
         )
-    posteriors = tuple((score_s[i] + score_c[i]) / mass for i in range(n))
+    posteriors = tuple(s / mass for s in tally.scores())
     return ExactResult(mass, posteriors, count)
 
 

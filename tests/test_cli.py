@@ -234,6 +234,41 @@ class TestInfer:
         assert "cap" in err
 
 
+class TestBadInput:
+    def test_non_utf8_network_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "latin1.net"
+        p.write_bytes("node Ä prior 0.5\n".encode("latin-1"))
+        code, _, err = run_cli(capsys, "validate", str(p))
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_non_utf8_evidence_exits_2(self, capsys, tmp_path, chain3_files):
+        ev = tmp_path / "latin1.ev"
+        ev.write_bytes(b"C present \xe9\n")
+        code, _, err = run_cli(capsys, "infer", chain3_files[0], str(ev), "--epsilon", "0")
+        assert code == 2
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("exact", "{net}", "{ev}", "--cap", "-1"), "--cap"),
+            (("infer", "{net}", "{ev}", "--epsilon", "0", "--cap", "-1"), "--cap"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--cap", "-1"), "--cap"),
+            (("bench", "{net}", "--cases", "-2", "--findings", "1"), "--cases"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--jobs", "0"), "--jobs"),
+            (("gen", "--out", "{dir}", "--cases", "-2"), "--cases"),
+        ],
+    )
+    def test_out_of_range_counts_exit_1(self, capsys, tmp_path, chain3_files, argv, option):
+        net, ev = chain3_files
+        subst = {"net": net, "ev": ev, "dir": str(tmp_path / "g")}
+        code, out, err = run_cli(capsys, *(a.format(**subst) for a in argv))
+        assert code == 1
+        assert f"argument {option}" in err
+        assert out == ""
+
+
 class TestBench:
     def test_tiny_net_converges(self, capsys, tmp_path):
         net = tmp_path / "chain3.net"
@@ -325,6 +360,14 @@ class TestGen:
             )
         assert (a / "network.net").read_bytes() == (b / "network.net").read_bytes()
         assert (a / "case-000.ev").read_bytes() == (b / "case-000.ev").read_bytes()
+
+    def test_nodes_per_level_not_integers_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen", "--out", str(tmp_path / "g"), "--nodes-per-level", "2,x"
+        )
+        assert code == 1
+        assert "--nodes-per-level" in err
+        assert not (tmp_path / "g").exists()
 
     def test_generated_case_runs_through_infer(self, capsys, tmp_path):
         out_dir = tmp_path / "g"

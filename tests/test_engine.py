@@ -14,7 +14,6 @@ from nobn import (
     NetworkError,
     NodeSpec,
     SplitMix64,
-    complete,
     derive_seed,
     exact_inference,
     format_accepted,
@@ -33,11 +32,11 @@ from conftest import (
 
 
 def _accepted_keys(result):
-    return {a.as_tuple() for a, _ in result.accepted}
+    return {a.values for a, _ in result.accepted}
 
 
 def _oracle_keys(net, ev, eps):
-    return {a.as_tuple(): j for a, j in instantiations_above(net, ev, eps)}
+    return {a.values: j for a, j in instantiations_above(net, ev, eps)}
 
 
 class TestTopEpsilonChain3:
@@ -87,7 +86,7 @@ class TestOracleEquivalence:
                 oracle = _oracle_keys(pruned, pev, eps)
                 assert _accepted_keys(res) == set(oracle)
                 for a, j in res.accepted:
-                    assert j == pytest.approx(oracle[a.as_tuple()], rel=1e-12)
+                    assert j == pytest.approx(oracle[a.values], rel=1e-12)
                 checked += 1
         assert checked >= 100
 
@@ -205,13 +204,13 @@ class TestEvidencePosteriors:
 class TestComplete:
     def test_chain3(self, chain3):
         a = Assignment.from_evidence(chain3, [(0, True), (1, False), (2, True)])
-        assert complete(chain3, a)
+        assert a.unassigned_count == 0
         b = Assignment.from_evidence(chain3, [(2, True)])
-        assert not complete(chain3, b)
+        assert b.unassigned_count > 0
 
     def test_empty_network_vacuously_complete(self):
         net = parse_network("")
-        assert complete(net, Assignment.empty(net))
+        assert Assignment(net).unassigned_count == 0
         res = top_epsilon(net, [], 0.5)
         assert res.mass_accumulated == 1.0
         assert res.accepted_count == 1

@@ -24,6 +24,7 @@ from nobn import (
     parse_network,
     upper_bound,
 )
+from nobn.epsilonml import iter_level_extensions
 from conftest import pruned_with_evidence, random_evidence, small_random_net
 
 
@@ -120,6 +121,38 @@ class TestBuildSubproblem:
         a = Assignment.from_evidence(net, [(3, True), (4, False)])
         sub = build_subproblem(net, a, 1)
         assert sub.free_parents == (1, 2, 0)  # q: B=0.9, C=0.6, A=0.5
+
+
+class TestIterLevelExtensions:
+    def test_matches_two_step_form_on_every_frontier_state(self):
+        # Walk the engine's search tree (rescaled thresholds included) and
+        # compare the one-call form with build_subproblem + iter_extensions
+        # on every state that has a frontier level.
+        checked = 0
+        for seed in range(60):
+            net = small_random_net(seed)
+            pruned, pev = pruned_with_evidence(net, random_evidence(net, seed))
+            target = (1e-2, 1e-5, 0.0)[seed % 3]
+            stack = [Assignment.from_evidence(pruned, pev)]
+            visited = 0
+            while stack and visited < 400:
+                a = stack.pop()
+                visited += 1
+                level = a.frontier_level()
+                if level is None or a.known_factor_product < target:
+                    continue
+                eps = target / a.known_factor_product if target else 0.0
+                fused = list(iter_level_extensions(pruned, a, level, eps))
+                sub = build_subproblem(pruned, a, level)
+                assert fused == list(iter_extensions(pruned, sub, eps))
+                checked += 1
+                stack.extend(a.extended(ext.parent_states) for ext in fused)
+        assert checked >= 300
+
+    def test_no_findings_raises(self, chain3):
+        a = Assignment.from_evidence(chain3, [(2, True)])
+        with pytest.raises(NoFindingsError):
+            iter_level_extensions(chain3, a, 1, 0.0)
 
 
 class TestEpsilonMl:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from nobn import (
@@ -11,11 +13,11 @@ from nobn import (
     NetworkError,
     NodeSpec,
     SplitMix64,
+    Tally,
     cpt_probability,
     derive_seed,
     exact_inference,
     joint_probability,
-    label_levels,
     nps_holds,
     parse_evidence,
     parse_network,
@@ -130,14 +132,13 @@ class TestLabelLevels:
         net = parse_network(FIG3_TEXT)
         assert net.levels == (0, 0, 1, 2)
         assert net.max_level == 2
-        assert label_levels(net) == ((0, 0, 1, 2), 2)
 
     def test_single_isolated_root(self):
         net = parse_network("node A prior 0.5")
-        assert label_levels(net) == ((0,), 0)
+        assert (net.levels, net.max_level) == ((0,), 0)
 
     def test_chain(self, chain3):
-        assert label_levels(chain3) == ((0, 1, 2), 2)
+        assert (chain3.levels, chain3.max_level) == ((0, 1, 2), 2)
 
     def test_matches_bfs_relabel_oracle(self):
         for seed in range(40):
@@ -207,6 +208,28 @@ def _pair_cpt_entries(leak: float, q1: float, q2: float):
     )
 
 
+class TestTally:
+    def test_compensates_tiny_addends(self):
+        t = Tally(1)
+        naive = 1.0
+        t.add((True,), 1.0)
+        for _ in range(10_000):
+            t.add((True,), 1e-17)
+            naive += 1e-17
+        exact = math.fsum([1.0] + [1e-17] * 10_000)
+        assert naive == 1.0
+        assert exact > 1.0
+        assert t.mass == exact
+        assert t.scores() == (exact,)
+
+    def test_scores_count_present_nodes_only(self):
+        t = Tally(3)
+        t.add((True, False, True), 0.25)
+        t.add((False, False, True), 0.5)
+        assert t.mass == 0.75
+        assert t.scores() == (0.25, 0.0, 0.75)
+
+
 class TestNps:
     def test_noisy_or_without_leak(self):
         assert nps_holds(*_pair_cpt_entries(0.0, 0.5, 0.5))
@@ -237,38 +260,38 @@ class TestNps:
 
 class TestFactorProducts:
     def test_partial_empty_assignment(self, chain3):
-        assert partial_probability(chain3, Assignment.empty(chain3)) == 1.0
+        assert partial_probability(chain3, Assignment(chain3)) == 1.0
 
     def test_partial_only_child_assigned(self, chain3):
-        a = Assignment.empty(chain3)
+        a = Assignment(chain3)
         a.assign(2, True)
         assert partial_probability(chain3, a) == 1.0
 
     def test_partial_b_and_c(self, chain3):
         # only C's factor is known: P(C=p | B=p) = 0.905
-        a = Assignment.empty(chain3)
+        a = Assignment(chain3)
         a.assign(1, True)
         a.assign(2, True)
         assert partial_probability(chain3, a) == pytest.approx(0.905, abs=1e-15)
 
     def test_joint_all_present(self, chain3):
-        a = Assignment.empty(chain3).extended([(0, True), (1, True), (2, True)])
+        a = Assignment(chain3).extended([(0, True), (1, True), (2, True)])
         expected = 0.2 * 0.82 * 0.905
         assert joint_probability(chain3, a) == pytest.approx(expected, rel=1e-12)
         assert abs(expected - 0.14842) < 1e-12
 
     def test_joint_low_path(self, chain3):
-        a = Assignment.empty(chain3).extended([(0, False), (1, False), (2, True)])
+        a = Assignment(chain3).extended([(0, False), (1, False), (2, True)])
         assert joint_probability(chain3, a) == pytest.approx(0.036, rel=1e-12)
 
     def test_joint_rejects_incomplete(self, chain3):
-        a = Assignment.empty(chain3).extended([(2, True)])
+        a = Assignment(chain3).extended([(2, True)])
         with pytest.raises(NetworkError, match="incomplete"):
             joint_probability(chain3, a)
 
     def test_zero_prior_annihilates(self):
         net = parse_network("node A prior 0\nnode B leak 0.5 parents A:0.5")
-        a = Assignment.empty(net).extended([(0, True), (1, False)])
+        a = Assignment(net).extended([(0, True), (1, False)])
         assert joint_probability(net, a) == 0.0
 
     def test_evidence_nodes_never_reassigned(self, chain3):
@@ -284,7 +307,7 @@ class TestAssignmentCache:
         for seed in range(15):
             net = small_random_net(seed)
             r = SplitMix64(derive_seed(seed, 0xE0))
-            a = Assignment.empty(net)
+            a = Assignment(net)
             tokens = []
             for _ in range(120):
                 if tokens and r.random() < 0.4:

@@ -30,7 +30,7 @@ class TestEnumerateConsistent:
         # binary counting over free nodes (A, B) in id order, absent first
         expected_order = [(False, False), (False, True), (True, False), (True, True)]
         for (a, joint), key in zip(got, expected_order):
-            assert a.as_tuple()[:2] == key
+            assert a.values[:2] == key
             assert a.state(2) is True
             assert joint == pytest.approx(CHAIN3_JOINTS[key], rel=1e-14)
 
@@ -98,6 +98,23 @@ class TestExactInference:
             assert res.evidence_probability == pytest.approx(1.0, abs=1e-12)
             assert res.instantiation_count == 2 ** len(net)
 
+    def test_long_chain_does_not_recurse(self):
+        # 1,500 nodes in a chain, all but the root observed present: one free
+        # node, two instantiations, and a depth no recursion limit allows
+        n = 1500
+        lines = ["node n0 prior 0.3"]
+        lines += [f"node n{i} leak 0.01 parents n{i - 1}:0.9" for i in range(1, n)]
+        net = parse_network("\n".join(lines))
+        ev = [(i, True) for i in range(1, n)]
+        res = exact_inference(net, ev)
+        on = 1.0 - 0.99 * 0.1  # P(child present | parent present)
+        root_p = 0.3 * on ** (n - 1)
+        root_a = 0.7 * 0.01 * on ** (n - 2)
+        assert res.instantiation_count == 2
+        assert res.evidence_probability == pytest.approx(root_p + root_a, rel=1e-9)
+        assert res.posteriors[0] == pytest.approx(root_p / (root_p + root_a), rel=1e-9)
+        assert res.posteriors[n - 1] == 1.0
+
 
 class TestInstantiationsAbove:
     def test_chain3_thresholds(self, chain3, chain3_ev_c):
@@ -118,7 +135,7 @@ class TestInstantiationsAbove:
         thresholds = sorted(10.0 ** (-6 * r.random()) for _ in range(8))
         previous = None
         for eps in reversed(thresholds):  # decreasing
-            got = {a.as_tuple() for a, _ in instantiations_above(chain3, chain3_ev_c, eps)}
+            got = {a.values for a, _ in instantiations_above(chain3, chain3_ev_c, eps)}
             if previous is not None:
                 assert previous <= got
             previous = got
