@@ -6,13 +6,13 @@ threshold, estimating posteriors from the accumulated mass.
 """
 
 from .model import (
-    LOG_TRACK_MIN_NODES,
     Assignment,
     NetParseError,
     Network,
     NetworkError,
     NodeSpec,
     Tally,
+    check_threshold,
     cpt_probability,
     joint_probability,
     node_factor,

@@ -27,6 +27,7 @@ from .model import (
     Assignment,
     Network,
     NetworkError,
+    check_threshold,
     parse_evidence,
     parse_network,
     print_network,
@@ -112,12 +113,29 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _parse_schedule(text: str) -> EpsilonSchedule:
+def _threshold(text: str) -> float:
+    """argparse type: a finite number >= 0 (nan, inf and negatives exit 1)."""
     try:
-        values = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise NetworkError(f"bad schedule {text!r}: expected comma-separated floats")
-    return EpsilonSchedule(values)
+        return check_threshold(float(text))
+    except ValueError:  # also NetworkError, a ValueError
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        ) from None
+
+
+def _schedule(text: str) -> EpsilonSchedule:
+    """argparse type: comma-separated, strictly decreasing thresholds."""
+    try:
+        return EpsilonSchedule(tuple(float(tok) for tok in text.split(",")))
+    except ValueError as e:  # also NetworkError, a ValueError
+        raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {e}") from None
+
+
+def _gold_spec(text: str) -> str:
+    """argparse type: 'none', 'exact', or a deep-run threshold, kept as typed."""
+    if text not in ("none", "exact"):
+        _threshold(text)
+    return text
 
 
 def _pruned_for(net: Network, evidence):
@@ -225,12 +243,7 @@ def _cmd_infer(args) -> int:
     pruned, pev = _pruned_for(net, evidence)
     case_id = Path(args.evidence).stem
 
-    if args.epsilon is not None:
-        epsilons = (args.epsilon,)
-        if args.epsilon < 0:
-            raise NetworkError("--epsilon must be >= 0")
-    else:
-        epsilons = _parse_schedule(args.schedule).values
+    epsilons = args.schedule.values if args.epsilon is None else (args.epsilon,)
 
     gold = _infer_gold(pruned, pev, args.cap) if args.gold else None
 
@@ -289,30 +302,14 @@ def _bench_case(job):
     return case.case_id, rows, gold, convergence_eps, states
 
 
-def _gold_spec(text: str) -> str:
-    if text in ("none", "exact"):
-        return text
-    try:
-        eps = float(text)
-    except ValueError:
-        raise NetworkError(
-            f"bad --gold {text!r}: expected 'none', 'exact', or a deep-run epsilon"
-        )
-    if eps < 0:
-        raise NetworkError("--gold epsilon must be >= 0")
-    return text
-
-
 def _cmd_bench(args) -> int:
     net = _load_network(args.network)
-    schedule = (
-        _parse_schedule(args.schedule) if args.schedule else DEFAULT_SCHEDULE
-    )
-    gold_spec = _gold_spec(args.gold)
     jobs = []
     for i in range(args.cases):
         seed = derive_seed(args.seed, _BENCH_CASE_TAG, i)
-        jobs.append((net, seed, args.findings, schedule.values, gold_spec, args.cap))
+        jobs.append(
+            (net, seed, args.findings, args.schedule.values, args.gold, args.cap)
+        )
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -329,7 +326,7 @@ def _cmd_bench(args) -> int:
     out = open(args.summary, "w", encoding="utf-8") if args.summary else sys.stderr
     try:
         results.sort(key=lambda r: r[0])
-        out.write(f"# convergence summary (gold: {gold_spec})\n")
+        out.write(f"# convergence summary (gold: {args.gold})\n")
         for case_id, _, gold, conv_eps, _ in results:
             gold_s = _fmt(gold) if gold is not None else "unknown"
             conv_s = _fmt_eps(conv_eps) if conv_eps is not None else "none"
@@ -338,7 +335,7 @@ def _cmd_bench(args) -> int:
                 f"gold_mass {gold_s} convergence_eps {conv_s}\n"
             )
         out.write("# states explored by epsilon\n")
-        out.write("# epsilons: " + " ".join(_fmt_eps(e) for e in schedule) + "\n")
+        out.write("# epsilons: " + " ".join(_fmt_eps(e) for e in args.schedule) + "\n")
         for case_id, _, _, _, states in results:
             out.write(f"states {case_id} " + " ".join(map(str, states)) + "\n")
         points = [c for _, _, _, c, _ in results if c is not None]
@@ -422,15 +419,16 @@ def _build_parser() -> _ArgParser:
     p = sub.add_parser("eml", help="one-level parent search on a two-level network")
     p.add_argument("network")
     p.add_argument("evidence")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_threshold, required=True)
     p.set_defaults(func=_cmd_eml)
 
     p = sub.add_parser("infer", help="threshold search; CSV row(s) on stdout")
     p.add_argument("network")
     p.add_argument("evidence")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--epsilon", type=float)
-    group.add_argument("--schedule", help="comma-separated decreasing thresholds")
+    group.add_argument("--epsilon", type=_threshold)
+    group.add_argument("--schedule", type=_schedule,
+                       help="comma-separated decreasing thresholds")
     p.add_argument("--gold", action="store_true",
                    help="also run the exact oracle and fill the gold columns")
     p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP)
@@ -443,11 +441,12 @@ def _build_parser() -> _ArgParser:
     p = sub.add_parser("bench", help="run sampled cases through a schedule")
     p.add_argument("network")
     p.add_argument("--cases", type=_int_at_least(0), required=True)
-    p.add_argument("--findings", type=int, required=True)
+    p.add_argument("--findings", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--schedule", help="comma-separated decreasing thresholds")
+    p.add_argument("--schedule", type=_schedule, default=DEFAULT_SCHEDULE,
+                   help="comma-separated decreasing thresholds")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--gold", default="none",
+    p.add_argument("--gold", type=_gold_spec, default="none",
                    help="'none', 'exact', or a deep-run epsilon (default %(default)s)")
     p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP)
     p.add_argument("--summary", metavar="PATH",
@@ -458,7 +457,7 @@ def _build_parser() -> _ArgParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes-per-level", type=_int_list, default="3,10,15,20,97")
-    p.add_argument("--max-parents", type=int, default=3)
+    p.add_argument("--max-parents", type=_int_at_least(1), default=3)
     p.add_argument("--locality", type=float, default=0.8)
     p.add_argument("--prior-range", default="0.001,0.1")
     p.add_argument("--q-range", default="0.2,0.95")
@@ -466,7 +465,7 @@ def _build_parser() -> _ArgParser:
     p.add_argument("--finding-leak-range", default=None,
                    help="override the leak range on the deepest level")
     p.add_argument("--cases", type=_int_at_least(0), default=0)
-    p.add_argument("--findings", type=int, default=0)
+    p.add_argument("--findings", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_gen)
 
     return parser

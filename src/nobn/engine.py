@@ -8,10 +8,12 @@ level to the branching search with a rescaled threshold
     epsilon_new = epsilon_target / (product of already-known factors),
 
 which is a necessary condition for any completion to reach the target.
-Accepted instantiations contribute their joint to the accumulated mass and
-to the present-score of every present node; posterior estimates are
-score/mass.  With a target of zero the run is exhaustive and the mass equals
-the exact evidence probability.
+The division, and the test that the known product reaches the target at
+all, is :meth:`~nobn.model.Assignment.rescaled_threshold`, which hides how
+the product is scaled.  Accepted instantiations add their joint to a
+:class:`~nobn.model.Tally` of mass and per-node present-score, whose ratio is
+the posterior estimate.  With a target of zero the run is exhaustive and the
+mass equals the exact evidence probability.
 
 The stack holds one lazy extension iterator per expansion, never a
 materialized frontier, so memory stays linear in the search depth.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .epsilonml import Extension, iter_level_extensions
-from .model import Assignment, Network, NetworkError, Tally
+from .model import Assignment, Network, NetworkError, Tally, check_threshold
 
 __all__ = [
     "SearchResult",
@@ -48,16 +50,10 @@ class SearchResult:
     score: tuple[float, ...]
     states_explored: int
     accepted_count: int
+    # per-node present-probability estimates, or None when no mass was
+    # accumulated (nothing qualified, or the evidence is impossible)
+    posteriors: tuple[float, ...] | None
     accepted: list[tuple[Assignment, float]] | None = None
-
-    @property
-    def posteriors(self) -> tuple[float, ...] | None:
-        """Per-node present-probability estimates, or None when no mass was
-        accumulated (nothing qualified, or the evidence is impossible)."""
-        if self.mass_accumulated <= 0.0:
-            return None
-        m = self.mass_accumulated
-        return tuple(s / m for s in self.score)
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,7 @@ class EpsilonSchedule:
 
     def __post_init__(self):
         for v in self.values:
-            if v < 0 or not math.isfinite(v):
-                raise NetworkError(f"schedule value {v!r} must be finite and >= 0")
+            check_threshold(v, "schedule value")
         for a, b in zip(self.values, self.values[1:]):
             if not b < a:
                 raise NetworkError("schedule values must be strictly decreasing")
@@ -126,52 +121,30 @@ def top_epsilon(
     ``on_extension`` is a test hook called with every applied extension and
     the threshold it had to clear.
     """
-    if epsilon_target < 0 or not math.isfinite(epsilon_target):
-        raise NetworkError(
-            f"epsilon_target must be a finite value >= 0, got {epsilon_target!r}"
-        )
+    check_threshold(epsilon_target, "epsilon_target")
     a = Assignment.from_evidence(net, evidence)
-    track_log = a.track_log
-    log_eps = -math.inf if epsilon_target == 0.0 else math.log(epsilon_target)
-
     tally = Tally(len(net.nodes))
     accepted: list[tuple[Assignment, float]] | None = [] if keep_accepted else None
     accepted_count = 0
     states_explored = 0
 
     def prefix_qualifies() -> bool:
-        if track_log:
-            return a.log_known >= log_eps
-        return a.known_factor_product >= epsilon_target
-
-    def rescaled_epsilon() -> float | None:
-        # None means no completion of this state can reach the target
-        if epsilon_target == 0.0:
-            return 0.0
-        if track_log:
-            x = log_eps - a.log_known
-            if x > 0.0:
-                return None
-            return math.exp(x)
-        p = a.known_factor_product
-        if p < epsilon_target:  # covers p == 0
-            return None
-        return epsilon_target / p
+        return a.rescaled_threshold(epsilon_target) is not None
 
     def accept() -> None:
         nonlocal accepted_count
-        joint = a.known_factor_product
         accepted_count += 1
-        tally.add(a.raw_values(), joint)
+        joint, exponent = a.known_factor_product, a.known_exponent
+        tally.add(a.raw_values(), joint, exponent)
         if accepted is not None:
-            accepted.append((a.copy(), joint))
+            accepted.append((a.copy(), math.ldexp(joint, exponent)))
 
     def expander() -> Iterator[None]:
         # Children of the current state; each child is applied to the shared
         # assignment before the yield and reverted after resumption.
         level = a.frontier_level()
         if level is not None:
-            eps_new = rescaled_epsilon()
+            eps_new = a.rescaled_threshold(epsilon_target)
             if eps_new is None:
                 return
             for ext in iter_level_extensions(net, a, level, eps_new):
@@ -217,6 +190,7 @@ def top_epsilon(
         score=tally.scores(),
         states_explored=states_explored,
         accepted_count=accepted_count,
+        posteriors=tally.posteriors(),
         accepted=accepted,
     )
 

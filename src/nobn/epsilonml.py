@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .model import Assignment, Network, NetworkError
+from .model import Assignment, Network, NetworkError, check_threshold
 
 __all__ = [
     "NoFindingsError",
@@ -129,8 +129,7 @@ def iter_extensions(
     probable state first.  ``stats``, when given, receives ``nodes`` (partial
     decisions expanded) and ``max_depth`` (peak stored decisions).
     """
-    if epsilon < 0:
-        raise NetworkError(f"epsilon must be >= 0, got {epsilon!r}")
+    check_threshold(epsilon)
     return _search(
         net, sub.findings, sub.free_parents, sub.fixed_parents, epsilon, stats
     )

@@ -15,9 +15,9 @@ The building blocks every inference module shares live here, once each:
 parents is written out, and :class:`Tally` is the only compensated
 (Neumaier) accumulator of probability mass and per-node present-score.
 
-Probabilities are doubles multiplied in linear space.  Assignments over more
-than ``LOG_TRACK_MIN_NODES`` nodes additionally maintain a log-space product
-so threshold comparisons survive linear underflow on very deep networks.
+Probabilities are doubles multiplied in linear space.  An assignment keeps
+its product scaled by a power of two, so deep joints never underflow, and
+:class:`Tally` sums such scaled joints, so posteriors stay defined.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "LOG_TRACK_MIN_NODES",
     "NetworkError",
     "NetParseError",
     "NodeSpec",
@@ -40,6 +39,7 @@ __all__ = [
     "print_network",
     "parse_evidence",
     "validate_evidence",
+    "check_threshold",
     "cpt_probability",
     "noisy_or_absent",
     "node_factor",
@@ -48,9 +48,6 @@ __all__ = [
     "joint_probability",
     "prune_barren",
 ]
-
-# Node count above which Assignment also tracks a log-space factor product.
-LOG_TRACK_MIN_NODES = 200
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -202,6 +199,14 @@ class Network:
 def _check_prob(p, what: str) -> None:
     if not isinstance(p, (int, float)) or not math.isfinite(p) or not 0.0 <= p <= 1.0:
         raise NetworkError(f"{what}: probability {p!r} out of [0, 1]")
+
+
+def check_threshold(value: float, what: str = "epsilon") -> float:
+    """Return ``value`` if it is a finite number >= 0, else raise
+    :class:`NetworkError`; nan and inf are rejected, not passed on."""
+    if not 0.0 <= value < math.inf:
+        raise NetworkError(f"{what} must be a finite value >= 0, got {value!r}")
+    return value
 
 
 def _longest_path_levels(parents, children) -> tuple[tuple[int, ...], int]:
@@ -453,8 +458,11 @@ def nps_holds(p_ab: float, p_notab_notb: float, p_a_notb: float, p_nota_b: float
 class Assignment:
     """Partial or complete node-state assignment with cached factor product.
 
-    ``known_factor_product`` is the product of every factor whose node and
-    parents are all assigned; it always agrees with a from-scratch
+    ``known_factor_product * 2**known_exponent`` is the product of every
+    factor whose node and parents are all assigned.  A scaled product that
+    ends an :meth:`assign` below ``2**-512`` is multiplied by ``2**512``; this
+    keeps every bit while one call's new factors multiply to ``2**-510`` or
+    more.  At exponent 0 the product agrees with a from-scratch
     :func:`partial_probability` recomputation (up to multiplication-order
     rounding).  The object is value-like: it belongs to one search worker at
     a time, and ``assign``/``undo`` must nest in strict LIFO order.
@@ -464,11 +472,10 @@ class Assignment:
         "net",
         "_values",
         "known_factor_product",
-        "log_known",
+        "known_exponent",
         "_unassigned_parents",
         "_level_active",
         "_n_unassigned",
-        "track_log",
     )
 
     def __init__(self, net: Network):
@@ -476,11 +483,10 @@ class Assignment:
         n = len(net.nodes)
         self._values: list[bool | None] = [None] * n
         self.known_factor_product = 1.0
-        self.log_known = 0.0
+        self.known_exponent = 0
         self._unassigned_parents = [len(spec.links) for spec in net.nodes]
         self._level_active = [0] * (net.max_level + 1)
         self._n_unassigned = n
-        self.track_log = n > LOG_TRACK_MIN_NODES
 
     # -- constructors ------------------------------------------------------
 
@@ -502,12 +508,6 @@ class Assignment:
         a._unassigned_parents = [0] * len(net.nodes)
         a._n_unassigned = 0
         a.known_factor_product = joint
-        if a.track_log:
-            total = 0.0
-            for i in range(len(net.nodes)):
-                f = node_factor(net, i, a._values)
-                total += math.log(f) if f > 0.0 else -math.inf
-            a.log_known = total
         return a
 
     # -- accessors ----------------------------------------------------------
@@ -543,12 +543,25 @@ class Assignment:
         c.net = self.net
         c._values = self._values.copy()
         c.known_factor_product = self.known_factor_product
-        c.log_known = self.log_known
+        c.known_exponent = self.known_exponent
         c._unassigned_parents = self._unassigned_parents.copy()
         c._level_active = self._level_active.copy()
         c._n_unassigned = self._n_unassigned
-        c.track_log = self.track_log
         return c
+
+    def rescaled_threshold(self, epsilon: float) -> float | None:
+        """Epsilon over the known product: what the unknown factors must
+        reach together.  None when the product is already below epsilon.
+        The only threshold test on the product; epsilon is lifted to the
+        product's scale exactly, and a lift that overflows is out of reach."""
+        try:
+            e = math.ldexp(epsilon, -self.known_exponent)
+        except OverflowError:
+            return None
+        p = self.known_factor_product
+        if p < e:  # covers p == 0 < e
+            return None
+        return e / p if e else 0.0
 
     # -- mutation (LIFO) -----------------------------------------------------
 
@@ -561,24 +574,19 @@ class Assignment:
                 f"node {self.net.nodes[nid].name!r} is already assigned"
             )
         net = self.net
-        token = (nid, self.known_factor_product, self.log_known)
+        prod = self.known_factor_product
+        token = (nid, prod, self.known_exponent)
         values[nid] = state
         self._n_unassigned -= 1
         counts = self._unassigned_parents
-        prod = self.known_factor_product
-        track = self.track_log
-        log_total = self.log_known
         absent = noisy_or_absent
         if counts[nid] == 0:
             prior = net._priors[nid]
             if prior is not None:
-                f = prior if state else 1.0 - prior
+                prod *= prior if state else 1.0 - prior
             else:
                 w = absent(net, nid, values)
-                f = 1.0 - w if state else w
-            prod *= f
-            if track:
-                log_total += math.log(f) if f > 0.0 else -math.inf
+                prod *= 1.0 - w if state else w
         else:
             self._level_active[net.levels[nid]] += 1
         for c in net.children[nid]:
@@ -586,19 +594,18 @@ class Assignment:
             counts[c] = k
             if k == 0 and values[c] is not None:
                 w = absent(net, c, values)
-                f = 1.0 - w if values[c] else w
-                prod *= f
-                if track:
-                    log_total += math.log(f) if f > 0.0 else -math.inf
+                prod *= 1.0 - w if values[c] else w
                 self._level_active[net.levels[c]] -= 1
+        if prod < 2.0 ** -512 and prod:
+            # exact power-of-two lift; the constants fold at compile time
+            prod *= 2.0 ** 512
+            self.known_exponent -= 512
         self.known_factor_product = prod
-        if track:
-            self.log_known = log_total
         return token
 
     def undo(self, token) -> None:
         """Reverse the matching :meth:`assign`; calls must nest LIFO."""
-        nid, old_prod, old_log = token
+        nid, old_prod, old_exponent = token
         net = self.net
         values = self._values
         counts = self._unassigned_parents
@@ -611,7 +618,7 @@ class Assignment:
         values[nid] = None
         self._n_unassigned += 1
         self.known_factor_product = old_prod
-        self.log_known = old_log
+        self.known_exponent = old_exponent
 
     def extended(self, pairs: Iterable[tuple[int, bool]]) -> "Assignment":
         """A copy with the given nodes assigned (value-style extension)."""
@@ -665,22 +672,27 @@ def joint_probability(net: Network, a: Assignment) -> float:
 class Tally:
     """Neumaier-compensated sums of the joints of complete instantiations:
     the total mass, and per node the mass of the instantiations where it is
-    present.  Posterior estimates are ``scores()[i] / mass``.
+    present.  :meth:`posteriors` is the only ``score / mass`` division.
 
     The mass is kept in the extra slot after the ``n`` node slots, so one
-    compensated step serves both.  Joints are never negative.
+    compensated step serves both.  Joints are never negative.  A joint comes
+    scaled, as ``joint * 2**exponent`` like an :class:`Assignment`'s product;
+    the sums share the largest exponent of the nonzero joints so far.
     """
 
-    __slots__ = ("_sums", "_comps", "_ids", "_mass_slot")
+    __slots__ = ("_sums", "_comps", "_ids", "_mass_slot", "_exponent")
 
     def __init__(self, n: int):
         self._sums = [0.0] * (n + 1)
         self._comps = [0.0] * (n + 1)
         self._ids = range(n)
         self._mass_slot = (n,)
+        self._exponent = 0
 
-    def add(self, values: Sequence[bool | None], joint: float) -> None:
+    def add(self, values: Sequence[bool | None], joint: float, exponent: int = 0) -> None:
         """Count one complete instantiation (``values`` in node-id order)."""
+        if exponent != self._exponent and joint:
+            joint = self._align(joint, exponent)
         sums = self._sums
         comps = self._comps
         for i in chain(compress(self._ids, values), self._mass_slot):
@@ -692,12 +704,34 @@ class Tally:
                 comps[i] += (joint - t) + s
             sums[i] = t
 
+    def _align(self, joint: float, exponent: int) -> float:
+        # Scale the side with the smaller exponent down to the other's; what
+        # underflows there is below the other side's rounding error.
+        if self._sums[-1]:
+            shift = exponent - self._exponent
+            if shift < 0:
+                return math.ldexp(joint, shift)
+            self._sums = [math.ldexp(s, -shift) for s in self._sums]
+            self._comps = [math.ldexp(c, -shift) for c in self._comps]
+        self._exponent = exponent
+        return joint
+
     @property
     def mass(self) -> float:
-        return self._sums[-1] + self._comps[-1]
+        return math.ldexp(self._sums[-1] + self._comps[-1], self._exponent)
 
     def scores(self) -> tuple[float, ...]:
-        return tuple(s + c for s, c in zip(self._sums[:-1], self._comps[:-1]))
+        e = self._exponent
+        return tuple(
+            math.ldexp(s + c, e) for s, c in zip(self._sums[:-1], self._comps[:-1])
+        )
+
+    def posteriors(self) -> tuple[float, ...] | None:
+        """Per node, score over mass (scaled); None when no mass was counted."""
+        m = self._sums[-1] + self._comps[-1]
+        if m <= 0.0:
+            return None
+        return tuple((s + c) / m for s, c in zip(self._sums[:-1], self._comps[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ so the depth of the network never limits the enumeration.  Factors come from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import Assignment, Network, NetworkError, Tally, node_factor, validate_evidence
+from .model import Assignment, Network, NetworkError, Tally, check_threshold
+from .model import node_factor, validate_evidence
 
 __all__ = [
     "DEFAULT_FREE_NODE_CAP",
@@ -129,13 +129,12 @@ def exact_inference(
     for values, joint in _enum_values(net, evidence, cap):
         count += 1
         tally.add(values, joint)
-    mass = tally.mass
-    if mass <= 0.0:
+    posteriors = tally.posteriors()
+    if posteriors is None:
         raise ImpossibleEvidenceError(
             "evidence has probability zero; posteriors are undefined"
         )
-    posteriors = tuple(s / mass for s in tally.scores())
-    return ExactResult(mass, posteriors, count)
+    return ExactResult(tally.mass, posteriors, count)
 
 
 def instantiations_above(
@@ -147,8 +146,7 @@ def instantiations_above(
     """All consistent complete assignments with joint >= epsilon (inclusive),
     in enumeration order.  This is the reference set the search engine must
     reproduce exactly."""
-    if epsilon < 0 or not math.isfinite(epsilon):
-        raise NetworkError(f"epsilon must be a finite value >= 0, got {epsilon!r}")
+    check_threshold(epsilon)
     out = []
     for values, joint in _enum_values(net, evidence, cap):
         if joint >= epsilon:

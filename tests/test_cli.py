@@ -187,6 +187,28 @@ class TestInfer:
         names = [line.split(",")[0] for line in post.read_text().splitlines()]
         assert names == ["A", "B", "C"]  # D is barren and pruned
 
+    def test_posteriors_written_when_joints_underflow(self, capsys, tmp_path):
+        # a 150-node chain whose joints are all below double range
+        lines = ["node n0 prior 0.5"] + [
+            f"node n{i} leak 0.001 parents n{i - 1}:0.999" for i in range(1, 150)
+        ]
+        net = tmp_path / "deep.net"
+        net.write_text("\n".join(lines) + "\n")
+        ev = tmp_path / "deep.ev"
+        ev.write_text("".join(
+            f"n{i} {'present' if i % 2 == 0 else 'absent'}\n" for i in range(4, 150)
+        ))
+        post = tmp_path / "deep.post"
+        code, out, err = run_cli(
+            capsys, "infer", str(net), str(ev), "--epsilon", "0", "--post", str(post)
+        )
+        assert code == 0
+        assert "no mass" not in err
+        assert float(parse_csv(out)[0][4]) == 0.0
+        rows = [line.split(",") for line in post.read_text().splitlines()]
+        assert len(rows) == 150
+        assert 0.0 < float(rows[0][1]) < 1.0
+
     def test_impossible_evidence_warns(self, capsys, tmp_path):
         netp = tmp_path / "z.net"
         netp.write_text("node A prior 0\nnode B leak 0 parents A:0.5\n")
@@ -258,6 +280,19 @@ class TestBadInput:
             (("bench", "{net}", "--cases", "-2", "--findings", "1"), "--cases"),
             (("bench", "{net}", "--cases", "1", "--findings", "1", "--jobs", "0"), "--jobs"),
             (("gen", "--out", "{dir}", "--cases", "-2"), "--cases"),
+            (("bench", "{net}", "--cases", "1", "--findings", "-1"), "--findings"),
+            (("gen", "--out", "{dir}", "--max-parents", "0"), "--max-parents"),
+            (("infer", "{net}", "{ev}", "--schedule", "1e-2,x"), "--schedule"),
+            (("infer", "{net}", "{ev}", "--schedule", "1e-4,1e-2"), "--schedule"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--schedule", "1e-2,x"),
+             "--schedule"),
+            (("infer", "{net}", "{ev}", "--epsilon", "nan"), "--epsilon"),
+            (("infer", "{net}", "{ev}", "--epsilon", "inf"), "--epsilon"),
+            (("infer", "{net}", "{ev}", "--epsilon", "-1"), "--epsilon"),
+            (("eml", "{net}", "{ev}", "--epsilon", "nan"), "--epsilon"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "nan"), "--gold"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "inf"), "--gold"),
+            (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "-1"), "--gold"),
         ],
     )
     def test_out_of_range_counts_exit_1(self, capsys, tmp_path, chain3_files, argv, option):

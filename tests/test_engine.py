@@ -1,9 +1,10 @@
 """Engine tests: thresholded enumeration vs the brute-force oracle, schedule
-runs, posterior estimates, and the log-space deep-network regime."""
+runs, posterior estimates, and deep networks whose joints underflow."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +15,13 @@ from nobn import (
     NetworkError,
     NodeSpec,
     SplitMix64,
+    build_subproblem,
     derive_seed,
     exact_inference,
     format_accepted,
     instantiations_above,
+    iter_extensions,
+    node_factor,
     parse_network,
     prune_barren,
     run_schedule,
@@ -253,8 +257,23 @@ class TestRunSchedule:
         assert DEFAULT_SCHEDULE.values[-1] == 1e-20
 
 
-def _deep_chain(n: int, q: float = 0.9, leak: float = 0.05) -> Network:
-    specs = [NodeSpec("n0", prior=0.5)]
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_every_threshold_entry_rejects_nan_inf_and_negatives(bad, chain3, chain3_ev_c):
+    sub = build_subproblem(chain3, Assignment.from_evidence(chain3, chain3_ev_c), 2)
+    for call in (
+        lambda: EpsilonSchedule((1e-2, bad)),
+        lambda: top_epsilon(chain3, chain3_ev_c, bad),
+        lambda: instantiations_above(chain3, chain3_ev_c, bad),
+        lambda: iter_extensions(chain3, sub, bad),
+    ):
+        with pytest.raises(NetworkError, match="finite value >= 0"):
+            call()
+
+
+def _deep_chain(
+    n: int, q: float = 0.9, leak: float = 0.05, prior: float = 0.5
+) -> Network:
+    specs = [NodeSpec("n0", prior=prior)]
     for i in range(1, n):
         specs.append(NodeSpec(f"n{i}", leak=leak, links=((i - 1, q),)))
     return Network(specs)
@@ -270,7 +289,6 @@ class TestLogSpaceRegime:
         values = [i % 2 == 0 for i in range(270)]
         ev = tuple((i, values[i]) for i in range(270))
         a = Assignment.from_evidence(net, ev)
-        assert a.track_log
 
         log_joint = sum(
             math.log(node_factor(net, i, values)) for i in range(270)
@@ -317,6 +335,37 @@ class TestLogSpaceRegime:
         expected = sum(1 for lj in joints if lj >= math.log(mid) - 1e-9)
         loose = sum(1 for lj in joints if lj >= math.log(mid) + 1e-9)
         assert loose <= res.accepted_count <= expected
+
+
+class TestScaledProduct:
+    def test_subnormal_joint_is_compared_exactly(self):
+        # 150 nodes; the joint is about 93.02 units of 2**-1074, where a plain
+        # left-to-right product of the factors drifts up to 96 units
+        net = _deep_chain(150, q=0.99, leak=0.002, prior=3.67e-5)
+        values = [i < 136 and i % 2 == 0 for i in range(150)]
+        ev = tuple(enumerate(values))
+        factors = [node_factor(net, i, values) for i in range(150)]
+        exact = math.prod(map(Fraction, factors))
+        eps = math.ldexp(94, -1074)
+        assert math.ldexp(93, -1074) <= exact < eps <= math.prod(factors)
+        assert top_epsilon(net, ev, eps).accepted_count == 0
+        assert top_epsilon(net, ev, math.ldexp(93, -1074)).accepted_count == 1
+
+    def test_posteriors_defined_when_joints_underflow(self):
+        # every joint is near 1e-450; nodes 0-3 are free, and given node 4
+        # the rest of the chain cannot move them, so their posteriors are
+        # those of the 5-node chain ending at node 4
+        values = [i % 2 == 0 for i in range(150)]
+        deep = top_epsilon(
+            _deep_chain(150, q=0.999, leak=0.001),
+            [(i, values[i]) for i in range(4, 150)],
+            0.0,
+        )
+        short = top_epsilon(_deep_chain(5, q=0.999, leak=0.001), [(4, values[4])], 0.0)
+        assert deep.accepted_count == 16
+        assert deep.mass_accumulated == 0.0  # below double range
+        assert deep.posteriors[:5] == pytest.approx(short.posteriors, abs=1e-12)
+        assert deep.posteriors[5:] == tuple(float(v) for v in values[5:])
 
 
 class TestAcceptedDump:

@@ -229,6 +229,20 @@ class TestTally:
         assert t.mass == 0.75
         assert t.scores() == (0.25, 0.0, 0.75)
 
+    def test_joints_at_different_exponents(self):
+        # 0.6 * 2**-1024 and 0.2 * 2**-1024, the second scaled to a lower exponent
+        first = ((True, False), 0.6, -1024)
+        second = ((False, True), math.ldexp(0.2, 512), -1536)
+        tallies = []
+        for order in ((first, second), (second, first)):
+            t = Tally(2)
+            for values, joint, exponent in order:
+                t.add(values, joint, exponent)
+            tallies.append(t)
+        a, b = tallies
+        assert a.posteriors() == b.posteriors() == pytest.approx((0.75, 0.25), abs=1e-15)
+        assert a.mass == b.mass == math.ldexp(0.6 + 0.2, -1024)
+
 
 class TestNps:
     def test_noisy_or_without_leak(self):
