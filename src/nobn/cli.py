@@ -113,6 +113,30 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _probability(text: str) -> float:
+    """argparse type: a number in [0, 1] (nan exits 1)."""
+    try:
+        value = float(text)
+        if 0.0 <= value <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
+def _prob_range(text: str) -> tuple[float, float]:
+    """argparse type: 'lo,hi' with 0 <= lo <= hi <= 1."""
+    try:
+        lo, hi = (float(tok) for tok in text.split(","))
+        if 0.0 <= lo <= hi <= 1.0:
+            return lo, hi
+    except ValueError:  # also a wrong number of fields
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected 'lo,hi' with 0 <= lo <= hi <= 1, got {text!r}"
+    )
+
+
 def _threshold(text: str) -> float:
     """argparse type: a finite number >= 0 (nan, inf and negatives exit 1)."""
     try:
@@ -347,16 +371,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise NetworkError(f"bad range {text!r}: expected 'lo,hi'")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise NetworkError(f"bad range {text!r}: expected two floats")
-
-
 def _cmd_gen(args) -> int:
     counts = args.nodes_per_level
     shape = NetShape(
@@ -364,12 +378,10 @@ def _cmd_gen(args) -> int:
         nodes_per_level=counts,
         max_parents=args.max_parents,
         parent_locality=args.locality,
-        prior_range=_parse_range(args.prior_range),
-        q_range=_parse_range(args.q_range),
-        leak_range=_parse_range(args.leak_range),
-        finding_leak_range=(
-            _parse_range(args.finding_leak_range) if args.finding_leak_range else None
-        ),
+        prior_range=args.prior_range,
+        q_range=args.q_range,
+        leak_range=args.leak_range,
+        finding_leak_range=args.finding_leak_range,
         seed=args.seed,
     )
     net = gen_network(shape)
@@ -458,11 +470,11 @@ def _build_parser() -> _ArgParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes-per-level", type=_int_list, default="3,10,15,20,97")
     p.add_argument("--max-parents", type=_int_at_least(1), default=3)
-    p.add_argument("--locality", type=float, default=0.8)
-    p.add_argument("--prior-range", default="0.001,0.1")
-    p.add_argument("--q-range", default="0.2,0.95")
-    p.add_argument("--leak-range", default="0.0,0.05")
-    p.add_argument("--finding-leak-range", default=None,
+    p.add_argument("--locality", type=_probability, default=0.8)
+    p.add_argument("--prior-range", type=_prob_range, default="0.001,0.1")
+    p.add_argument("--q-range", type=_prob_range, default="0.2,0.95")
+    p.add_argument("--leak-range", type=_prob_range, default="0.0,0.05")
+    p.add_argument("--finding-leak-range", type=_prob_range, default=None,
                    help="override the leak range on the deepest level")
     p.add_argument("--cases", type=_int_at_least(0), default=0)
     p.add_argument("--findings", type=_int_at_least(0), default=0)

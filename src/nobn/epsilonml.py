@@ -3,9 +3,13 @@ level's findings whose newly-known factor product clears a threshold.
 
 Each subproblem is effectively a two-level network: a set of assigned
 "findings" with no arcs among them, and the parents still free.  The search
-is depth-first over the free parents with an admissible upper bound, so it
-returns exactly the set { parent assignment : product >= epsilon } while
-storing only the current decision path.
+is depth-first over the free parents with an admissible per-node upper bound
+(the one :func:`upper_bound` computes), so it returns exactly the set
+{ parent assignment : product >= epsilon } while storing only the current
+decision path.  Before it builds its tables, the search also checks a
+cheapest-explanation bound on the whole subproblem (``_explanation_bound``):
+it charges each present finding the cost of the free parent that would
+explain it, and most subproblems that yield nothing fail it and end there.
 
 The thresholded product multiplies every finding's conditional factor and the
 true prior of every free root parent.  Free non-root parents contribute 1:
@@ -148,14 +152,37 @@ def iter_level_extensions(
 
 def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
     # `fixed` maps assigned parent id -> state; a dict or the raw value list
+    track = stats is not None
+    if track:
+        stats.setdefault("nodes", 0)
+        stats.setdefault("max_depth", 0)
     nfree = len(free)
     pos_of = {p: i for i, p in enumerate(free)}
+
+    # per position: branch order, the two root factors (or None for non-roots)
+    # and the explanation cost of setting it present (see _explanation_bound)
+    branch: list[tuple[bool, ...]] = []
+    root_fac: list[tuple[float, float] | None] = []
+    cost = [1.0] * nfree
+    for pos, p in enumerate(free):
+        prior = net._priors[p]
+        if prior is None:
+            root_fac.append(None)
+            branch.append((True, False))
+        else:
+            root_fac.append((prior, 1.0 - prior))
+            branch.append((True, False) if prior >= 0.5 else (False, True))
+            cost[pos] = prior / max(prior, 1.0 - prior)
+    # suffix products of the best root factor; non-roots contribute exactly 1
+    rsm = [1.0] * (nfree + 1)
+    for d in range(nfree - 1, -1, -1):
+        fac = root_fac[d]
+        rsm[d] = rsm[d + 1] if fac is None else max(fac) * rsm[d + 1]
 
     nfind = len(findings)
     present = [False] * nfind
     w = [0.0] * nfind  # (1-leak) * prod(1-q) over fixed-present + decided-present parents
-    suffix: list[list[float]] = []  # per finding: tail products of the 1-q column
-    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(nfree)]
+    links: list[list[tuple[int, float]]] = []  # per finding: (position, 1-q)
     for fi, (nid, state) in enumerate(findings):
         present[fi] = state
         base = net._leak_c[nid]
@@ -167,8 +194,20 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
                     base *= omq
             else:
                 lf.append((pos, omq))
-        lf.sort()
+                if not state:
+                    cost[pos] *= omq
         w[fi] = base
+        links.append(lf)
+
+    guard = epsilon - epsilon * _PRUNE_MARGIN
+    # at guard 0 nothing can be pruned, so the bound is not worth computing
+    if guard > 0 and _explanation_bound(present, w, links, cost) * rsm[0] < guard:
+        return
+
+    suffix: list[list[float]] = []  # per finding: tail products of the 1-q column
+    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(nfree)]
+    for fi, lf in enumerate(links):
+        lf.sort()
         suf = [1.0] * (len(lf) + 1)
         for j in range(len(lf) - 1, -1, -1):
             suf[j] = lf[j][1] * suf[j + 1]
@@ -179,33 +218,8 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
     terms = [
         (1.0 - w[fi] * suffix[fi][0]) if present[fi] else w[fi] for fi in range(nfind)
     ]
-
-    # per position: branch order and the two root factors (or None for non-roots)
-    branch: list[tuple[bool, ...]] = []
-    root_fac: list[tuple[float, float] | None] = []
-    for p in free:
-        prior = net._priors[p]
-        if prior is None:
-            root_fac.append(None)
-            branch.append((True, False))
-        else:
-            root_fac.append((prior, 1.0 - prior))
-            branch.append((True, False) if prior >= 0.5 else (False, True))
-    # suffix products of the best root factor; non-roots contribute exactly 1
-    rsm = [1.0] * (nfree + 1)
-    for d in range(nfree - 1, -1, -1):
-        fac = root_fac[d]
-        rsm[d] = rsm[d + 1] if fac is None else max(fac) * rsm[d + 1]
-
-    guard = epsilon - epsilon * _PRUNE_MARGIN
     prod = math.prod
-    track = stats is not None
-    if track:
-        stats.setdefault("nodes", 0)
-        stats.setdefault("max_depth", 0)
 
-    if prod(terms) * rsm[0] < guard:
-        return
     if nfree == 0:
         e = prod(terms)
         if e >= epsilon:
@@ -256,6 +270,55 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
         iters.append(iter(branch[d + 1]))
 
 
+def _explanation_bound(present, w, links, cost) -> float:
+    """Cheapest-explanation bound on the findings' factor product over every
+    assignment of the free parents; times the larger prior factor of every
+    free root it bounds the extension product (after Henrion, UAI 1991, and
+    Poole, IJCAI 1993).
+
+    ``cost[pos]`` is what setting free parent ``pos`` present costs against
+    the per-node bound: the 1-q of every absent finding it feeds, times
+    prior / max(prior, 1-prior) for a root.  A present finding f is either
+    unexplained by the free parents, factor 1-w, or has a present free parent
+    p, factor at most plain (every free parent present) while p pays
+    cost[p]; so h = max(1-w, plain * max cost) bounds f with its explainer's
+    cost charged to it.  Findings picked with pairwise disjoint free-parent
+    sets have distinct explainers, so their costs multiply and every picked
+    finding may take h at once; the rest keep plain.  Greedy order: largest
+    saving (h/plain ascending) first, ties by finding index; a finding with
+    h == plain saves nothing and is left out of the picking.
+    """
+    bound = 1.0
+    ranked = []
+    for fi, lf in enumerate(links):
+        wf = w[fi]
+        if not present[fi]:
+            bound *= wf
+            continue
+        free_omq = 1.0
+        max_cost = 0.0
+        for pos, omq in lf:
+            free_omq *= omq
+            if cost[pos] > max_cost:
+                max_cost = cost[pos]
+        plain = 1.0 - wf * free_omq
+        h = max(1.0 - wf, plain * max_cost)
+        if h < plain:
+            ranked.append((h / plain, fi, h, plain))
+        else:
+            bound *= plain
+    ranked.sort()
+    taken: set[int] = set()
+    for _, fi, h, plain in ranked:
+        positions = [pos for pos, _ in links[fi]]
+        if taken.isdisjoint(positions):
+            taken.update(positions)
+            bound *= h
+        else:
+            bound *= plain
+    return bound
+
+
 def epsilon_ml(net: Network, sub: Subproblem, epsilon: float) -> list[Extension]:
     """Exactly the extensions whose new factor product is >= epsilon."""
     return list(iter_extensions(net, sub, epsilon))
@@ -267,10 +330,13 @@ def upper_bound(
     """Admissible bound: at least the new factor product of every completion
     of a prefix decision over ``free_parents``.
 
-    Present findings are bounded by treating every undecided parent as
-    present, absent findings by treating them as absent; undecided roots
-    contribute their larger prior factor.  On a complete decision the bound
-    equals the extension product exactly.
+    This is the per-node bound the search prunes with.  Present findings are
+    bounded by treating every undecided parent as present, absent findings by
+    treating them as absent; undecided roots contribute their larger prior
+    factor.  On a complete decision the bound equals the extension product
+    exactly.  At entry (the empty decision) the search also applies the
+    tighter cheapest-explanation bound, so a subproblem can end with no node
+    expanded even though this bound clears epsilon.
     """
     free = sub.free_parents
     k = len(decided)

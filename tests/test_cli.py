@@ -293,6 +293,15 @@ class TestBadInput:
             (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "nan"), "--gold"),
             (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "inf"), "--gold"),
             (("bench", "{net}", "--cases", "1", "--findings", "1", "--gold", "-1"), "--gold"),
+            (("gen", "--out", "{dir}", "--prior-range", "0.5,x"), "--prior-range"),
+            (("gen", "--out", "{dir}", "--prior-range", "0.5"), "--prior-range"),
+            (("gen", "--out", "{dir}", "--q-range", "0.9,0.2"), "--q-range"),
+            (("gen", "--out", "{dir}", "--leak-range", "0.2"), "--leak-range"),
+            (("gen", "--out", "{dir}", "--leak-range", "0.1,0.2,0.3"), "--leak-range"),
+            (("gen", "--out", "{dir}", "--finding-leak-range", "0.01,1.5"),
+             "--finding-leak-range"),
+            (("gen", "--out", "{dir}", "--locality", "7"), "--locality"),
+            (("gen", "--out", "{dir}", "--locality", "nan"), "--locality"),
         ],
     )
     def test_out_of_range_counts_exit_1(self, capsys, tmp_path, chain3_files, argv, option):
@@ -302,6 +311,7 @@ class TestBadInput:
         assert code == 1
         assert f"argument {option}" in err
         assert out == ""
+        assert not (tmp_path / "g").exists()
 
 
 class TestBench:

@@ -15,6 +15,7 @@ from nobn import (
     NoFindingsError,
     SplitMix64,
     Subproblem,
+    bn3_shape,
     build_subproblem,
     derive_seed,
     epsilon_ml,
@@ -22,8 +23,11 @@ from nobn import (
     iter_extensions,
     make_case,
     parse_network,
+    prune_barren,
+    top_epsilon,
     upper_bound,
 )
+import nobn.engine
 from nobn.epsilonml import iter_level_extensions
 from conftest import pruned_with_evidence, random_evidence, small_random_net
 
@@ -75,6 +79,40 @@ def _two_level_subproblem(seed: int):
     case = make_case(net, derive_seed(seed, 0xF2), 1 + r.below(bottom))
     a = Assignment.from_evidence(net, case.evidence)
     return net, build_subproblem(net, a, 1)
+
+
+def _diagnostic_subproblems(seed: int, max_states: int = 30, max_free: int = 10):
+    """Subproblems the engine poses on a small net with bn3's parameters
+    (rare roots, near-deterministic and nearly leak-free internal links,
+    leaky findings), walked over every extension from the evidence."""
+    r = SplitMix64(derive_seed(seed, 0xE0))
+    shape = NetShape(
+        levels=3,
+        nodes_per_level=(2 + r.below(3), 3 + r.below(4), 6 + r.below(6)),
+        max_parents=3,
+        parent_locality=0.9,
+        prior_range=(2e-4, 2e-3),
+        q_range=(0.995, 0.9995),
+        leak_range=(1e-8, 1e-7),
+        finding_leak_range=(0.01, 0.05),
+        seed=derive_seed(seed, 0xE1),
+    )
+    net = gen_network(shape)
+    case = make_case(net, derive_seed(seed, 0xE2), 3 + r.below(len(net.level_nodes[2]) - 2))
+    pruned, pev = pruned_with_evidence(net, case.evidence)
+    stack = [Assignment.from_evidence(pruned, pev)]
+    visited = 0
+    while stack and visited < max_states:
+        a = stack.pop()
+        level = a.frontier_level()
+        if level is None:
+            continue
+        visited += 1
+        sub = build_subproblem(pruned, a, level)
+        if len(sub.free_parents) <= max_free:
+            yield pruned, sub
+        stack.extend(a.extended(e.parent_states) for e in iter_level_extensions(
+            pruned, a, level, 0.0))
 
 
 class TestBuildSubproblem:
@@ -252,6 +290,45 @@ class TestEpsilonMl:
                     ext.new_factor_product
                 )
 
+    def test_matches_brute_force_in_diagnostic_regime(self):
+        # thresholds at, just above and just below each subproblem's best
+        # product, plus powers of ten; some of them must be rejected at entry
+        # although the per-node bound of the empty decision clears them
+        checked = rejected_at_entry = 0
+        for seed in range(25):
+            for net, sub in _diagnostic_subproblems(seed):
+                brute = _brute_extensions(net, sub)
+                # the search's own leaf products (nothing is pruned at 0)
+                leaf = {_ext_key(sub, e): e.new_factor_product for e in epsilon_ml(net, sub, 0.0)}
+                assert leaf == pytest.approx(brute, rel=1e-12)
+                top = max(brute.values())
+                eps_values = [top, top * (1 + 1e-12), top * (1 - 1e-12)]
+                eps_values += [10.0**-k for k in range(1, 16)]
+                for eps in eps_values:
+                    stats = {}
+                    got = {_ext_key(sub, e) for e in iter_extensions(net, sub, eps, stats)}
+                    # exact against the leaf test; against the brute products
+                    # up to the last-ulp ties that only eps == top can hit
+                    assert got == {k for k, p in leaf.items() if p >= eps}
+                    assert got ^ {k for k, p in brute.items() if p >= eps} <= {
+                        k for k, p in brute.items() if abs(p - eps) <= 1e-12 * eps
+                    }
+                    if stats["nodes"] == 0 and upper_bound(net, sub, {}) >= eps:
+                        rejected_at_entry += 1
+                checked += 1
+        assert checked >= 400
+        assert rejected_at_entry >= 1000
+
+    def test_rejected_at_entry_still_fills_stats(self):
+        # an explanation by the rare root costs its prior, and the leak alone
+        # gives 0.01; the per-node bound of the empty decision reads 0.998
+        net = parse_network("node R prior 0.001\nnode F leak 0.01 parents R:0.999\n")
+        sub = build_subproblem(net, Assignment.from_evidence(net, [(1, True)]), 1)
+        assert upper_bound(net, sub, {}) > 0.5
+        stats = {}
+        assert list(iter_extensions(net, sub, 0.5, stats)) == []
+        assert stats == {"nodes": 0, "max_depth": 0}
+
     def test_rejects_negative_epsilon(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
         sub = build_subproblem(chain3, a, 2)
@@ -267,6 +344,33 @@ class TestEpsilonMl:
             pass
         assert stats["max_depth"] <= len(sub.free_parents)
         assert stats["nodes"] <= 2 ** (len(sub.free_parents) + 1)
+
+
+class TestSearchCounters:
+    def test_bn3_case_counters(self, monkeypatch):
+        # one bn3 case at 26 findings, each subproblem replayed through the
+        # public two-step form; exact counts, so a change to the search or
+        # its pruning shows up here rather than as benchmark noise
+        net = gen_network(bn3_shape(0))
+        case = make_case(net, derive_seed(0, 0x04, 0), 26)
+        pruned = prune_barren(net, case.evidence)
+        evidence = tuple(
+            (pruned.node_id(net.nodes[nid].name), state) for nid, state in case.evidence
+        )
+        counts = {"subproblems": 0, "nodes": 0}
+
+        def replayed(n, a, level, eps):
+            stats = {}
+            for _ in iter_extensions(n, build_subproblem(n, a, level), eps, stats):
+                pass
+            counts["subproblems"] += 1
+            counts["nodes"] += stats["nodes"]
+            return iter_level_extensions(n, a, level, eps)
+
+        monkeypatch.setattr(nobn.engine, "iter_level_extensions", replayed)
+        res = top_epsilon(pruned, evidence, 1e-12)
+        assert (res.states_explored, res.accepted_count) == (388, 11)
+        assert counts == {"subproblems": 287, "nodes": 4594}
 
 
 class TestUpperBound:
