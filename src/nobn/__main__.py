@@ -1,0 +1,8 @@
+"""``python -m nobn``: the same command line as the installed ``nobn``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

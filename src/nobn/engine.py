@@ -115,8 +115,10 @@ def top_epsilon(
     """Enumerate exactly the complete instantiations consistent with the
     evidence whose joint is >= ``epsilon_target``.
 
-    The accepted set equals the brute-force filter at the same threshold; at
-    zero the run is exhaustive.  Impossible evidence is not an error: the
+    The accepted set equals the brute-force filter at the same threshold,
+    except at a threshold exactly equal to a joint: there the search's
+    grouping of the factors and a direct product can differ in the last bit.
+    At zero the run is exhaustive.  Impossible evidence is not an error: the
     result simply carries zero mass and no posterior estimates.
     ``on_extension`` is a test hook called with every applied extension and
     the threshold it had to clear.

@@ -6,10 +6,16 @@ Each subproblem is effectively a two-level network: a set of assigned
 is depth-first over the free parents with an admissible per-node upper bound
 (the one :func:`upper_bound` computes), so it returns exactly the set
 { parent assignment : product >= epsilon } while storing only the current
-decision path.  Before it builds its tables, the search also checks a
-cheapest-explanation bound on the whole subproblem (``_explanation_bound``):
-it charges each present finding the cost of the free parent that would
-explain it, and most subproblems that yield nothing fail it and end there.
+decision path.
+
+Every subproblem starts with one pass over its findings' links (``_setup``).
+The pass folds the assigned parents into each finding's factor, records the
+free links, and prices each free parent as the explanation of a present
+finding; a cheapest-explanation bound on the whole subproblem follows at
+once.  Most subproblems that yield nothing fail that bound and end there,
+before the free parents are ordered or any search table is built.  The rest
+reuse the pass's factors and links for their tables (``_tables``) and the
+depth-first search (``_dfs``).
 
 The thresholded product multiplies every finding's conditional factor and the
 true prior of every free root parent.  Free non-root parents contribute 1:
@@ -17,11 +23,10 @@ their own conditional factor is unknown until their level is expanded, and 1
 is its only safe bound.  That keeps the threshold a necessary condition for
 any completion of the joint, which is what the driving engine relies on.
 
-There is one subproblem collector (``_collect``) and one search kernel
-(``_search``).  :func:`build_subproblem` + :func:`iter_extensions` is the
-inspectable two-step form; :func:`iter_level_extensions` is the engine's
-one-call form over the same two pieces, so both yield the same extensions in
-the same order.
+:func:`build_subproblem` + :func:`iter_extensions` is the inspectable
+two-step form; :func:`iter_level_extensions` is the engine's one-call form.
+Both run the same three steps, so they yield the same extensions in the same
+order.
 """
 
 from __future__ import annotations
@@ -84,10 +89,10 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     :class:`NoFindingsError` when the level has nothing to expand, which
     tells a driver to look at a shallower level.
     """
-    if not 0 <= level <= net.max_level:
-        raise NetworkError(f"level {level} out of range")
-    findings, free = _collect(net, a, level)
+    findings = _findings(net, a, level)
     values = a.raw_values()
+    # epsilon 0 skips the entry check, so the kernel always picks its order
+    free = _setup(net, findings, values, 0.0)[0]
     fixed = {
         p: values[p]
         for nid, _ in findings
@@ -95,30 +100,6 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
         if values[p] is not None
     }
     return Subproblem(tuple(findings), free, fixed)
-
-
-def _collect(
-    net: Network, a: Assignment, level: int
-) -> tuple[list[tuple[int, bool]], tuple[int, ...]]:
-    """The expandable findings at ``level`` and their free parents in search
-    order (descending best activation probability, ties by id)."""
-    values = a.raw_values()
-    findings: list[tuple[int, bool]] = []
-    for nid in net.level_nodes[level]:
-        state = values[nid]
-        if state is not None and a.unassigned_parent_count(nid):
-            findings.append((nid, state))
-    if not findings:
-        raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
-    # level labeling forbids arcs inside a level, so no finding feeds another
-    best_q: dict[int, float] = {}
-    for nid, _ in findings:
-        for p, omq in net._links_omq[nid]:
-            if values[p] is None:
-                q = 1.0 - omq
-                if q > best_q.get(p, -1.0):
-                    best_q[p] = q
-    return findings, tuple(sorted(best_q, key=lambda p: (-best_q[p], p)))
 
 
 def iter_extensions(
@@ -134,9 +115,11 @@ def iter_extensions(
     decisions expanded) and ``max_depth`` (peak stored decisions).
     """
     check_threshold(epsilon)
-    return _search(
-        net, sub.findings, sub.free_parents, sub.fixed_parents, epsilon, stats
-    )
+    values: list[bool | None] = [None] * len(net.nodes)
+    for p, state in sub.fixed_parents.items():
+        values[p] = state
+    tables = _setup(net, sub.findings, values, epsilon, sub.free_parents)
+    return _dfs(tables, stats)
 
 
 def iter_level_extensions(
@@ -144,80 +127,184 @@ def iter_level_extensions(
 ) -> Iterator[Extension]:
     """build_subproblem + iter_extensions without the Subproblem object or
     its fixed-parent dict; the engine's per-state hot path.  Same results as
-    the two-step form, same ordering."""
-    findings, free = _collect(net, a, level)
+    the two-step form, same ordering; a subproblem rejected at entry costs
+    this one call and no generator."""
     # assigned parents are read straight off the value list
-    return _search(net, findings, free, a.raw_values(), epsilon, None)
+    tables = _setup(net, _findings(net, a, level), a.raw_values(), epsilon)
+    return iter(()) if tables is None else _dfs(tables, None)
 
 
-def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
-    # `fixed` maps assigned parent id -> state; a dict or the raw value list
+def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]:
+    """The assigned nodes at ``level`` that still have unassigned parents."""
+    if not 0 <= level <= net.max_level:
+        raise NetworkError(f"level {level} out of range")
+    values = a.raw_values()
+    findings = [
+        (nid, values[nid])
+        for nid in net.level_nodes[level]
+        if values[nid] is not None and a.unassigned_parent_count(nid)
+    ]
+    if not findings:
+        raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
+    return findings
+
+
+def _setup(net, findings, values, epsilon, free=None):
+    """One pass over the findings' links and the entry check; the search
+    tables of :func:`_tables` when it passes, None when the subproblem is
+    provably empty.
+
+    ``values[p]`` is the state of an assigned parent and None for a free one.
+    ``free`` is the search order, None for the default one.
+
+    The entry check is a cheapest-explanation bound on the findings' factor
+    product over every assignment of the free parents, times the larger
+    prior factor of every free root (after Henrion, UAI 1991, and Poole,
+    IJCAI 1993).  ``cost[p]`` is what setting free parent p present costs
+    against the per-node bound: the 1-q of every absent finding it feeds,
+    times prior / max(prior, 1-prior) for a root.  A present finding f is
+    either unexplained by the free parents, factor 1-w, or has a present free
+    parent p, factor at most plain (every free parent present) while p pays
+    cost[p]; so h = max(1-w, plain * max cost) bounds f with its explainer's
+    cost charged to it.  Findings picked with pairwise disjoint free-parent
+    sets have distinct explainers, so their costs multiply and every picked
+    finding may take h at once; the rest keep plain.  Greedy order: largest
+    saving (h/plain ascending) first, ties by finding index; a finding with
+    h == plain saves nothing and is left out of the picking.
+    """
+    leak_c = net._leak_c
+    links_omq = net._links_omq
+    priors = net._priors
+    w = []  # (1-leak) * prod(1-q) over fixed-present parents
+    links = []  # per finding: its free (parent, 1-q) links, in link order
+    cost: dict[int, float] = {}
+    roots = 1.0  # larger prior factor of every free root
+    bound = 1.0
+    present = []
+    # level labeling forbids arcs inside a level, so no finding feeds another
+    for fi, (nid, state) in enumerate(findings):
+        base = leak_c[nid]
+        lf = []
+        for link in links_omq[nid]:
+            p, omq = link
+            fixed = values[p]
+            if fixed is None:
+                lf.append(link)
+                c = cost.get(p)
+                if c is None:
+                    prior = priors[p]
+                    if prior is None:
+                        c = 1.0
+                    else:
+                        larger = max(prior, 1.0 - prior)
+                        roots *= larger
+                        c = prior / larger
+                cost[p] = c if state else c * omq
+            elif fixed:
+                base *= omq
+        w.append(base)
+        links.append(lf)
+        if state:
+            present.append(fi)
+        else:
+            bound *= base
+
+    guard = epsilon - epsilon * _PRUNE_MARGIN
+    # at guard 0 nothing can be pruned, so the bound is not worth finishing
+    if guard > 0:
+        ranked = []
+        for fi in present:  # every cost is final now
+            free_omq = 1.0
+            max_cost = 0.0
+            for p, omq in links[fi]:
+                free_omq *= omq
+                if cost[p] > max_cost:
+                    max_cost = cost[p]
+            plain = 1.0 - w[fi] * free_omq
+            h = max(1.0 - w[fi], plain * max_cost)
+            if h < plain:
+                ranked.append((h / plain, fi, h, plain))
+            else:
+                bound *= plain
+        ranked.sort()
+        taken: set[int] = set()
+        for _, fi, h, plain in ranked:
+            parents = [p for p, _ in links[fi]]
+            if taken.isdisjoint(parents):
+                taken.update(parents)
+                bound *= h
+            else:
+                bound *= plain
+        if bound * roots < guard:
+            return None
+    return _tables(net, findings, w, links, free, epsilon, guard)
+
+
+def _tables(net, findings, w, links, free, epsilon, guard):
+    """Order the free parents (unless ``free`` gives the order) and build the
+    search's tables from the entry pass's ``w`` and free links."""
+    if free is None:
+        # descending best activation probability, ties by id:
+        # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
+        # low - 1 == -(1 - low) exactly
+        low: dict[int, float] = {}
+        for lf in links:
+            for p, omq in lf:
+                if omq < low.get(p, 2.0):
+                    low[p] = omq
+        free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
+    nfree = len(free)
+    pos_of = {p: i for i, p in enumerate(free)}
+    priors = net._priors
+
+    # per position: branch order and the (absent, present) root factors;
+    # a non-root gets (1.0, 1.0), and x * 1.0 == x exactly
+    branch: list[tuple[bool, bool]] = []
+    root_fac: list[tuple[float, float]] = []
+    for p in free:
+        prior = priors[p]
+        if prior is None:
+            root_fac.append((1.0, 1.0))
+            branch.append((True, False))
+        else:
+            root_fac.append((1.0 - prior, prior))
+            branch.append((True, False) if prior >= 0.5 else (False, True))
+    # suffix products of the best root factor
+    rsm = [1.0] * (nfree + 1)
+    for d in range(nfree - 1, -1, -1):
+        rsm[d] = max(root_fac[d]) * rsm[d + 1]
+
+    # per position, the findings it feeds: absent ones as (finding, 1-q),
+    # present ones as (finding, 1-q, tail), tail the product of the 1-q of
+    # the finding's parents later in the order; a present finding's term
+    # treats those undecided parents as present, an absent one's as absent
+    absent_adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
+    present_adj: list[list[tuple[int, float, float]]] = [[] for _ in range(nfree)]
+    terms = w.copy()
+    for fi, lf in enumerate(links):
+        if findings[fi][1]:
+            tail = 1.0
+            for pos, omq in sorted([(pos_of[p], omq) for p, omq in lf], reverse=True):
+                present_adj[pos].append((fi, omq, tail))
+                tail *= omq
+            terms[fi] = 1.0 - w[fi] * tail
+        else:
+            for p, omq in lf:
+                absent_adj[pos_of[p]].append((fi, omq))
+    return free, branch, root_fac, rsm, w, absent_adj, present_adj, terms, epsilon, guard
+
+
+def _dfs(tables, stats) -> Iterator[Extension]:
+    """Depth-first search over the tables of :func:`_tables`; None tables
+    (rejected at entry) yield nothing."""
     track = stats is not None
     if track:
         stats.setdefault("nodes", 0)
         stats.setdefault("max_depth", 0)
-    nfree = len(free)
-    pos_of = {p: i for i, p in enumerate(free)}
-
-    # per position: branch order, the two root factors (or None for non-roots)
-    # and the explanation cost of setting it present (see _explanation_bound)
-    branch: list[tuple[bool, ...]] = []
-    root_fac: list[tuple[float, float] | None] = []
-    cost = [1.0] * nfree
-    for pos, p in enumerate(free):
-        prior = net._priors[p]
-        if prior is None:
-            root_fac.append(None)
-            branch.append((True, False))
-        else:
-            root_fac.append((prior, 1.0 - prior))
-            branch.append((True, False) if prior >= 0.5 else (False, True))
-            cost[pos] = prior / max(prior, 1.0 - prior)
-    # suffix products of the best root factor; non-roots contribute exactly 1
-    rsm = [1.0] * (nfree + 1)
-    for d in range(nfree - 1, -1, -1):
-        fac = root_fac[d]
-        rsm[d] = rsm[d + 1] if fac is None else max(fac) * rsm[d + 1]
-
-    nfind = len(findings)
-    present = [False] * nfind
-    w = [0.0] * nfind  # (1-leak) * prod(1-q) over fixed-present + decided-present parents
-    links: list[list[tuple[int, float]]] = []  # per finding: (position, 1-q)
-    for fi, (nid, state) in enumerate(findings):
-        present[fi] = state
-        base = net._leak_c[nid]
-        lf: list[tuple[int, float]] = []
-        for p, omq in net._links_omq[nid]:
-            pos = pos_of.get(p)
-            if pos is None:
-                if fixed[p]:
-                    base *= omq
-            else:
-                lf.append((pos, omq))
-                if not state:
-                    cost[pos] *= omq
-        w[fi] = base
-        links.append(lf)
-
-    guard = epsilon - epsilon * _PRUNE_MARGIN
-    # at guard 0 nothing can be pruned, so the bound is not worth computing
-    if guard > 0 and _explanation_bound(present, w, links, cost) * rsm[0] < guard:
+    if tables is None:
         return
-
-    suffix: list[list[float]] = []  # per finding: tail products of the 1-q column
-    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(nfree)]
-    for fi, lf in enumerate(links):
-        lf.sort()
-        suf = [1.0] * (len(lf) + 1)
-        for j in range(len(lf) - 1, -1, -1):
-            suf[j] = lf[j][1] * suf[j + 1]
-        suffix.append(suf)
-        for k, (pos, omq) in enumerate(lf):
-            adj[pos].append((fi, omq, k + 1))
-
-    terms = [
-        (1.0 - w[fi] * suffix[fi][0]) if present[fi] else w[fi] for fi in range(nfind)
-    ]
+    free, branch, root_fac, rsm, w, absent_adj, present_adj, terms, epsilon, guard = tables
+    nfree = len(free)
     prod = math.prod
 
     if nfree == 0:
@@ -226,6 +313,8 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
             yield Extension((), e)
         return
 
+    # w[f] also folds in the decided-present parents; an absent finding's
+    # term is its w
     decided = [False] * nfree
     root_prod = [1.0] * (nfree + 1)  # root factor product of the first d decisions
     undo: list[list | None] = [None] * nfree
@@ -234,7 +323,7 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
         d = len(iters) - 1
         state = next(iters[-1], None)
         saved = undo[d]
-        if saved is not None:
+        if saved:
             # revert the previous sibling's effect at this depth
             for fi, ow, ot in reversed(saved):
                 w[fi] = ow
@@ -244,79 +333,36 @@ def _search(net, findings, free, fixed, epsilon, stats) -> Iterator[Extension]:
             iters.pop()
             continue
         saved = []
-        for fi, omq, nxt in adj[d]:
+        # an absent parent changes no w, so absent findings keep their term
+        if state:
+            for fi, omq in absent_adj[d]:
+                ot = terms[fi]
+                saved.append((fi, ot, ot))
+                terms[fi] = w[fi] = ot * omq
+        for fi, omq, tail in present_adj[d]:
             ow = w[fi]
             saved.append((fi, ow, terms[fi]))
             if state:
                 ow *= omq
                 w[fi] = ow
-            terms[fi] = 1.0 - ow * suffix[fi][nxt] if present[fi] else ow
+            terms[fi] = 1.0 - ow * tail
         undo[d] = saved
         decided[d] = state
-        fac = root_fac[d]
-        rp = root_prod[d] if fac is None else root_prod[d] * (fac[0] if state else fac[1])
+        rp = root_prod[d] * root_fac[d][state]
         root_prod[d + 1] = rp
         if track:
             stats["nodes"] += 1
             if d + 1 > stats["max_depth"]:
                 stats["max_depth"] = d + 1
-        if prod(terms) * rp * rsm[d + 1] < guard:
+        # at a leaf rsm[nfree] == 1.0, so e is the extension product itself
+        e = prod(terms) * rp
+        if e * rsm[d + 1] < guard:
             continue
         if d + 1 == nfree:
-            e = prod(terms) * rp
             if e >= epsilon:
                 yield Extension(tuple(zip(free, decided)), e)
             continue
         iters.append(iter(branch[d + 1]))
-
-
-def _explanation_bound(present, w, links, cost) -> float:
-    """Cheapest-explanation bound on the findings' factor product over every
-    assignment of the free parents; times the larger prior factor of every
-    free root it bounds the extension product (after Henrion, UAI 1991, and
-    Poole, IJCAI 1993).
-
-    ``cost[pos]`` is what setting free parent ``pos`` present costs against
-    the per-node bound: the 1-q of every absent finding it feeds, times
-    prior / max(prior, 1-prior) for a root.  A present finding f is either
-    unexplained by the free parents, factor 1-w, or has a present free parent
-    p, factor at most plain (every free parent present) while p pays
-    cost[p]; so h = max(1-w, plain * max cost) bounds f with its explainer's
-    cost charged to it.  Findings picked with pairwise disjoint free-parent
-    sets have distinct explainers, so their costs multiply and every picked
-    finding may take h at once; the rest keep plain.  Greedy order: largest
-    saving (h/plain ascending) first, ties by finding index; a finding with
-    h == plain saves nothing and is left out of the picking.
-    """
-    bound = 1.0
-    ranked = []
-    for fi, lf in enumerate(links):
-        wf = w[fi]
-        if not present[fi]:
-            bound *= wf
-            continue
-        free_omq = 1.0
-        max_cost = 0.0
-        for pos, omq in lf:
-            free_omq *= omq
-            if cost[pos] > max_cost:
-                max_cost = cost[pos]
-        plain = 1.0 - wf * free_omq
-        h = max(1.0 - wf, plain * max_cost)
-        if h < plain:
-            ranked.append((h / plain, fi, h, plain))
-        else:
-            bound *= plain
-    ranked.sort()
-    taken: set[int] = set()
-    for _, fi, h, plain in ranked:
-        positions = [pos for pos, _ in links[fi]]
-        if taken.isdisjoint(positions):
-            taken.update(positions)
-            bound *= h
-        else:
-            bound *= plain
-    return bound
 
 
 def epsilon_ml(net: Network, sub: Subproblem, epsilon: float) -> list[Extension]:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,16 @@ class TestValidate:
         assert main(["validate"]) == 1
         assert main(["no-such-command"]) == 1
         capsys.readouterr()
+
+    def test_python_dash_m_from_a_checkout(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "nobn", "validate", "tests/golden/network.net"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "16 nodes, 25 arcs, 3 levels" in done.stdout
 
 
 class TestExact:

@@ -84,7 +84,8 @@ def _two_level_subproblem(seed: int):
 def _diagnostic_subproblems(seed: int, max_states: int = 30, max_free: int = 10):
     """Subproblems the engine poses on a small net with bn3's parameters
     (rare roots, near-deterministic and nearly leak-free internal links,
-    leaky findings), walked over every extension from the evidence."""
+    leaky findings), walked over every extension from the evidence; each
+    comes with the assignment and level it was built from."""
     r = SplitMix64(derive_seed(seed, 0xE0))
     shape = NetShape(
         levels=3,
@@ -110,7 +111,7 @@ def _diagnostic_subproblems(seed: int, max_states: int = 30, max_free: int = 10)
         visited += 1
         sub = build_subproblem(pruned, a, level)
         if len(sub.free_parents) <= max_free:
-            yield pruned, sub
+            yield pruned, a, level, sub
         stack.extend(a.extended(e.parent_states) for e in iter_level_extensions(
             pruned, a, level, 0.0))
 
@@ -293,10 +294,11 @@ class TestEpsilonMl:
     def test_matches_brute_force_in_diagnostic_regime(self):
         # thresholds at, just above and just below each subproblem's best
         # product, plus powers of ten; some of them must be rejected at entry
-        # although the per-node bound of the empty decision clears them
+        # although the per-node bound of the empty decision clears them, and
+        # the one-call form must agree with the two-step form on each
         checked = rejected_at_entry = 0
         for seed in range(25):
-            for net, sub in _diagnostic_subproblems(seed):
+            for net, a, level, sub in _diagnostic_subproblems(seed):
                 brute = _brute_extensions(net, sub)
                 # the search's own leaf products (nothing is pruned at 0)
                 leaf = {_ext_key(sub, e): e.new_factor_product for e in epsilon_ml(net, sub, 0.0)}
@@ -306,7 +308,9 @@ class TestEpsilonMl:
                 eps_values += [10.0**-k for k in range(1, 16)]
                 for eps in eps_values:
                     stats = {}
-                    got = {_ext_key(sub, e) for e in iter_extensions(net, sub, eps, stats)}
+                    exts = list(iter_extensions(net, sub, eps, stats))
+                    assert list(iter_level_extensions(net, a, level, eps)) == exts
+                    got = {_ext_key(sub, e) for e in exts}
                     # exact against the leaf test; against the brute products
                     # up to the last-ulp ties that only eps == top can hit
                     assert got == {k for k, p in leaf.items() if p >= eps}
