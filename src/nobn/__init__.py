@@ -45,12 +45,9 @@ from .epsilonml import (
 )
 from .engine import (
     DEFAULT_SCHEDULE,
-    ConvergenceTrace,
     EpsilonSchedule,
     SearchResult,
-    TraceRow,
     format_accepted,
-    run_schedule,
     top_epsilon,
 )
 from .netgen import (

@@ -173,7 +173,9 @@ def _pruned_for(net: Network, evidence):
 
 def _schedule_rows(case_id, pruned, evidence, epsilons, gold, keep_last=False):
     """Search once per threshold, in order; yields each result with its CSV
-    row.  ``keep_last`` keeps the accepted set of the last run only."""
+    row.  ``keep_last`` keeps the accepted set of the last run only.  The
+    search is looked up as this module's ``top_epsilon`` on every call, so a
+    benchmark can time each one by replacing that name."""
     last = len(epsilons) - 1
     for i, eps in enumerate(epsilons):
         t0 = time.perf_counter()

@@ -1,5 +1,5 @@
 """Depth-first enumeration of every complete instantiation whose joint
-probability clears a target threshold, and the schedule runner around it.
+probability clears a target threshold.
 
 The driver starts from the evidence, repeatedly expands the deepest level
 that still has assigned nodes with unassigned parents, and hands each such
@@ -22,7 +22,6 @@ materialized frontier, so memory stays linear in the search depth.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -33,10 +32,7 @@ __all__ = [
     "SearchResult",
     "EpsilonSchedule",
     "DEFAULT_SCHEDULE",
-    "TraceRow",
-    "ConvergenceTrace",
     "top_epsilon",
-    "run_schedule",
     "format_accepted",
 ]
 
@@ -78,28 +74,6 @@ class EpsilonSchedule:
 
 # 1e-2 down to 1e-20 by factors of 100
 DEFAULT_SCHEDULE = EpsilonSchedule(tuple(float(f"1e-{k}") for k in range(2, 21, 2)))
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    epsilon: float
-    states_explored: int
-    accepted_count: int
-    mass_accumulated: float
-    elapsed_ms: float
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Per-threshold rows of one schedule run, in schedule order."""
-
-    rows: tuple[TraceRow, ...]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 _DONE = object()
@@ -195,31 +169,6 @@ def top_epsilon(
         posteriors=tally.posteriors(),
         accepted=accepted,
     )
-
-
-def run_schedule(
-    net: Network,
-    evidence: Iterable[tuple[int, bool]],
-    schedule: EpsilonSchedule,
-) -> ConvergenceTrace:
-    """Run the engine once per threshold, independently, recording states
-    explored, acceptances, mass, and wall time per row."""
-    evidence = tuple(evidence)
-    rows = []
-    for eps in schedule:
-        t0 = time.perf_counter()
-        res = top_epsilon(net, evidence, eps)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            TraceRow(
-                epsilon=eps,
-                states_explored=res.states_explored,
-                accepted_count=res.accepted_count,
-                mass_accumulated=res.mass_accumulated,
-                elapsed_ms=elapsed_ms,
-            )
-        )
-    return ConvergenceTrace(tuple(rows))
 
 
 def format_accepted(net: Network, accepted: list[tuple[Assignment, float]]) -> list[str]:

@@ -10,15 +10,19 @@ decision path.
 
 Every subproblem starts with one pass over its findings' links (``_setup``).
 The pass folds the assigned parents into each finding's factor, records the
-free links, and prices each free parent as the explanation of a present
-finding; a cheapest-explanation bound on the whole subproblem follows at
-once.  Most subproblems that yield nothing fail that bound and end there,
-before the free parents are ordered or any search table is built.  The rest
-reuse the pass's factors and links for their tables (``_tables``) and the
-depth-first search (``_dfs``).
+free links, looks up each free parent's factor pair, and prices each free
+parent as the explanation of a present finding; a cheapest-explanation
+bound on the whole subproblem follows at once.  Most subproblems that yield
+nothing fail that bound and end there, before the free parents are ordered
+or any search table is built.  The rest reuse the pass's factors, links and
+factor pairs for their tables (``_tables``) and the depth-first search
+(``_dfs``).
 
 The thresholded product multiplies every finding's conditional factor and the
-true prior of every free root parent.  Free non-root parents contribute 1:
+factor of every free parent whose own parents are all assigned: a root's
+prior, or a *pseudo-root*'s noisy-OR conditional given its assigned parents
+(both are known the moment the extension assigns the parent, and are the
+very factors the engine folds in then).  Other free parents contribute 1:
 their own conditional factor is unknown until their level is expanded, and 1
 is its only safe bound.  That keeps the threshold a necessary condition for
 any completion of the joint, which is what the driving engine relies on.
@@ -35,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .model import Assignment, Network, NetworkError, check_threshold
+from .model import Assignment, Network, NetworkError, check_threshold, noisy_or_absent
 
 __all__ = [
     "NoFindingsError",
@@ -52,6 +56,9 @@ __all__ = [
 # Leaves are tested exactly; the margin can only retain extra branches.
 _PRUNE_MARGIN = 1e-9
 
+# a free parent not yet looked up in the factor table
+_UNPRICED = object()
+
 
 class NoFindingsError(NetworkError):
     """No assigned node with unassigned parents at the requested level."""
@@ -64,17 +71,29 @@ class Subproblem:
     ``findings`` are the assigned nodes at the level whose factor is not yet
     known (they still have unassigned parents); nodes whose parents are all
     assigned already contributed their factor to the driving state's product.
-    ``free_parents`` is the deterministic search order.
+    ``free_parents`` is the deterministic search order.  ``factors`` is
+    aligned with it: the (absent, present) factor pair a free parent adds to
+    the joint once assigned, ``(1 - prior, prior)`` for a root and
+    ``(w, 1 - w)`` for a pseudo-root (every parent assigned, ``w`` its
+    noisy-OR absent probability), None while some parent of it is free.
     """
 
     findings: tuple[tuple[int, bool], ...]
     free_parents: tuple[int, ...]
     fixed_parents: dict[int, bool] = field(default_factory=dict)
+    factors: tuple[tuple[float, float] | None, ...] = ()
+
+    def __post_init__(self):
+        if len(self.factors) != len(self.free_parents):
+            raise NetworkError("factors must be aligned with free_parents")
 
 
 @dataclass(frozen=True)
 class Extension:
-    """One admissible assignment of the free parents."""
+    """One admissible assignment of the free parents.
+
+    ``new_factor_product`` multiplies the findings' factors and the factors
+    of the free roots and pseudo-roots under this assignment."""
 
     parent_states: tuple[tuple[int, bool], ...]
     new_factor_product: float
@@ -91,15 +110,16 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     """
     findings = _findings(net, a, level)
     values = a.raw_values()
+    pairs: dict = {}
     # epsilon 0 skips the entry check, so the kernel always picks its order
-    free = _setup(net, findings, values, 0.0)[0]
+    free = _setup(net, findings, values, 0.0, pairs, a.unassigned_parent_count)[0]
     fixed = {
         p: values[p]
         for nid, _ in findings
         for p, _ in net._links_omq[nid]
         if values[p] is not None
     }
-    return Subproblem(tuple(findings), free, fixed)
+    return Subproblem(tuple(findings), free, fixed, tuple(pairs.get(p) for p in free))
 
 
 def iter_extensions(
@@ -110,15 +130,17 @@ def iter_extensions(
 ) -> Iterator[Extension]:
     """Yield every qualifying extension in depth-first discovery order.
 
-    Branch order: non-root parents try present first; roots try their more
-    probable state first.  ``stats``, when given, receives ``nodes`` (partial
-    decisions expanded) and ``max_depth`` (peak stored decisions).
+    Branch order: non-root parents, pseudo-roots included, try present
+    first; roots try their more probable state first.  ``stats``, when
+    given, receives ``nodes`` (partial decisions expanded) and ``max_depth``
+    (peak stored decisions).
     """
     check_threshold(epsilon)
     values: list[bool | None] = [None] * len(net.nodes)
     for p, state in sub.fixed_parents.items():
         values[p] = state
-    tables = _setup(net, sub.findings, values, epsilon, sub.free_parents)
+    pairs = dict(zip(sub.free_parents, sub.factors))
+    tables = _setup(net, sub.findings, values, epsilon, pairs, None, sub.free_parents)
     return _dfs(tables, stats)
 
 
@@ -129,8 +151,11 @@ def iter_level_extensions(
     its fixed-parent dict; the engine's per-state hot path.  Same results as
     the two-step form, same ordering; a subproblem rejected at entry costs
     this one call and no generator."""
-    # assigned parents are read straight off the value list
-    tables = _setup(net, _findings(net, a, level), a.raw_values(), epsilon)
+    # assigned parents are read straight off the value list; a free parent
+    # none of whose own parents is unassigned is a root or pseudo-root
+    tables = _setup(
+        net, _findings(net, a, level), a.raw_values(), epsilon, {}, a.unassigned_parent_count
+    )
     return iter(()) if tables is None else _dfs(tables, None)
 
 
@@ -149,26 +174,32 @@ def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]
     return findings
 
 
-def _setup(net, findings, values, epsilon, free=None):
+def _setup(net, findings, values, epsilon, pairs, pending, free=None):
     """One pass over the findings' links and the entry check; the search
     tables of :func:`_tables` when it passes, None when the subproblem is
     provably empty.
 
     ``values[p]`` is the state of an assigned parent and None for a free one.
+    ``pairs`` maps a free parent to its factor pair (see
+    :class:`Subproblem`), and a missing entry reads as None.  A free parent
+    missing from it is priced on first sight: a root by its prior, a
+    pseudo-root (``pending(p)``, its count of unassigned parents, is 0) by
+    ``values``; the pair is added, so the caller can read the table back.
     ``free`` is the search order, None for the default one.
 
     The entry check is a cheapest-explanation bound on the findings' factor
     product over every assignment of the free parents, times the larger
-    prior factor of every free root (after Henrion, UAI 1991, and Poole,
-    IJCAI 1993).  ``cost[p]`` is what setting free parent p present costs
-    against the per-node bound: the 1-q of every absent finding it feeds,
-    times prior / max(prior, 1-prior) for a root.  A present finding f is
-    either unexplained by the free parents, factor 1-w, or has a present free
-    parent p, factor at most plain (every free parent present) while p pays
-    cost[p]; so h = max(1-w, plain * max cost) bounds f with its explainer's
-    cost charged to it.  Findings picked with pairwise disjoint free-parent
-    sets have distinct explainers, so their costs multiply and every picked
-    finding may take h at once; the rest keep plain.  Greedy order: largest
+    factor of every free root or pseudo-root (after Henrion, UAI 1991, and
+    Poole, IJCAI 1993).  ``cost[p]`` is what setting free parent p present
+    costs against the per-node bound: the 1-q of every absent finding it
+    feeds, times present / max(absent, present) for a root or pseudo-root.
+    A present finding f is either unexplained by the free parents, factor
+    1-w, or has a present free parent p, factor at most plain (every free
+    parent present) while p pays cost[p]; so h = max(1-w, plain * max cost)
+    bounds f with its explainer's cost charged to it.  Findings picked with
+    pairwise disjoint free-parent sets have distinct explainers, so their
+    costs multiply and every picked finding may take h at once; the rest
+    keep plain.  Greedy order: largest
     saving (h/plain ascending) first, ties by finding index; a finding with
     h == plain saves nothing and is left out of the picking.
     """
@@ -178,7 +209,7 @@ def _setup(net, findings, values, epsilon, free=None):
     w = []  # (1-leak) * prod(1-q) over fixed-present parents
     links = []  # per finding: its free (parent, 1-q) links, in link order
     cost: dict[int, float] = {}
-    roots = 1.0  # larger prior factor of every free root
+    roots = 1.0  # larger factor of every free root and pseudo-root
     bound = 1.0
     present = []
     # level labeling forbids arcs inside a level, so no finding feeds another
@@ -192,13 +223,24 @@ def _setup(net, findings, values, epsilon, free=None):
                 lf.append(link)
                 c = cost.get(p)
                 if c is None:
-                    prior = priors[p]
-                    if prior is None:
+                    pair = pairs.get(p, _UNPRICED)
+                    if pair is _UNPRICED:
+                        prior = priors[p]
+                        if prior is not None:
+                            pair = pairs[p] = (1.0 - prior, prior)
+                        elif pending(p):
+                            pair = None
+                        else:
+                            # the factor Assignment.assign folds in, bit for bit
+                            a_p = noisy_or_absent(net, p, values)
+                            pair = pairs[p] = (a_p, 1.0 - a_p)
+                    if pair is None:
                         c = 1.0
                     else:
-                        larger = max(prior, 1.0 - prior)
+                        off, on = pair
+                        larger = off if off > on else on
                         roots *= larger
-                        c = prior / larger
+                        c = on / larger
                 cost[p] = c if state else c * omq
             elif fixed:
                 base *= omq
@@ -237,12 +279,13 @@ def _setup(net, findings, values, epsilon, free=None):
                 bound *= plain
         if bound * roots < guard:
             return None
-    return _tables(net, findings, w, links, free, epsilon, guard)
+    return _tables(net, findings, w, links, pairs, free, epsilon, guard)
 
 
-def _tables(net, findings, w, links, free, epsilon, guard):
+def _tables(net, findings, w, links, pairs, free, epsilon, guard):
     """Order the free parents (unless ``free`` gives the order) and build the
-    search's tables from the entry pass's ``w`` and free links."""
+    search's tables from the entry pass's ``w``, free links and factor
+    pairs."""
     if free is None:
         # descending best activation probability, ties by id:
         # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
@@ -257,19 +300,21 @@ def _tables(net, findings, w, links, free, epsilon, guard):
     pos_of = {p: i for i, p in enumerate(free)}
     priors = net._priors
 
-    # per position: branch order and the (absent, present) root factors;
-    # a non-root gets (1.0, 1.0), and x * 1.0 == x exactly
+    # per position: branch order and the (absent, present) factor pair; an
+    # unpriced parent gets (1.0, 1.0), and x * 1.0 == x exactly.  Only a
+    # root may try absent first (prior < 0.5 exactly when absent > present)
     branch: list[tuple[bool, bool]] = []
     root_fac: list[tuple[float, float]] = []
     for p in free:
-        prior = priors[p]
-        if prior is None:
+        pair = pairs.get(p)
+        if pair is None:
             root_fac.append((1.0, 1.0))
             branch.append((True, False))
         else:
-            root_fac.append((1.0 - prior, prior))
-            branch.append((True, False) if prior >= 0.5 else (False, True))
-    # suffix products of the best root factor
+            root_fac.append(pair)
+            absent_first = pair[0] > pair[1] and priors[p] is not None
+            branch.append((False, True) if absent_first else (True, False))
+    # suffix products of the best root or pseudo-root factor
     rsm = [1.0] * (nfree + 1)
     for d in range(nfree - 1, -1, -1):
         rsm[d] = max(root_fac[d]) * rsm[d + 1]
@@ -378,9 +423,10 @@ def upper_bound(
 
     This is the per-node bound the search prunes with.  Present findings are
     bounded by treating every undecided parent as present, absent findings by
-    treating them as absent; undecided roots contribute their larger prior
-    factor.  On a complete decision the bound equals the extension product
-    exactly.  At entry (the empty decision) the search also applies the
+    treating them as absent.  Roots and pseudo-roots contribute their factor
+    from ``sub.factors`` (the larger one while undecided); the other free
+    parents contribute 1.  On a complete decision the bound equals the
+    extension product exactly.  At entry (the empty decision) the search also applies the
     tighter cheapest-explanation bound, so a subproblem can end with no node
     expanded even though this bound clears epsilon.
     """
@@ -389,7 +435,6 @@ def upper_bound(
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
     pos_of = {p: i for i, p in enumerate(free)}
-    nodes = net.nodes
     terms = []
     for nid, state in sub.findings:
         # fold fixed parents in link order, then free parents in search order,
@@ -418,12 +463,7 @@ def upper_bound(
             terms.append(w)
     bound = math.prod(terms)
     roots = 1.0
-    for p in free:
-        prior = nodes[p].prior
-        if prior is None:
-            continue
-        if p in decided:
-            roots *= prior if decided[p] else 1.0 - prior
-        else:
-            roots *= max(prior, 1.0 - prior)
+    for p, pair in zip(free, sub.factors):
+        if pair is not None:
+            roots *= pair[decided[p]] if p in decided else max(pair)
     return bound * roots

@@ -1,5 +1,6 @@
 """Engine tests: thresholded enumeration vs the brute-force oracle, schedule
-runs, posterior estimates, and deep networks whose joints underflow."""
+runs (through the CLI's schedule loop), posterior estimates, and deep
+networks whose joints underflow."""
 
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from nobn import (
     node_factor,
     parse_network,
     prune_barren,
-    run_schedule,
     top_epsilon,
 )
+import nobn.cli
+from nobn.cli import _schedule_rows
 from nobn.engine import DEFAULT_SCHEDULE
 from conftest import (
     pruned_with_evidence,
@@ -220,29 +222,34 @@ class TestComplete:
         assert res.accepted_count == 1
 
 
+def _run_schedule(net, evidence, schedule):
+    """The results of the CLI's schedule loop, one per threshold."""
+    return [res for res, _ in _schedule_rows("case", net, evidence, schedule.values, None)]
+
+
 class TestRunSchedule:
     def test_chain3_two_step_schedule(self, chain3, chain3_ev_c):
-        trace = run_schedule(chain3, chain3_ev_c, EpsilonSchedule((1e-2, 1e-4)))
-        masses = [row.mass_accumulated for row in trace]
+        trace = _run_schedule(chain3, chain3_ev_c, EpsilonSchedule((1e-2, 1e-4)))
+        masses = [res.mass_accumulated for res in trace]
         # 0.0018 misses the first threshold, everything clears the second
         assert masses[0] == pytest.approx(0.25682, abs=1e-12)
         assert masses[1] == pytest.approx(0.25862, abs=1e-12)
-        counts = [row.accepted_count for row in trace]
+        counts = [res.accepted_count for res in trace]
         assert counts == [3, 4]
+        assert [res.epsilon_target for res in trace] == [1e-2, 1e-4]
 
     def test_empty_schedule(self, chain3, chain3_ev_c):
-        trace = run_schedule(chain3, chain3_ev_c, EpsilonSchedule(()))
-        assert len(trace) == 0
+        assert _run_schedule(chain3, chain3_ev_c, EpsilonSchedule(())) == []
 
     def test_mass_nondecreasing_down_rows(self):
         for seed in range(5):
             net = small_random_net(seed)
             ev = random_evidence(net, seed)
             pruned, pev = pruned_with_evidence(net, ev)
-            trace = run_schedule(pruned, pev, DEFAULT_SCHEDULE)
-            masses = [row.mass_accumulated for row in trace]
-            counts = [row.accepted_count for row in trace]
-            states = [row.states_explored for row in trace]
+            trace = _run_schedule(pruned, pev, DEFAULT_SCHEDULE)
+            masses = [res.mass_accumulated for res in trace]
+            counts = [res.accepted_count for res in trace]
+            states = [res.states_explored for res in trace]
             assert masses == sorted(masses)
             assert counts == sorted(counts)
             assert states == sorted(states)
@@ -255,6 +262,18 @@ class TestRunSchedule:
         assert len(DEFAULT_SCHEDULE) == 10
         assert DEFAULT_SCHEDULE.values[0] == 1e-2
         assert DEFAULT_SCHEDULE.values[-1] == 1e-20
+
+    def test_each_search_goes_through_the_cli_global(self, chain3, chain3_ev_c, monkeypatch):
+        # a benchmark times each search by swapping nobn.cli.top_epsilon
+        seen = []
+
+        def timed(net, evidence, eps, **kwargs):
+            seen.append(eps)
+            return top_epsilon(net, evidence, eps, **kwargs)
+
+        monkeypatch.setattr(nobn.cli, "top_epsilon", timed)
+        assert len(_run_schedule(chain3, chain3_ev_c, EpsilonSchedule((1e-2, 1e-4)))) == 2
+        assert seen == [1e-2, 1e-4]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

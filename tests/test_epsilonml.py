@@ -32,29 +32,48 @@ from nobn.epsilonml import iter_level_extensions
 from conftest import pruned_with_evidence, random_evidence, small_random_net
 
 
-def _brute_extensions(net, sub):
+def _noisy_or_absent(spec, present):
+    """P(node absent | parents) from the noisy-OR definition."""
+    w = 1.0 - spec.leak
+    for p, q in spec.links:
+        if present(p):
+            w *= 1.0 - q
+    return w
+
+
+def _brute_extensions(net, sub, a=None):
     """Every free-parent assignment with its product, by direct arithmetic.
 
     Kept independent of the search: factors are evaluated from the noisy-OR
-    definition, not via iter_extensions.
+    definition, not via iter_extensions or ``sub.factors``.  A free non-root
+    parent whose parents all have a state in ``a`` (the assignment the
+    subproblem was built from) is a pseudo-root: its conditional factor is
+    multiplied in like a root's prior.  Without ``a`` every free parent must
+    be a root.
     """
     free = sub.free_parents
+    known = {}  # free parent -> (P(absent), P(present)), roots and pseudo-roots
+    for p in free:
+        spec = net.nodes[p]
+        if spec.prior is not None:
+            known[p] = (1.0 - spec.prior, spec.prior)
+        elif a is None:
+            raise AssertionError("a non-root free parent needs the assignment")
+        elif all(a.state(g) is not None for g, _ in spec.links):
+            w = _noisy_or_absent(spec, a.state)
+            known[p] = (w, 1.0 - w)
     out = {}
     for bits in itertools.product([False, True], repeat=len(free)):
         states = dict(zip(free, bits))
         prod = 1.0
         for nid, fstate in sub.findings:
-            spec = net.nodes[nid]
-            w = 1.0 - spec.leak
-            for p, q in spec.links:
-                present = states[p] if p in states else sub.fixed_parents[p]
-                if present:
-                    w *= 1.0 - q
+            w = _noisy_or_absent(
+                net.nodes[nid],
+                lambda p: states[p] if p in states else sub.fixed_parents[p],
+            )
             prod *= (1.0 - w) if fstate else w
-        for p in free:
-            prior = net.nodes[p].prior
-            if prior is not None:
-                prod *= prior if states[p] else 1.0 - prior
+        for p, factors in known.items():
+            prod *= factors[states[p]]
         out[bits] = prod
     return out
 
@@ -276,7 +295,7 @@ class TestEpsilonMl:
             sub = build_subproblem(pruned, a, level)
             if len(sub.free_parents) > 12:
                 continue
-            brute = _brute_extensions(pruned, sub)
+            brute = _brute_extensions(pruned, sub, a)
             for eps in (1e-1, 1e-3, 1e-6):
                 got = {_ext_key(sub, e) for e in epsilon_ml(pruned, sub, eps)}
                 assert got == {k for k, p in brute.items() if p >= eps}
@@ -299,7 +318,7 @@ class TestEpsilonMl:
         checked = rejected_at_entry = 0
         for seed in range(25):
             for net, a, level, sub in _diagnostic_subproblems(seed):
-                brute = _brute_extensions(net, sub)
+                brute = _brute_extensions(net, sub, a)
                 # the search's own leaf products (nothing is pruned at 0)
                 leaf = {_ext_key(sub, e): e.new_factor_product for e in epsilon_ml(net, sub, 0.0)}
                 assert leaf == pytest.approx(brute, rel=1e-12)
@@ -322,6 +341,50 @@ class TestEpsilonMl:
                 checked += 1
         assert checked >= 400
         assert rejected_at_entry >= 1000
+
+    def test_pseudo_root_priced_in_the_subproblem(self):
+        # R -> P -> F with R and F observed: P's parents are all assigned, so
+        # its factor is known the moment the extension assigns it
+        net = parse_network(
+            "node R prior 0.3\nnode P leak 0.1 parents R:0.8\n"
+            "node F leak 0.05 parents P:0.9\n"
+        )
+        evidence = [(0, True), (2, True)]
+        a = Assignment.from_evidence(net, evidence)
+        sub = build_subproblem(net, a, 2)
+        assert sub.free_parents == (1,)
+        w = 0.9 * (1.0 - 0.8)
+        assert sub.factors == ((w, 1.0 - w),)
+        assert _brute_extensions(net, sub, a) == pytest.approx(
+            {(True,): 0.905 * 0.82, (False,): 0.05 * 0.18}, rel=1e-12
+        )
+        # P absent: 0.05 without P's factor, 0.009 with it; 0.02 lies between
+        exts = list(iter_extensions(net, sub, 0.02))
+        assert [e.parent_states for e in exts] == [((1, True),)]
+        assert list(iter_level_extensions(net, a, 2, 0.02)) == exts
+        for ext in epsilon_ml(net, sub, 0.0):
+            assert upper_bound(net, sub, dict(ext.parent_states)) == ext.new_factor_product
+            # the engine folds in the same factors once the extension is applied
+            applied = a.extended(ext.parent_states)
+            assert ext.new_factor_product == pytest.approx(
+                applied.known_factor_product / a.known_factor_product, rel=1e-15
+            )
+        # so the engine never builds the P-absent state it would reject
+        res = top_epsilon(net, evidence, 0.3 * 0.02)
+        assert (res.states_explored, res.accepted_count) == (2, 1)
+        # unlike a root, a pseudo-root tries present first even when absent
+        # is the likelier state (R absent leaves P only its leak)
+        b = Assignment.from_evidence(net, [(0, False), (2, True)])
+        sub_b = build_subproblem(net, b, 2)
+        w_b = 1.0 - 0.1
+        assert sub_b.factors == ((w_b, 1.0 - w_b),)
+        assert [e.parent_states for e in epsilon_ml(net, sub_b, 0.0)] == [
+            ((1, True),), ((1, False),)
+        ]
+
+    def test_factors_must_align_with_free_parents(self):
+        with pytest.raises(NetworkError, match="aligned"):
+            Subproblem(findings=((1, True),), free_parents=(0,), fixed_parents={})
 
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
@@ -373,8 +436,11 @@ class TestSearchCounters:
 
         monkeypatch.setattr(nobn.engine, "iter_level_extensions", replayed)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (388, 11)
-        assert counts == {"subproblems": 287, "nodes": 4594}
+        assert (res.states_explored, res.accepted_count) == (354, 11)
+        assert counts == {"subproblems": 287, "nodes": 3852}
+        # complete states the engine rejects at its leaf test (no forced
+        # branch runs here, so every other state posed a subproblem)
+        assert res.states_explored - counts["subproblems"] - res.accepted_count == 56
 
 
 class TestUpperBound:
