@@ -423,11 +423,13 @@ def _build_parser() -> _ArgParser:
     p.add_argument("network")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("exact", help="brute-force exact inference")
+    p = sub.add_parser("exact", help="brute-force exact inference", description=(
+        "Enumerate the whole network as given, so --cap counts every unobserved node "
+        "(infer --gold enumerates only the evidence's ancestral closure)."))
     p.add_argument("network")
     p.add_argument("evidence")
     p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FREE_NODE_CAP,
-                   help="max free nodes to enumerate (default %(default)s)")
+                   help="max unobserved nodes to enumerate (default %(default)s)")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("eml", help="one-level parent search on a two-level network")

@@ -126,17 +126,16 @@ def top_epsilon(
             for ext in iter_level_extensions(net, a, level, eps_new):
                 if on_extension is not None:
                     on_extension(ext, eps_new)
-                tokens = [a.assign(p, s) for p, s in ext.parent_states]
+                token = a.assign(ext.parent_states)
                 yield None
-                while tokens:
-                    a.undo(tokens.pop())
+                a.undo(token)
         else:
             # Unassigned nodes outside the evidence ancestry (retained query
             # nodes and their ancestors): branch on them directly, shallowest
             # first, pruning on the running known product.
             nid = a.next_forced_unassigned()
             for state in (True, False):
-                token = a.assign(nid, state)
+                token = a.assign(((nid, state),))
                 if prefix_qualifies():
                     yield None
                 a.undo(token)

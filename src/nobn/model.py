@@ -459,13 +459,13 @@ class Assignment:
     """Partial or complete node-state assignment with cached factor product.
 
     ``known_factor_product * 2**known_exponent`` is the product of every
-    factor whose node and parents are all assigned.  A scaled product that
-    ends an :meth:`assign` below ``2**-512`` is multiplied by ``2**512``; this
-    keeps every bit while one call's new factors multiply to ``2**-510`` or
-    more.  At exponent 0 the product agrees with a from-scratch
-    :func:`partial_probability` recomputation (up to multiplication-order
-    rounding).  The object is value-like: it belongs to one search worker at
-    a time, and ``assign``/``undo`` must nest in strict LIFO order.
+    factor whose node and parents are all assigned.  :meth:`assign` sets a
+    batch of nodes and :meth:`undo` reverts it; batches nest in strict LIFO
+    order.  The lift is checked after each node: a scaled product below
+    ``2**-512`` is multiplied by ``2**512``, which keeps every bit while one
+    node's new factors multiply to ``2**-510`` or more, so a batch matches
+    its pairs assigned one by one.  At exponent 0 the product agrees with
+    :func:`partial_probability` up to rounding.  One search worker at a time.
     """
 
     __slots__ = (
@@ -495,10 +495,7 @@ class Assignment:
         """All evidence nodes assigned, everything else free."""
         evidence = tuple(evidence)
         validate_evidence(net, evidence)
-        a = cls(net)
-        for nid, state in sorted(evidence):
-            a.assign(nid, state)
-        return a
+        return cls(net).extended(sorted(evidence))
 
     @classmethod
     def _complete(cls, net: Network, values: Sequence[bool], joint: float) -> "Assignment":
@@ -565,66 +562,67 @@ class Assignment:
 
     # -- mutation (LIFO) -----------------------------------------------------
 
-    def assign(self, nid: int, state: bool):
-        """Set an unassigned node, fold any newly-known factors into the cached
-        product, and return an undo token.  Tokens must be undone LIFO."""
-        values = self._values
-        if values[nid] is not None:
-            raise NetworkError(
-                f"node {self.net.nodes[nid].name!r} is already assigned"
-            )
+    def assign(self, pairs: Iterable[tuple[int, bool]]):
+        """Set each ``(node id, state)`` pair in order, folding in every factor
+        that becomes known, and return one undo token for the batch.  A pair
+        naming an assigned node raises :class:`NetworkError` and changes nothing."""
+        pairs = tuple(pairs)
         net = self.net
-        prod = self.known_factor_product
-        token = (nid, prod, self.known_exponent)
-        values[nid] = state
-        self._n_unassigned -= 1
+        values = self._values
         counts = self._unassigned_parents
-        absent = noisy_or_absent
-        if counts[nid] == 0:
-            prior = net._priors[nid]
-            if prior is not None:
-                prod *= prior if state else 1.0 - prior
+        active = self._level_active
+        prod = self.known_factor_product
+        exponent = self.known_exponent
+        token = (pairs, prod, exponent)
+        for done, (nid, state) in enumerate(pairs):
+            if values[nid] is not None:
+                self._n_unassigned -= done
+                self.undo((pairs[:done], *token[1:]))
+                raise NetworkError(f"node {net.nodes[nid].name!r} is already assigned")
+            values[nid] = state
+            if counts[nid] == 0:
+                prod *= node_factor(net, nid, values)
             else:
-                w = absent(net, nid, values)
-                prod *= 1.0 - w if state else w
-        else:
-            self._level_active[net.levels[nid]] += 1
-        for c in net.children[nid]:
-            k = counts[c] - 1
-            counts[c] = k
-            if k == 0 and values[c] is not None:
-                w = absent(net, c, values)
-                prod *= 1.0 - w if values[c] else w
-                self._level_active[net.levels[c]] -= 1
-        if prod < 2.0 ** -512 and prod:
-            # exact power-of-two lift; the constants fold at compile time
-            prod *= 2.0 ** 512
-            self.known_exponent -= 512
+                active[net.levels[nid]] += 1
+            for c in net.children[nid]:
+                k = counts[c] - 1
+                counts[c] = k
+                if k == 0 and values[c] is not None:
+                    w = noisy_or_absent(net, c, values)
+                    prod *= 1.0 - w if values[c] else w
+                    active[net.levels[c]] -= 1
+            if prod < 2.0 ** -512 and prod:
+                # exact power-of-two lift; the constants fold at compile time
+                prod *= 2.0 ** 512
+                exponent -= 512
+        self._n_unassigned -= len(pairs)
         self.known_factor_product = prod
+        self.known_exponent = exponent
         return token
 
     def undo(self, token) -> None:
-        """Reverse the matching :meth:`assign`; calls must nest LIFO."""
-        nid, old_prod, old_exponent = token
+        """Reverse the matching :meth:`assign` batch; calls must nest LIFO."""
+        pairs, old_prod, old_exponent = token
         net = self.net
         values = self._values
         counts = self._unassigned_parents
-        if counts[nid] > 0:
-            self._level_active[net.levels[nid]] -= 1
-        for c in net.children[nid]:
-            if counts[c] == 0 and values[c] is not None:
-                self._level_active[net.levels[c]] += 1
-            counts[c] += 1
-        values[nid] = None
-        self._n_unassigned += 1
+        active = self._level_active
+        for nid, _ in pairs:
+            if counts[nid] > 0:
+                active[net.levels[nid]] -= 1
+            for c in net.children[nid]:
+                if counts[c] == 0 and values[c] is not None:
+                    active[net.levels[c]] += 1
+                counts[c] += 1
+            values[nid] = None
+        self._n_unassigned += len(pairs)
         self.known_factor_product = old_prod
         self.known_exponent = old_exponent
 
     def extended(self, pairs: Iterable[tuple[int, bool]]) -> "Assignment":
         """A copy with the given nodes assigned (value-style extension)."""
         c = self.copy()
-        for nid, state in pairs:
-            c.assign(nid, state)
+        c.assign(pairs)
         return c
 
     def next_forced_unassigned(self) -> int | None:

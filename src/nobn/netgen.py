@@ -229,7 +229,7 @@ def forward_sample(net: Network, seed: int) -> Assignment:
         p = net.nodes[nid].prior
         if p is None:
             p = 1.0 - noisy_or_absent(net, nid, values)
-        a.assign(nid, rng.random() < p)
+        a.assign(((nid, rng.random() < p),))
     return a
 
 

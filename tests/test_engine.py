@@ -386,6 +386,29 @@ class TestScaledProduct:
         assert deep.posteriors[:5] == pytest.approx(short.posteriors, abs=1e-12)
         assert deep.posteriors[5:] == tuple(float(v) for v in values[5:])
 
+    def test_batch_crossing_lifts_matches_single_assigns(self):
+        # the same 150-node chain, assigned in one batch: its product falls
+        # through 2**-512 in the middle of the batch, and the lift after each
+        # node keeps it equal, bit for bit, to one call per node
+        net = _deep_chain(150, q=0.99, leak=0.002, prior=3.67e-5)
+        pairs = list(enumerate(i < 136 and i % 2 == 0 for i in range(150)))
+        # parents first, and children before their parents
+        for order in (pairs, pairs[1::2] + pairs[::2]):
+            batch = Assignment(net)
+            token = batch.assign(order)
+            single = Assignment(net)
+            for pair in order:
+                single.assign([pair])
+            assert batch.known_exponent == single.known_exponent < -512
+            assert batch.known_factor_product.hex() == single.known_factor_product.hex()
+            batch.undo(token)
+            assert (batch.values, batch.unassigned_count, batch.frontier_level()) == (
+                (None,) * 150,
+                150,
+                None,
+            )
+            assert (batch.known_factor_product, batch.known_exponent) == (1.0, 0)
+
 
 class TestAcceptedDump:
     def test_format_and_order(self, chain3, chain3_ev_c):

@@ -435,9 +435,21 @@ class TestSearchCounters:
             return iter_level_extensions(n, a, level, eps)
 
         monkeypatch.setattr(nobn.engine, "iter_level_extensions", replayed)
+        assign = Assignment.assign
+        assigns = 0
+
+        def counted(a, pairs):
+            nonlocal assigns
+            assigns += 1
+            return assign(a, pairs)
+
+        monkeypatch.setattr(Assignment, "assign", counted)
         res = top_epsilon(pruned, evidence, 1e-12)
         assert (res.states_explored, res.accepted_count) == (354, 11)
         assert counts == {"subproblems": 287, "nodes": 3852}
+        # one assign per explored state: the evidence, then one batch per
+        # applied extension
+        assert assigns == res.states_explored
         # complete states the engine rejects at its leaf test (no forced
         # branch runs here, so every other state posed a subproblem)
         assert res.states_explored - counts["subproblems"] - res.accepted_count == 56

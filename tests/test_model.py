@@ -278,14 +278,13 @@ class TestFactorProducts:
 
     def test_partial_only_child_assigned(self, chain3):
         a = Assignment(chain3)
-        a.assign(2, True)
+        a.assign([(2, True)])
         assert partial_probability(chain3, a) == 1.0
 
     def test_partial_b_and_c(self, chain3):
         # only C's factor is known: P(C=p | B=p) = 0.905
         a = Assignment(chain3)
-        a.assign(1, True)
-        a.assign(2, True)
+        a.assign([(1, True), (2, True)])
         assert partial_probability(chain3, a) == pytest.approx(0.905, abs=1e-15)
 
     def test_joint_all_present(self, chain3):
@@ -310,26 +309,62 @@ class TestFactorProducts:
 
     def test_evidence_nodes_never_reassigned(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
-        with pytest.raises(NetworkError, match="already assigned"):
-            a.assign(2, False)
+
+        def snapshot():
+            return (
+                a.values,
+                a.known_factor_product,
+                a.known_exponent,
+                a.unassigned_count,
+                a.frontier_level(),
+            )
+
+        before = snapshot()
+        # the assigned node first, in the middle, last, or named twice: the
+        # batch raises and leaves every part of the state as it was
+        for batch in (
+            [(2, False)],
+            [(2, False), (0, True), (1, True)],
+            [(0, True), (2, False), (1, True)],
+            [(0, True), (1, True), (2, False)],
+            [(1, True), (0, False), (1, False)],
+        ):
+            with pytest.raises(NetworkError, match="already assigned"):
+                a.assign(batch)
+            assert snapshot() == before
+        a.assign([(0, True), (1, True)])
+        assert a.known_factor_product == pytest.approx(0.14842, rel=1e-12)
+        assert a.frontier_level() is None
 
 
 class TestAssignmentCache:
     def test_coherence_over_random_walks(self):
-        # cached product must track the from-scratch recomputation through
-        # arbitrary interleavings of assign and undo
+        # the cached product must track the from-scratch recomputation
+        # through arbitrary interleavings of assign and undo, and a batch of
+        # 1-4 pairs must match the same pairs assigned one call each
         for seed in range(15):
             net = small_random_net(seed)
             r = SplitMix64(derive_seed(seed, 0xE0))
             a = Assignment(net)
+            b = Assignment(net)
             tokens = []
             for _ in range(120):
                 if tokens and r.random() < 0.4:
-                    a.undo(tokens.pop())
+                    batch_token, single_tokens = tokens.pop()
+                    a.undo(batch_token)
+                    for token in reversed(single_tokens):
+                        b.undo(token)
                 elif a.unassigned_count:
                     free = [i for i in range(len(net)) if a.state(i) is None]
-                    nid = free[r.below(len(free))]
-                    tokens.append(a.assign(nid, r.random() < 0.5))
+                    r.shuffle(free)
+                    batch = [(nid, r.random() < 0.5) for nid in free[: 1 + r.below(4)]]
+                    tokens.append((a.assign(batch), [b.assign([pair]) for pair in batch]))
+                assert (a.known_factor_product, a.known_exponent, a.frontier_level()) == (
+                    b.known_factor_product,
+                    b.known_exponent,
+                    b.frontier_level(),
+                )
+                assert a.values == b.values
                 recomputed = partial_probability(net, a)
                 assert a.known_factor_product == pytest.approx(
                     recomputed, rel=1e-12, abs=1e-300
@@ -338,9 +373,9 @@ class TestAssignmentCache:
     def test_frontier_level_tracks_deepest_expandable(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
         assert a.frontier_level() == 2
-        token = a.assign(1, True)
+        token = a.assign([(1, True)])
         assert a.frontier_level() == 1
-        inner = a.assign(0, True)
+        inner = a.assign([(0, True)])
         assert a.frontier_level() is None
         a.undo(inner)
         a.undo(token)
@@ -349,7 +384,7 @@ class TestAssignmentCache:
     def test_copy_is_independent(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
         b = a.copy()
-        b.assign(1, True)
+        b.assign([(1, True)])
         assert a.state(1) is None
         assert b.state(1) is True
 
