@@ -88,7 +88,7 @@ class Subproblem:
             raise NetworkError("factors must be aligned with free_parents")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extension:
     """One admissible assignment of the free parents.
 
@@ -112,7 +112,7 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     values = a.raw_values()
     pairs: dict = {}
     # epsilon 0 skips the entry check, so the kernel always picks its order
-    free = _setup(net, findings, values, 0.0, pairs, a.unassigned_parent_count)[0]
+    free = _setup(net, findings, values, 0.0, pairs, a.raw_unassigned_parent_counts())[0]
     fixed = {
         p: values[p]
         for nid, _ in findings
@@ -154,7 +154,8 @@ def iter_level_extensions(
     # assigned parents are read straight off the value list; a free parent
     # none of whose own parents is unassigned is a root or pseudo-root
     tables = _setup(
-        net, _findings(net, a, level), a.raw_values(), epsilon, {}, a.unassigned_parent_count
+        net, _findings(net, a, level), a.raw_values(), epsilon, {},
+        a.raw_unassigned_parent_counts(),
     )
     return iter(()) if tables is None else _dfs(tables, None)
 
@@ -164,10 +165,11 @@ def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]
     if not 0 <= level <= net.max_level:
         raise NetworkError(f"level {level} out of range")
     values = a.raw_values()
+    pending = a.raw_unassigned_parent_counts()
     findings = [
         (nid, values[nid])
         for nid in net.level_nodes[level]
-        if values[nid] is not None and a.unassigned_parent_count(nid)
+        if values[nid] is not None and pending[nid]
     ]
     if not findings:
         raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
@@ -183,7 +185,7 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
     ``pairs`` maps a free parent to its factor pair (see
     :class:`Subproblem`), and a missing entry reads as None.  A free parent
     missing from it is priced on first sight: a root by its prior, a
-    pseudo-root (``pending(p)``, its count of unassigned parents, is 0) by
+    pseudo-root (``pending[p]``, its count of unassigned parents, is 0) by
     ``values``; the pair is added, so the caller can read the table back.
     ``free`` is the search order, None for the default one.
 
@@ -228,7 +230,7 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
                         prior = priors[p]
                         if prior is not None:
                             pair = pairs[p] = (1.0 - prior, prior)
-                        elif pending(p):
+                        elif pending[p]:
                             pair = None
                         else:
                             # the factor Assignment.assign folds in, bit for bit

@@ -527,6 +527,11 @@ class Assignment:
     def unassigned_parent_count(self, nid: int) -> int:
         return self._unassigned_parents[nid]
 
+    def raw_unassigned_parent_counts(self) -> list[int]:
+        """The live per-node counts of unassigned parents; callers must not
+        mutate it."""
+        return self._unassigned_parents
+
     def frontier_level(self) -> int | None:
         """Deepest level holding an assigned node with unassigned parents."""
         active = self._level_active

@@ -8,9 +8,11 @@ from nobn import (
     NetShape,
     Network,
     SplitMix64,
+    bn3_shape,
     derive_seed,
     forward_sample,
     gen_network,
+    make_case,
     parse_evidence,
     parse_network,
     prune_barren,
@@ -80,3 +82,11 @@ def pruned_with_evidence(net: Network, evidence):
         (pruned.node_id(net.nodes[nid].name), state) for nid, state in evidence
     )
     return pruned, remapped
+
+
+def bn3_case(findings: int = 26, index: int = 0):
+    """Case ``index`` of ``nobn bench`` on ``bn3_shape(0)`` at seed 0, as the
+    pruned net and its re-indexed evidence."""
+    net = gen_network(bn3_shape(0))
+    case = make_case(net, derive_seed(0, 0x04, index), findings)
+    return pruned_with_evidence(net, case.evidence)

@@ -28,9 +28,11 @@ from nobn import (
     top_epsilon,
 )
 import nobn.cli
+import nobn.engine
 from nobn.cli import _schedule_rows
 from nobn.engine import DEFAULT_SCHEDULE
 from conftest import (
+    bn3_case,
     pruned_with_evidence,
     random_evidence,
     small_random_net,
@@ -408,6 +410,91 @@ class TestScaledProduct:
                 None,
             )
             assert (batch.known_factor_product, batch.known_exponent) == (1.0, 0)
+
+
+def _fingerprint(res):
+    posteriors = None if res.posteriors is None else [p.hex() for p in res.posteriors]
+    return (res.accepted_count, res.states_explored, res.mass_accumulated.hex(), posteriors)
+
+
+def _memo_problems(population):
+    if population == "bn3":
+        return [(*bn3_case(), 1e-12)]
+    problems = []
+    for seed in range(40):
+        net = small_random_net(seed, max_total=20)
+        pruned, evidence = pruned_with_evidence(net, random_evidence(net, seed))
+        problems += [(pruned, evidence, eps) for eps in (0.0, 1e-3, 1e-6)]
+    return problems
+
+
+class TestContextMemo:
+    @pytest.mark.parametrize("population", ["random", "bn3"])
+    def test_eviction_changes_no_result(self, population, monkeypatch):
+        # caps of 1 and 2 evict contexts, drop longer extension lists and
+        # empty the shared tuple table all the time, and a trial of one
+        # lookup gives up every level's memo at its first miss; every result
+        # must still equal the default settings', bit for bit
+        problems = _memo_problems(population)
+        searches = 0
+        search = nobn.engine.iter_level_extensions
+
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return search(*args)
+
+        monkeypatch.setattr(nobn.engine, "iter_level_extensions", counted)
+        want = [_fingerprint(top_epsilon(*problem)) for problem in problems]
+        default_searches = searches
+        for settings in (
+            {"_MEMO_CAP": 1, "_SHARED_CAP": 1},
+            {"_MEMO_CAP": 2, "_SHARED_CAP": 2},
+            {"_MEMO_TRIAL": 1},
+        ):
+            with monkeypatch.context() as patch:
+                for name, value in settings.items():
+                    patch.setattr(nobn.engine, name, value)
+                searches = 0
+                assert [_fingerprint(top_epsilon(*problem)) for problem in problems] == want
+            # these settings searched again what the default ones reused
+            assert searches > default_searches
+
+    def test_recurring_context_keeps_an_extension_tied_with_its_threshold(
+        self, monkeypatch
+    ):
+        # Dyadic parameters make every product and threshold exact.  The
+        # level-1 context (M present) is searched under (A, B) = (p, p), then
+        # comes back under (p, a) and (a, p) at threshold 0.25, exactly the
+        # product of its extension R absent, which must be kept.
+        net = parse_network(
+            "node R prior 0.5\n"
+            "node M leak 0.5 parents R:0.5\n"
+            "node A leak 0.5 parents M:0.5\n"
+            "node B leak 0.5 parents M:0.5\n"
+            "node E leak 0.5 parents A:0.5 B:0.5\n"
+        )
+        evidence = [(4, True)]
+        eps = 0.03515625  # the joint of R=a M=p A=p B=a E=p
+        searched_levels = []
+        search = nobn.engine.iter_level_extensions
+
+        def counted(n, a, level, epsilon):
+            searched_levels.append(level)
+            return search(n, a, level, epsilon)
+
+        monkeypatch.setattr(nobn.engine, "iter_level_extensions", counted)
+        ties = []
+
+        def hook(ext, eps_new):
+            if ext.new_factor_product == eps_new:
+                ties.append(ext.parent_states)
+
+        res = top_epsilon(net, evidence, eps, keep_accepted=True, on_extension=hook)
+        assert searched_levels.count(1) == 2  # one search per state of M
+        assert ties == [((0, False),)] * 2
+        want = {a.values: j for a, j in instantiations_above(net, evidence, eps)}
+        assert {a.values: j for a, j in res.accepted} == want
 
 
 class TestAcceptedDump:

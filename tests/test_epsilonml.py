@@ -15,7 +15,6 @@ from nobn import (
     NoFindingsError,
     SplitMix64,
     Subproblem,
-    bn3_shape,
     build_subproblem,
     derive_seed,
     epsilon_ml,
@@ -23,13 +22,12 @@ from nobn import (
     iter_extensions,
     make_case,
     parse_network,
-    prune_barren,
     top_epsilon,
     upper_bound,
 )
 import nobn.engine
 from nobn.epsilonml import iter_level_extensions
-from conftest import pruned_with_evidence, random_evidence, small_random_net
+from conftest import bn3_case, pruned_with_evidence, random_evidence, small_random_net
 
 
 def _noisy_or_absent(spec, present):
@@ -415,22 +413,18 @@ class TestEpsilonMl:
 
 class TestSearchCounters:
     def test_bn3_case_counters(self, monkeypatch):
-        # one bn3 case at 26 findings, each subproblem replayed through the
-        # public two-step form; exact counts, so a change to the search or
-        # its pruning shows up here rather than as benchmark noise
-        net = gen_network(bn3_shape(0))
-        case = make_case(net, derive_seed(0, 0x04, 0), 26)
-        pruned = prune_barren(net, case.evidence)
-        evidence = tuple(
-            (pruned.node_id(net.nodes[nid].name), state) for nid, state in case.evidence
-        )
-        counts = {"subproblems": 0, "nodes": 0}
+        # one bn3 case at 26 findings, each searched subproblem replayed
+        # through the public two-step form; exact counts, so a change to the
+        # search, its pruning or the engine's context memo shows up here
+        # rather than as benchmark noise
+        pruned, evidence = bn3_case()
+        counts = {"searches": 0, "nodes": 0}
 
         def replayed(n, a, level, eps):
             stats = {}
             for _ in iter_extensions(n, build_subproblem(n, a, level), eps, stats):
                 pass
-            counts["subproblems"] += 1
+            counts["searches"] += 1
             counts["nodes"] += stats["nodes"]
             return iter_level_extensions(n, a, level, eps)
 
@@ -444,15 +438,29 @@ class TestSearchCounters:
             return assign(a, pairs)
 
         monkeypatch.setattr(Assignment, "assign", counted)
+        rescaled = Assignment.rescaled_threshold
+        expansions = 0
+
+        def expanded(a, epsilon):
+            # the engine poses a subproblem at every incomplete state whose
+            # rescaled threshold exists (no forced branch runs here), whether
+            # it searches it or reuses a recurring context's extensions
+            nonlocal expansions
+            eps_new = rescaled(a, epsilon)
+            expansions += a.unassigned_count > 0 and eps_new is not None
+            return eps_new
+
+        monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
         assert (res.states_explored, res.accepted_count) == (354, 11)
-        assert counts == {"subproblems": 287, "nodes": 3852}
+        # 6 of the 287 expansions reuse a context's extensions
+        assert expansions == 287
+        assert counts == {"searches": 281, "nodes": 3852}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored
-        # complete states the engine rejects at its leaf test (no forced
-        # branch runs here, so every other state posed a subproblem)
-        assert res.states_explored - counts["subproblems"] - res.accepted_count == 56
+        # states the engine rejects at its prefix or leaf test
+        assert res.states_explored - expansions - res.accepted_count == 56
 
 
 class TestUpperBound:

@@ -1,6 +1,8 @@
 """Property tests: the search against the brute-force oracle on random small
 multi-level networks, invariance of the result under evidence order and
-under renumbering of the nodes, and the NET text round trip.
+under renumbering of the nodes, the NET text round trip, and the exactness
+of filtering a level's extensions by a higher threshold (what the engine's
+context memo relies on).
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
@@ -13,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nobn import (  # noqa: E402
+    Assignment,
     NetShape,
     Network,
     NodeSpec,
@@ -24,6 +27,7 @@ from nobn import (  # noqa: E402
     print_network,
     top_epsilon,
 )
+from nobn.epsilonml import iter_level_extensions  # noqa: E402
 from conftest import pruned_with_evidence  # noqa: E402
 
 # Two parameter regimes: generic links, and bn3's (rare roots,
@@ -160,3 +164,43 @@ def test_net_text_round_trips(problem):
         parsed = parse_network(text)
         assert parsed == net
         assert print_network(parsed) == text
+
+
+@st.composite
+def frontier_states(draw):
+    """(net, assignment, frontier level): the evidence of a problem, then up
+    to three drawn extensions of the successive frontiers."""
+    net, evidence, _ = draw(problems())
+    a = Assignment.from_evidence(net, evidence)
+    level = a.frontier_level()
+    for _ in range(draw(st.integers(0, 3))):
+        if level is None:
+            break
+        ext = draw(st.sampled_from(list(iter_level_extensions(net, a, level, 0.0))))
+        token = a.assign(ext.parent_states)
+        shallower = a.frontier_level()
+        if shallower is None:
+            a.undo(token)
+            break
+        level = shallower
+    return net, a, level
+
+
+def _bits(exts):
+    return [(ext.parent_states, ext.new_factor_product.hex()) for ext in exts]
+
+
+@_SETTINGS
+@given(frontier_states(), st.data())
+def test_filtered_extensions_equal_a_search_at_the_higher_threshold(state, data):
+    net, a, level = state
+    hypothesis.assume(level is not None)
+    products = [e.new_factor_product for e in iter_level_extensions(net, a, level, 0.0)]
+    # epsilon2 is an extension's own product, so the filter meets exact ties
+    eps2 = data.draw(st.sampled_from(products), label="eps2")
+    eps1 = data.draw(
+        st.sampled_from([0.0, eps2 / 2] + [p for p in products if p <= eps2]), label="eps1"
+    )
+    kept = list(iter_level_extensions(net, a, level, eps1))
+    filtered = [e for e in kept if e.new_factor_product >= eps2]
+    assert _bits(filtered) == _bits(iter_level_extensions(net, a, level, eps2))
