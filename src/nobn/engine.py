@@ -90,15 +90,12 @@ DEFAULT_SCHEDULE = EpsilonSchedule(tuple(float(f"1e-{k}") for k in range(2, 21, 
 _DONE = object()
 
 # The context memo of one call keeps at most _MEMO_CAP contexts per level,
-# the oldest evicted first, and no extension list longer than _MEMO_CAP.
-# Kept extensions with equal parent states share one tuple through a table
-# that is emptied when it passes _SHARED_CAP tuples, so a long call's table
-# stays bounded.  A level is searched directly for the rest of the call once
-# _MEMO_TRIAL lookups have hit less than one time in _MEMO_HIT_RATIO: on
-# bn3-f83 a lookup that misses costs about a sixth of the search a hit
-# saves, and the level-2 contexts there hit 2% of the time.
+# the oldest evicted first, and no extension list longer than _MEMO_CAP.  A
+# level is searched directly for the rest of the call once _MEMO_TRIAL
+# lookups have hit less than one time in _MEMO_HIT_RATIO: on bn3-f83 a lookup
+# that misses costs about a sixth of the search a hit saves, and the level-2
+# contexts there hit 2% of the time.
 _MEMO_CAP = 256
-_SHARED_CAP = 4096
 _MEMO_TRIAL = 64
 _MEMO_HIT_RATIO = 8
 
@@ -132,7 +129,6 @@ def top_epsilon(
     memos = [OrderedDict() for _ in contexts]
     lookups = [0] * len(contexts)
     hits = [0] * len(contexts)
-    shared: dict = {}
 
     def level_extensions(level: int, eps_new: float) -> Iterable[Extension]:
         # The extensions of the level's subproblem, from the context memo
@@ -166,10 +162,6 @@ def top_epsilon(
         for ext in iter_level_extensions(net, a, level, eps_new):
             if kept is not None:
                 if len(kept) < _MEMO_CAP:
-                    states = ext.parent_states
-                    first = shared.setdefault(states, states)
-                    if first is not states:
-                        ext = Extension(first, ext.new_factor_product)
                     kept.append(ext)
                 else:
                     kept = None
@@ -179,8 +171,6 @@ def top_epsilon(
             if new_context and len(memo) >= _MEMO_CAP:
                 memo.popitem(last=False)
             memo[key] = (eps_new, tuple(kept))
-            if len(shared) > _SHARED_CAP:
-                shared.clear()
 
     def prefix_qualifies() -> bool:
         return a.rescaled_threshold(epsilon_target) is not None

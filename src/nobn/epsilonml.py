@@ -3,10 +3,12 @@ level's findings whose newly-known factor product clears a threshold.
 
 Each subproblem is effectively a two-level network: a set of assigned
 "findings" with no arcs among them, and the parents still free.  The search
-is depth-first over the free parents with an admissible per-node upper bound
-(the one :func:`upper_bound` computes), so it returns exactly the set
-{ parent assignment : product >= epsilon } while storing only the current
-decision path.
+is depth-first over the free parents with an admissible per-node upper bound,
+so it returns exactly the set { parent assignment : product >= epsilon }
+while storing only the current decision path.  :func:`upper_bound` folds
+that bound from the search's own tables in the order of the leaf product;
+the search keeps it incrementally, groups the products differently, and so
+prunes only with a margin (``_PRUNE_MARGIN``).
 
 Every subproblem starts with one pass over its findings' links (``_setup``).
 The pass folds the assigned parents into each finding's factor, records the
@@ -51,9 +53,18 @@ __all__ = [
     "upper_bound",
 ]
 
-# Pruning slack: the incrementally maintained bound may differ from the
-# canonical one by regrouping rounding, so prune only with this much margin.
-# Leaves are tested exactly; the margin can only retain extra branches.
+# Pruning slack.  _dfs keeps upper_bound's per-node bound incrementally, as
+# 1 - w * tail per present finding (tail the product of its later parents'
+# 1-q) and rp * rsm for the root factors, where upper_bound folds every
+# product left to right in the leaf's order.  The groupings can differ in
+# the last bits, so prune only with this much margin.  Leaves are tested
+# exactly; the margin can only retain extra branches.  This regrouped copy
+# stays because it is cheaper: pruning with the exact left-to-right fold
+# (each term refolded over the later parents, the roots over the undecided
+# maxima) took a median 12% longer (per-pair IQR 9-18%, 19 of 20 pairs) over
+# the 25,335 iter_level_extensions calls of a seed-0 bn3-f26 benchmark round,
+# set-up plus search, with the same extensions and inner nodes (in-process
+# A/B, 2-core VM, Python 3.11.7).
 _PRUNE_MARGIN = 1e-9
 
 # a free parent not yet looked up in the factor table
@@ -136,12 +147,7 @@ def iter_extensions(
     (peak stored decisions).
     """
     check_threshold(epsilon)
-    values: list[bool | None] = [None] * len(net.nodes)
-    for p, state in sub.fixed_parents.items():
-        values[p] = state
-    pairs = dict(zip(sub.free_parents, sub.factors))
-    tables = _setup(net, sub.findings, values, epsilon, pairs, None, sub.free_parents)
-    return _dfs(tables, stats)
+    return _dfs(_subproblem_tables(net, sub, epsilon), stats)
 
 
 def iter_level_extensions(
@@ -158,6 +164,17 @@ def iter_level_extensions(
         a.raw_unassigned_parent_counts(),
     )
     return iter(()) if tables is None else _dfs(tables, None)
+
+
+def _subproblem_tables(net: Network, sub: Subproblem, epsilon: float):
+    """:func:`_setup` on a :class:`Subproblem`: its fixed parents as the
+    value list, its factor pairs as the complete factor table, searched in
+    its own order."""
+    values: list[bool | None] = [None] * len(net.nodes)
+    for p, state in sub.fixed_parents.items():
+        values[p] = state
+    pairs = dict(zip(sub.free_parents, sub.factors))
+    return _setup(net, sub.findings, values, epsilon, pairs, None, sub.free_parents)
 
 
 def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]:
@@ -187,7 +204,9 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
     missing from it is priced on first sight: a root by its prior, a
     pseudo-root (``pending[p]``, its count of unassigned parents, is 0) by
     ``values``; the pair is added, so the caller can read the table back.
-    ``free`` is the search order, None for the default one.
+    With ``pending`` None, ``pairs`` is the complete table and a parent
+    missing from it is an error.  ``free`` is the search order, None for the
+    default one.
 
     The entry check is a cheapest-explanation bound on the findings' factor
     product over every assignment of the free parents, times the larger
@@ -227,6 +246,11 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
                 if c is None:
                     pair = pairs.get(p, _UNPRICED)
                     if pair is _UNPRICED:
+                        if pending is None:
+                            raise NetworkError(
+                                f"parent {net.nodes[p].name!r} of finding "
+                                f"{net.nodes[nid].name!r} is neither free nor fixed"
+                            )
                         prior = priors[p]
                         if prior is not None:
                             pair = pairs[p] = (1.0 - prior, prior)
@@ -423,49 +447,33 @@ def upper_bound(
     """Admissible bound: at least the new factor product of every completion
     of a prefix decision over ``free_parents``.
 
-    This is the per-node bound the search prunes with.  Present findings are
+    This is the per-node bound the search prunes with, folded from the
+    search's own tables in the order of the leaf product, so on a complete
+    decision it equals the extension product exactly.  Present findings are
     bounded by treating every undecided parent as present, absent findings by
     treating them as absent.  Roots and pseudo-roots contribute their factor
     from ``sub.factors`` (the larger one while undecided); the other free
-    parents contribute 1.  On a complete decision the bound equals the
-    extension product exactly.  At entry (the empty decision) the search also applies the
-    tighter cheapest-explanation bound, so a subproblem can end with no node
-    expanded even though this bound clears epsilon.
+    parents contribute 1.  At entry (the empty decision) the search also
+    applies the tighter cheapest-explanation bound, so a subproblem can end
+    with no node expanded even though this bound clears epsilon.
     """
     free = sub.free_parents
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
-    pos_of = {p: i for i, p in enumerate(free)}
-    terms = []
-    for nid, state in sub.findings:
-        # fold fixed parents in link order, then free parents in search order,
-        # mirroring the search's own accumulation so a complete decision
-        # reproduces the extension product bit for bit
-        w = net._leak_c[nid]
-        free_links = []
-        for p, omq in net._links_omq[nid]:
-            pos = pos_of.get(p)
-            if pos is None:
-                if sub.fixed_parents[p]:
-                    w *= omq
-            else:
-                free_links.append((pos, omq))
-        free_links.sort()
-        if state:
-            for pos, omq in free_links:
-                p = free[pos]
-                if p not in decided or decided[p]:
-                    w *= omq
-            terms.append(1.0 - w)
-        else:
-            for pos, omq in free_links:
-                if decided.get(free[pos], False):
-                    w *= omq
-            terms.append(w)
-    bound = math.prod(terms)
+    _, _, root_fac, _, w, absent_adj, present_adj, _, _, _ = _subproblem_tables(net, sub, 0.0)
+    # _setup folded the fixed parents into w; the free ones follow in search
+    # order, a present one into every finding it feeds, an undecided one into
+    # the present findings only
     roots = 1.0
-    for p, pair in zip(free, sub.factors):
-        if pair is not None:
-            roots *= pair[decided[p]] if p in decided else max(pair)
-    return bound * roots
+    for pos, pair in enumerate(root_fac):
+        state = decided[free[pos]] if pos < k else None
+        roots *= max(pair) if state is None else pair[state]
+        if state:
+            for fi, omq in absent_adj[pos]:
+                w[fi] *= omq
+        if state is None or state:
+            for fi, omq, _ in present_adj[pos]:
+                w[fi] *= omq
+    terms = [1.0 - wf if present else wf for wf, (_, present) in zip(w, sub.findings)]
+    return math.prod(terms) * roots

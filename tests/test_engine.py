@@ -431,10 +431,10 @@ def _memo_problems(population):
 class TestContextMemo:
     @pytest.mark.parametrize("population", ["random", "bn3"])
     def test_eviction_changes_no_result(self, population, monkeypatch):
-        # caps of 1 and 2 evict contexts, drop longer extension lists and
-        # empty the shared tuple table all the time, and a trial of one
-        # lookup gives up every level's memo at its first miss; every result
-        # must still equal the default settings', bit for bit
+        # caps of 1 and 2 evict contexts and drop longer extension lists all
+        # the time, and a trial of one lookup gives up every level's memo at
+        # its first miss; every result must still equal the default
+        # settings', bit for bit
         problems = _memo_problems(population)
         searches = 0
         search = nobn.engine.iter_level_extensions
@@ -448,8 +448,8 @@ class TestContextMemo:
         want = [_fingerprint(top_epsilon(*problem)) for problem in problems]
         default_searches = searches
         for settings in (
-            {"_MEMO_CAP": 1, "_SHARED_CAP": 1},
-            {"_MEMO_CAP": 2, "_SHARED_CAP": 2},
+            {"_MEMO_CAP": 1},
+            {"_MEMO_CAP": 2},
             {"_MEMO_TRIAL": 1},
         ):
             with monkeypatch.context() as patch:

@@ -117,8 +117,16 @@ def _diagnostic_subproblems(seed: int, max_states: int = 30, max_free: int = 10)
     )
     net = gen_network(shape)
     case = make_case(net, derive_seed(seed, 0xE2), 3 + r.below(len(net.level_nodes[2]) - 2))
-    pruned, pev = pruned_with_evidence(net, case.evidence)
-    stack = [Assignment.from_evidence(pruned, pev)]
+    yield from _walked_subproblems(
+        *pruned_with_evidence(net, case.evidence), max_states, max_free
+    )
+
+
+def _walked_subproblems(net, evidence, max_states: int = 30, max_free: int = 10):
+    """The subproblems the engine poses from the evidence, walked over every
+    extension, with at most ``max_free`` free parents; each comes with the
+    assignment and level it was built from."""
+    stack = [Assignment.from_evidence(net, evidence)]
     visited = 0
     while stack and visited < max_states:
         a = stack.pop()
@@ -126,11 +134,29 @@ def _diagnostic_subproblems(seed: int, max_states: int = 30, max_free: int = 10)
         if level is None:
             continue
         visited += 1
-        sub = build_subproblem(pruned, a, level)
+        sub = build_subproblem(net, a, level)
         if len(sub.free_parents) <= max_free:
-            yield pruned, a, level, sub
+            yield net, a, level, sub
         stack.extend(a.extended(e.parent_states) for e in iter_level_extensions(
-            pruned, a, level, 0.0))
+            net, a, level, 0.0))
+
+
+def _bound_subproblems(two_level_seeds: int):
+    """Two-level subproblems, whose free parents are all roots; the
+    diagnostic regime's, which add non-root free parents and fixed parents;
+    and those of random nets with evidence at any level, which add
+    pseudo-roots."""
+    for seed in range(two_level_seeds):
+        yield _two_level_subproblem(seed)
+    for seed in range(25):
+        for net, _, _, sub in _diagnostic_subproblems(seed):
+            yield net, sub
+    for seed in range(40):
+        net = small_random_net(seed)
+        for pruned, _, _, sub in _walked_subproblems(
+            *pruned_with_evidence(net, random_evidence(net, seed))
+        ):
+            yield pruned, sub
 
 
 class TestBuildSubproblem:
@@ -384,6 +410,24 @@ class TestEpsilonMl:
         with pytest.raises(NetworkError, match="aligned"):
             Subproblem(findings=((1, True),), free_parents=(0,), fixed_parents={})
 
+    def test_parent_neither_free_nor_fixed_is_named(self):
+        # F's parent S (a root) or P (not a root) is missing from the
+        # hand-built subproblem
+        for text in (
+            "node R prior 0.3\nnode S prior 0.4\nnode F leak 0.1 parents R:0.8 S:0.7\n",
+            "node R prior 0.3\nnode P leak 0.1 parents R:0.5\n"
+            "node F leak 0.1 parents R:0.8 P:0.7\n",
+        ):
+            net = parse_network(text)
+            sub = Subproblem(
+                findings=((2, True),), free_parents=(0,), fixed_parents={}, factors=((0.7, 0.3),)
+            )
+            missing = net.nodes[1].name
+            with pytest.raises(NetworkError, match=f"parent '{missing}' of finding 'F'"):
+                epsilon_ml(net, sub, 0.0)
+            with pytest.raises(NetworkError, match=f"parent '{missing}' of finding 'F'"):
+                upper_bound(net, sub, {})
+
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
         # gives 0.01; the per-node bound of the empty decision reads 0.998
@@ -481,8 +525,7 @@ class TestUpperBound:
         assert bound >= 0.1 * 0.8
 
     def test_complete_decision_equals_product(self):
-        for seed in range(15):
-            net, sub = _two_level_subproblem(seed)
+        for net, sub in _bound_subproblems(15):
             for ext in epsilon_ml(net, sub, 0.0):
                 assert upper_bound(net, sub, dict(ext.parent_states)) == (
                     ext.new_factor_product
@@ -490,8 +533,7 @@ class TestUpperBound:
 
     def test_admissible_on_every_prefix(self):
         # exact domination of all completions, checked exhaustively
-        for seed in range(25):
-            net, sub = _two_level_subproblem(seed)
+        for net, sub in _bound_subproblems(25):
             if len(sub.free_parents) > 10:
                 continue
             free = sub.free_parents
