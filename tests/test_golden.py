@@ -8,6 +8,9 @@ The files under ``tests/golden`` were produced by
     nobn infer DIR/network.net DIR/case-001.ev --schedule 1e-2,1e-5,0 --gold \
         --dump-accepted infer.accepted --post infer.post
     nobn exact DIR/network.net DIR/case-001.ev
+    nobn gen --out TWO --seed 3 --nodes-per-level 6,12 --prior-range 0.1,0.4 \
+        --cases 1 --findings 6
+    nobn eml TWO/network.net TWO/case-000.ev --epsilon E   (E = 0 and 1e-3)
 
 with the wall-clock ``elapsed_ms`` column cut from the CSVs.  Every other
 byte is pinned: a refactor of the search, the oracle or the generator that
@@ -38,6 +41,15 @@ def generated(tmp_path, capsys):
     out = tmp_path / "gen"
     assert main(["gen", "--out", str(out), "--seed", "7",
                  "--nodes-per-level", "2,4,10", "--cases", "2", "--findings", "5"]) == 0
+    capsys.readouterr()
+    return out
+
+
+@pytest.fixture
+def two_level(tmp_path, capsys):
+    out = tmp_path / "two"
+    assert main(["gen", "--out", str(out), "--seed", "3", "--nodes-per-level", "6,12",
+                 "--prior-range", "0.1,0.4", "--cases", "1", "--findings", "6"]) == 0
     capsys.readouterr()
     return out
 
@@ -75,3 +87,13 @@ def test_exact_output(generated, capsys):
     code = main(["exact", str(generated / "network.net"), str(generated / "case-001.ev")])
     assert code == 0
     assert capsys.readouterr().out == golden("exact.out")
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1e-3"])
+def test_eml_output(two_level, capsys, epsilon):
+    code = main(["eml", str(two_level / "network.net"), str(two_level / "case-000.ev"),
+                 "--epsilon", epsilon])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden(f"eml-{epsilon}.out")
+    assert captured.err == golden(f"eml-{epsilon}.err")
