@@ -387,14 +387,15 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     net = gen_network(shape)
+    # draw every case first, so a finding count make_case rejects writes nothing
+    seeds = [derive_seed(args.seed, _BENCH_CASE_TAG, i) for i in range(args.cases)]
+    cases = [make_case(net, seed, args.findings) for seed in seeds]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net_path = out / "network.net"
     net_path.write_text(print_network(net), encoding="utf-8")
     print(net_path)
-    for i in range(args.cases):
-        seed = derive_seed(args.seed, _BENCH_CASE_TAG, i)
-        case = make_case(net, seed, args.findings)
+    for i, (seed, case) in enumerate(zip(seeds, cases)):
         ev_lines = "".join(
             f"{net.nodes[nid].name} {'present' if state else 'absent'}\n"
             for nid, state in case.evidence

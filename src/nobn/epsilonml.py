@@ -29,16 +29,18 @@ their own conditional factor is unknown until their level is expanded, and 1
 is its only safe bound.  That keeps the threshold a necessary condition for
 any completion of the joint, which is what the driving engine relies on.
 
-:func:`build_subproblem` + :func:`iter_extensions` is the inspectable
-two-step form; :func:`iter_level_extensions` is the engine's one-call form.
-Both run the same three steps, so they yield the same extensions in the same
-order.
+Every subproblem is posed from an assignment and a level and runs the same
+``_setup`` -> ``_dfs`` path.  :func:`iter_level_extensions`, the engine's
+one-call form, reads the live assignment; :func:`build_subproblem` snapshots
+the assignment into a :class:`Subproblem` that :func:`iter_extensions` and
+:func:`upper_bound` search later, so both forms yield the same extensions in
+the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .model import Assignment, Network, NetworkError, check_threshold, noisy_or_absent
@@ -67,9 +69,6 @@ __all__ = [
 # A/B, 2-core VM, Python 3.11.7).
 _PRUNE_MARGIN = 1e-9
 
-# a free parent not yet looked up in the factor table
-_UNPRICED = object()
-
 
 class NoFindingsError(NetworkError):
     """No assigned node with unassigned parents at the requested level."""
@@ -77,26 +76,28 @@ class NoFindingsError(NetworkError):
 
 @dataclass(frozen=True)
 class Subproblem:
-    """One branching instance: findings at a level plus their free parents.
+    """One branching instance, a snapshot of the assignment it was posed from.
 
-    ``findings`` are the assigned nodes at the level whose factor is not yet
-    known (they still have unassigned parents); nodes whose parents are all
-    assigned already contributed their factor to the driving state's product.
-    ``free_parents`` is the deterministic search order.  ``factors`` is
-    aligned with it: the (absent, present) factor pair a free parent adds to
-    the joint once assigned, ``(1 - prior, prior)`` for a root and
-    ``(w, 1 - w)`` for a pseudo-root (every parent assigned, ``w`` its
-    noisy-OR absent probability), None while some parent of it is free.
+    ``values`` and ``pending`` copy the assignment's state list and its
+    per-node counts of unassigned parents; the search reads only these and
+    ``findings``, so later changes to the assignment do not reach it.
+
+    The rest is for inspection.  ``findings`` are the assigned nodes at the
+    level whose factor is not yet known (they still have unassigned parents);
+    nodes whose parents are all assigned already contributed their factor to
+    the driving state's product.  ``free_parents`` is the deterministic
+    search order.  ``factors`` is aligned with it: the (absent, present)
+    factor pair a free parent adds to the joint once assigned,
+    ``(1 - prior, prior)`` for a root and ``(w, 1 - w)`` for a pseudo-root
+    (every parent assigned, ``w`` its noisy-OR absent probability), None
+    while some parent of it is free.
     """
 
     findings: tuple[tuple[int, bool], ...]
     free_parents: tuple[int, ...]
-    fixed_parents: dict[int, bool] = field(default_factory=dict)
-    factors: tuple[tuple[float, float] | None, ...] = ()
-
-    def __post_init__(self):
-        if len(self.factors) != len(self.free_parents):
-            raise NetworkError("factors must be aligned with free_parents")
+    factors: tuple[tuple[float, float] | None, ...]
+    values: tuple[bool | None, ...]
+    pending: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,26 +112,22 @@ class Extension:
 
 
 def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
-    """Collect the expandable findings at ``level`` and order their free
-    parents for search.
+    """Snapshot the subproblem :func:`iter_level_extensions` would search at
+    ``level``: the expandable findings, their free parents in search order
+    and those parents' factor pairs.
 
     Parents are searched most-relevant first: descending maximum activation
     probability over the findings they feed, ties by node id.  Raises
     :class:`NoFindingsError` when the level has nothing to expand, which
     tells a driver to look at a shallower level.
     """
-    findings = _findings(net, a, level)
-    values = a.raw_values()
+    findings = tuple(_findings(net, a, level))
+    values = tuple(a.raw_values())
+    pending = tuple(a.raw_unassigned_parent_counts())
     pairs: dict = {}
     # epsilon 0 skips the entry check, so the kernel always picks its order
-    free = _setup(net, findings, values, 0.0, pairs, a.raw_unassigned_parent_counts())[0]
-    fixed = {
-        p: values[p]
-        for nid, _ in findings
-        for p, _ in net._links_omq[nid]
-        if values[p] is not None
-    }
-    return Subproblem(tuple(findings), free, fixed, tuple(pairs.get(p) for p in free))
+    free = _setup(net, findings, values, 0.0, pairs, pending)[0]
+    return Subproblem(findings, free, tuple(pairs.get(p) for p in free), values, pending)
 
 
 def iter_extensions(
@@ -147,34 +144,21 @@ def iter_extensions(
     (peak stored decisions).
     """
     check_threshold(epsilon)
-    return _dfs(_subproblem_tables(net, sub, epsilon), stats)
+    return _dfs(_setup(net, sub.findings, sub.values, epsilon, {}, sub.pending), stats)
 
 
 def iter_level_extensions(
     net: Network, a: Assignment, level: int, epsilon: float
 ) -> Iterator[Extension]:
-    """build_subproblem + iter_extensions without the Subproblem object or
-    its fixed-parent dict; the engine's per-state hot path.  Same results as
-    the two-step form, same ordering; a subproblem rejected at entry costs
-    this one call and no generator."""
-    # assigned parents are read straight off the value list; a free parent
-    # none of whose own parents is unassigned is a root or pseudo-root
+    """build_subproblem + iter_extensions on the live assignment, without
+    the snapshot; the engine's per-state hot path.  Same results as the
+    two-step form, same ordering; a subproblem rejected at entry costs this
+    one call and no generator."""
     tables = _setup(
         net, _findings(net, a, level), a.raw_values(), epsilon, {},
         a.raw_unassigned_parent_counts(),
     )
     return iter(()) if tables is None else _dfs(tables, None)
-
-
-def _subproblem_tables(net: Network, sub: Subproblem, epsilon: float):
-    """:func:`_setup` on a :class:`Subproblem`: its fixed parents as the
-    value list, its factor pairs as the complete factor table, searched in
-    its own order."""
-    values: list[bool | None] = [None] * len(net.nodes)
-    for p, state in sub.fixed_parents.items():
-        values[p] = state
-    pairs = dict(zip(sub.free_parents, sub.factors))
-    return _setup(net, sub.findings, values, epsilon, pairs, None, sub.free_parents)
 
 
 def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]:
@@ -193,20 +177,17 @@ def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]
     return findings
 
 
-def _setup(net, findings, values, epsilon, pairs, pending, free=None):
+def _setup(net, findings, values, epsilon, pairs, pending):
     """One pass over the findings' links and the entry check; the search
     tables of :func:`_tables` when it passes, None when the subproblem is
     provably empty.
 
-    ``values[p]`` is the state of an assigned parent and None for a free one.
-    ``pairs`` maps a free parent to its factor pair (see
-    :class:`Subproblem`), and a missing entry reads as None.  A free parent
-    missing from it is priced on first sight: a root by its prior, a
-    pseudo-root (``pending[p]``, its count of unassigned parents, is 0) by
-    ``values``; the pair is added, so the caller can read the table back.
-    With ``pending`` None, ``pairs`` is the complete table and a parent
-    missing from it is an error.  ``free`` is the search order, None for the
-    default one.
+    ``values[p]`` is the state of an assigned parent and None for a free one;
+    ``pending[p]`` is p's count of unassigned parents.  Each free parent is
+    priced on first sight and its factor pair (see :class:`Subproblem`)
+    added to the empty dict ``pairs``, so the caller can read the table
+    back: a root by its prior, a pseudo-root (``pending[p] == 0``) by
+    ``values``; a parent with a free parent of its own gets no entry.
 
     The entry check is a cheapest-explanation bound on the findings' factor
     product over every assignment of the free parents, times the larger
@@ -244,22 +225,15 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
                 lf.append(link)
                 c = cost.get(p)
                 if c is None:
-                    pair = pairs.get(p, _UNPRICED)
-                    if pair is _UNPRICED:
-                        if pending is None:
-                            raise NetworkError(
-                                f"parent {net.nodes[p].name!r} of finding "
-                                f"{net.nodes[nid].name!r} is neither free nor fixed"
-                            )
-                        prior = priors[p]
-                        if prior is not None:
-                            pair = pairs[p] = (1.0 - prior, prior)
-                        elif pending[p]:
-                            pair = None
-                        else:
-                            # the factor Assignment.assign folds in, bit for bit
-                            a_p = noisy_or_absent(net, p, values)
-                            pair = pairs[p] = (a_p, 1.0 - a_p)
+                    prior = priors[p]
+                    if prior is not None:
+                        pair = pairs[p] = (1.0 - prior, prior)
+                    elif pending[p]:
+                        pair = None
+                    else:
+                        # the factor Assignment.assign folds in, bit for bit
+                        a_p = noisy_or_absent(net, p, values)
+                        pair = pairs[p] = (a_p, 1.0 - a_p)
                     if pair is None:
                         c = 1.0
                     else:
@@ -305,23 +279,21 @@ def _setup(net, findings, values, epsilon, pairs, pending, free=None):
                 bound *= plain
         if bound * roots < guard:
             return None
-    return _tables(net, findings, w, links, pairs, free, epsilon, guard)
+    return _tables(net, findings, w, links, pairs, epsilon, guard)
 
 
-def _tables(net, findings, w, links, pairs, free, epsilon, guard):
-    """Order the free parents (unless ``free`` gives the order) and build the
-    search's tables from the entry pass's ``w``, free links and factor
-    pairs."""
-    if free is None:
-        # descending best activation probability, ties by id:
-        # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
-        # low - 1 == -(1 - low) exactly
-        low: dict[int, float] = {}
-        for lf in links:
-            for p, omq in lf:
-                if omq < low.get(p, 2.0):
-                    low[p] = omq
-        free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
+def _tables(net, findings, w, links, pairs, epsilon, guard):
+    """Order the free parents and build the search's tables from the entry
+    pass's ``w``, free links and factor pairs."""
+    # descending best activation probability, ties by id:
+    # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
+    # low - 1 == -(1 - low) exactly
+    low: dict[int, float] = {}
+    for lf in links:
+        for p, omq in lf:
+            if omq < low.get(p, 2.0):
+                low[p] = omq
+    free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
     nfree = len(free)
     pos_of = {p: i for i, p in enumerate(free)}
     priors = net._priors
@@ -375,14 +347,9 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     if tables is None:
         return
     free, branch, root_fac, rsm, w, absent_adj, present_adj, terms, epsilon, guard = tables
+    # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
     prod = math.prod
-
-    if nfree == 0:
-        e = prod(terms)
-        if e >= epsilon:
-            yield Extension((), e)
-        return
 
     # w[f] also folds in the decided-present parents; an absent finding's
     # term is its w
@@ -448,20 +415,23 @@ def upper_bound(
     of a prefix decision over ``free_parents``.
 
     This is the per-node bound the search prunes with, folded from the
-    search's own tables in the order of the leaf product, so on a complete
-    decision it equals the extension product exactly.  Present findings are
-    bounded by treating every undecided parent as present, absent findings by
-    treating them as absent.  Roots and pseudo-roots contribute their factor
-    from ``sub.factors`` (the larger one while undecided); the other free
-    parents contribute 1.  At entry (the empty decision) the search also
-    applies the tighter cheapest-explanation bound, so a subproblem can end
-    with no node expanded even though this bound clears epsilon.
+    tables the search builds from the same snapshot, in the order of the
+    leaf product, so on a complete decision it equals the extension product
+    exactly.  Present findings are bounded by treating every undecided
+    parent as present, absent findings by treating them as absent.  Roots
+    and pseudo-roots contribute their factor pair (the larger factor while
+    undecided); the other free parents contribute 1.  At entry (the empty
+    decision) the search also applies the tighter cheapest-explanation
+    bound, so a subproblem can end with no node expanded even though this
+    bound clears epsilon.
     """
-    free = sub.free_parents
+    # at epsilon 0 the entry check never rejects
+    free, _, root_fac, _, w, absent_adj, present_adj, _, _, _ = _setup(
+        net, sub.findings, sub.values, 0.0, {}, sub.pending
+    )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
-    _, _, root_fac, _, w, absent_adj, present_adj, _, _, _ = _subproblem_tables(net, sub, 0.0)
     # _setup folded the fixed parents into w; the free ones follow in search
     # order, a present one into every finding it feeds, an undecided one into
     # the present findings only

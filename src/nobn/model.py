@@ -524,9 +524,6 @@ class Assignment:
     def unassigned_count(self) -> int:
         return self._n_unassigned
 
-    def unassigned_parent_count(self, nid: int) -> int:
-        return self._unassigned_parents[nid]
-
     def raw_unassigned_parent_counts(self) -> list[int]:
         """The live per-node counts of unassigned parents; callers must not
         mutate it."""

@@ -428,6 +428,18 @@ class TestGen:
         assert "--nodes-per-level" in err
         assert not (tmp_path / "g").exists()
 
+    def test_too_many_findings_writes_nothing(self, capsys, tmp_path):
+        # the 10 bottom-level nodes cannot hold 99 findings
+        out_dir = tmp_path / "g"
+        code, out, err = run_cli(
+            capsys, "gen", "--out", str(out_dir), "--nodes-per-level", "2,4,10",
+            "--cases", "1", "--findings", "99",
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_generated_case_runs_through_infer(self, capsys, tmp_path):
         out_dir = tmp_path / "g"
         run_cli(

@@ -14,7 +14,6 @@ from nobn import (
     NetworkError,
     NoFindingsError,
     SplitMix64,
-    Subproblem,
     build_subproblem,
     derive_seed,
     epsilon_ml,
@@ -39,15 +38,14 @@ def _noisy_or_absent(spec, present):
     return w
 
 
-def _brute_extensions(net, sub, a=None):
+def _brute_extensions(net, sub):
     """Every free-parent assignment with its product, by direct arithmetic.
 
     Kept independent of the search: factors are evaluated from the noisy-OR
-    definition, not via iter_extensions or ``sub.factors``.  A free non-root
-    parent whose parents all have a state in ``a`` (the assignment the
-    subproblem was built from) is a pseudo-root: its conditional factor is
-    multiplied in like a root's prior.  Without ``a`` every free parent must
-    be a root.
+    definition, not via iter_extensions or ``sub.factors``.  A finding's
+    parent that is not free takes its state from the snapshot ``sub.values``.
+    A free non-root parent whose parents all have a state there is a
+    pseudo-root: its conditional factor is multiplied in like a root's prior.
     """
     free = sub.free_parents
     known = {}  # free parent -> (P(absent), P(present)), roots and pseudo-roots
@@ -55,19 +53,21 @@ def _brute_extensions(net, sub, a=None):
         spec = net.nodes[p]
         if spec.prior is not None:
             known[p] = (1.0 - spec.prior, spec.prior)
-        elif a is None:
-            raise AssertionError("a non-root free parent needs the assignment")
-        elif all(a.state(g) is not None for g, _ in spec.links):
-            w = _noisy_or_absent(spec, a.state)
+        elif all(sub.values[g] is not None for g, _ in spec.links):
+            w = _noisy_or_absent(spec, sub.values.__getitem__)
             known[p] = (w, 1.0 - w)
+
+    def fixed(p):
+        assert sub.values[p] is not None, "a finding's parent is neither free nor assigned"
+        return sub.values[p]
+
     out = {}
     for bits in itertools.product([False, True], repeat=len(free)):
         states = dict(zip(free, bits))
         prod = 1.0
         for nid, fstate in sub.findings:
             w = _noisy_or_absent(
-                net.nodes[nid],
-                lambda p: states[p] if p in states else sub.fixed_parents[p],
+                net.nodes[nid], lambda p: states[p] if p in states else fixed(p)
             )
             prod *= (1.0 - w) if fstate else w
         for p, factors in known.items():
@@ -165,7 +165,7 @@ class TestBuildSubproblem:
         sub = build_subproblem(chain3, a, 2)
         assert sub.findings == ((2, True),)
         assert sub.free_parents == (1,)
-        assert sub.fixed_parents == {}
+        assert sub.values == (None, None, True)
 
     def test_chain3_level1_after_b(self, chain3):
         a = Assignment.from_evidence(chain3, [(1, True), (2, True)])
@@ -191,7 +191,31 @@ class TestBuildSubproblem:
         sub = build_subproblem(net, a, 1)
         assert sub.findings == ((2, True),)
         assert sub.free_parents == (1,)
-        assert sub.fixed_parents == {0: True}
+        assert sub.values == (True, None, True)
+
+    def test_subproblem_is_a_snapshot(self):
+        # assigning and undoing nodes on the assignment after posing the
+        # subproblem changes neither its extensions nor its bounds
+        checked = 0
+        for seed in range(6):
+            for net, a, _, sub in _diagnostic_subproblems(seed):
+                exts = epsilon_ml(net, sub, 0.0)
+                decisions = [{}] + [dict(e.parent_states) for e in exts]
+                bounds = [upper_bound(net, sub, d) for d in decisions]
+
+                def unchanged():
+                    assert epsilon_ml(net, sub, 0.0) == exts
+                    assert [upper_bound(net, sub, d) for d in decisions] == bounds
+
+                parents = a.assign(exts[-1].parent_states)
+                unchanged()
+                rest = a.assign((nid, True) for nid, v in enumerate(a.values) if v is None)
+                unchanged()
+                a.undo(rest)
+                a.undo(parents)
+                unchanged()
+                checked += 1
+        assert checked >= 100
 
     def test_parent_order_by_relevance(self):
         # strongest activation first, ties by id
@@ -263,22 +287,6 @@ class TestEpsilonMl:
         both = epsilon_ml(chain3, sub, 0.05)
         assert len(both) == 2
 
-    def test_empty_free_parents_trivial_extension(self):
-        # hand-built degenerate subproblem: nothing to search, one extension
-        net = parse_network(
-            "node A prior 0.2\nnode B prior 0.4\n"
-            "node F leak 0.05 parents A:0.7 B:0.6\n"
-        )
-        sub = Subproblem(
-            findings=((2, True),), free_parents=(), fixed_parents={0: True, 1: False}
-        )
-        exts = epsilon_ml(net, sub, 0.1)
-        assert len(exts) == 1
-        assert exts[0].parent_states == ()
-        expected = 1.0 - 0.95 * 0.3  # leak 0.05, only A active
-        assert exts[0].new_factor_product == pytest.approx(expected, abs=1e-15)
-        assert epsilon_ml(net, sub, expected + 0.01) == []
-
     def test_matches_brute_force_on_random_two_level(self):
         r = SplitMix64(99)
         for seed in range(60):
@@ -319,7 +327,7 @@ class TestEpsilonMl:
             sub = build_subproblem(pruned, a, level)
             if len(sub.free_parents) > 12:
                 continue
-            brute = _brute_extensions(pruned, sub, a)
+            brute = _brute_extensions(pruned, sub)
             for eps in (1e-1, 1e-3, 1e-6):
                 got = {_ext_key(sub, e) for e in epsilon_ml(pruned, sub, eps)}
                 assert got == {k for k, p in brute.items() if p >= eps}
@@ -342,7 +350,7 @@ class TestEpsilonMl:
         checked = rejected_at_entry = 0
         for seed in range(25):
             for net, a, level, sub in _diagnostic_subproblems(seed):
-                brute = _brute_extensions(net, sub, a)
+                brute = _brute_extensions(net, sub)
                 # the search's own leaf products (nothing is pruned at 0)
                 leaf = {_ext_key(sub, e): e.new_factor_product for e in epsilon_ml(net, sub, 0.0)}
                 assert leaf == pytest.approx(brute, rel=1e-12)
@@ -379,7 +387,7 @@ class TestEpsilonMl:
         assert sub.free_parents == (1,)
         w = 0.9 * (1.0 - 0.8)
         assert sub.factors == ((w, 1.0 - w),)
-        assert _brute_extensions(net, sub, a) == pytest.approx(
+        assert _brute_extensions(net, sub) == pytest.approx(
             {(True,): 0.905 * 0.82, (False,): 0.05 * 0.18}, rel=1e-12
         )
         # P absent: 0.05 without P's factor, 0.009 with it; 0.02 lies between
@@ -405,28 +413,6 @@ class TestEpsilonMl:
         assert [e.parent_states for e in epsilon_ml(net, sub_b, 0.0)] == [
             ((1, True),), ((1, False),)
         ]
-
-    def test_factors_must_align_with_free_parents(self):
-        with pytest.raises(NetworkError, match="aligned"):
-            Subproblem(findings=((1, True),), free_parents=(0,), fixed_parents={})
-
-    def test_parent_neither_free_nor_fixed_is_named(self):
-        # F's parent S (a root) or P (not a root) is missing from the
-        # hand-built subproblem
-        for text in (
-            "node R prior 0.3\nnode S prior 0.4\nnode F leak 0.1 parents R:0.8 S:0.7\n",
-            "node R prior 0.3\nnode P leak 0.1 parents R:0.5\n"
-            "node F leak 0.1 parents R:0.8 P:0.7\n",
-        ):
-            net = parse_network(text)
-            sub = Subproblem(
-                findings=((2, True),), free_parents=(0,), fixed_parents={}, factors=((0.7, 0.3),)
-            )
-            missing = net.nodes[1].name
-            with pytest.raises(NetworkError, match=f"parent '{missing}' of finding 'F'"):
-                epsilon_ml(net, sub, 0.0)
-            with pytest.raises(NetworkError, match=f"parent '{missing}' of finding 'F'"):
-                upper_bound(net, sub, {})
 
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
