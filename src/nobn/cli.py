@@ -22,7 +22,7 @@ from .engine import (
     format_accepted,
     top_epsilon,
 )
-from .epsilonml import build_subproblem, iter_extensions
+from .epsilonml import Extension, NoFindingsError, build_subproblem, iter_extensions
 from .model import (
     Assignment,
     Network,
@@ -240,15 +240,19 @@ def _cmd_eml(args) -> int:
         return 2
     evidence = _load_case(net, args.evidence)
     a = Assignment.from_evidence(net, evidence)
-    sub = build_subproblem(net, a, 1)
+    try:
+        exts = iter_extensions(net, build_subproblem(net, a, 1), args.epsilon)
+    except NoFindingsError:
+        # no finding has a free parent: the one extension is the empty one,
+        # and it completes no factor
+        exts = [Extension((), 1.0)] if args.epsilon <= 1.0 else []
     count = 0
-    for ext in iter_extensions(net, sub, args.epsilon):
+    for ext in exts:
         count += 1
-        body = " ".join(
+        print(" ".join([_fmt(ext.new_factor_product)] + [
             f"{net.nodes[nid].name}={'p' if state else 'a'}"
             for nid, state in sorted(ext.parent_states)
-        )
-        print(f"{_fmt(ext.new_factor_product)} {body}")
+        ]))
     print(f"{count} extensions at epsilon {_fmt_eps(args.epsilon)}", file=sys.stderr)
     return 0
 

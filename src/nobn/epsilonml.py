@@ -1,8 +1,9 @@
 """Level-wise branching: enumerate assignments to the unassigned parents of a
 level's findings whose newly-known factor product clears a threshold.
 
-Each subproblem is effectively a two-level network: a set of assigned
-"findings" with no arcs among them, and the parents still free.  The search
+Each subproblem is nearly a two-level network: a set of assigned "findings"
+with no arcs among them, and the parents still free (in a multi-level net
+these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
 while storing only the current decision path.  :func:`upper_bound` folds
@@ -20,14 +21,20 @@ or any search table is built.  The rest reuse the pass's factors, links and
 factor pairs for their tables (``_tables``) and the depth-first search
 (``_dfs``).
 
-The thresholded product multiplies every finding's conditional factor and the
-factor of every free parent whose own parents are all assigned: a root's
-prior, or a *pseudo-root*'s noisy-OR conditional given its assigned parents
-(both are known the moment the extension assigns the parent, and are the
-very factors the engine folds in then).  Other free parents contribute 1:
-their own conditional factor is unknown until their level is expanded, and 1
-is its only safe bound.  That keeps the threshold a necessary condition for
-any completion of the joint, which is what the driving engine relies on.
+The thresholded product multiplies every factor the extension completes,
+which are the very factors the engine folds in when it applies the
+extension: every finding's conditional factor; the factor of every free
+parent whose own parents are all assigned, a root's prior or a
+*pseudo-root*'s noisy-OR conditional given its assigned parents; and the
+noisy-OR conditional of every other node, free parent or assigned node off
+the level, whose unassigned parents are all free here, priced at the depth
+where its last free variable is decided and counted as 1 before it, which
+keeps the bound admissible.  A free parent with a parent outside the
+subproblem contributes 1: its conditional factor is unknown until its level
+is expanded, and 1 is its only safe bound.  That keeps the threshold a
+necessary condition for any completion of the joint, which is what the
+driving engine relies on, and no extension leaves the engine a child whose
+known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
 ``_setup`` -> ``_dfs`` path.  :func:`iter_level_extensions`, the engine's
@@ -90,7 +97,10 @@ class Subproblem:
     factor pair a free parent adds to the joint once assigned,
     ``(1 - prior, prior)`` for a root and ``(w, 1 - w)`` for a pseudo-root
     (every parent assigned, ``w`` its noisy-OR absent probability), None
-    while some parent of it is free.
+    while some parent of it is free.  An extension's product still covers
+    every factor it completes: the search prices a parent with None here,
+    and an assigned node off the level, from the states it decides once all
+    of the node's unassigned parents are among the free parents.
     """
 
     findings: tuple[tuple[int, bool], ...]
@@ -104,8 +114,11 @@ class Subproblem:
 class Extension:
     """One admissible assignment of the free parents.
 
-    ``new_factor_product`` multiplies the findings' factors and the factors
-    of the free roots and pseudo-roots under this assignment."""
+    ``new_factor_product`` multiplies every factor this assignment
+    completes: the findings', the free roots' and pseudo-roots', and that
+    of every free parent or assigned node whose unassigned parents are all
+    free parents.  It is the factor by which applying the extension moves
+    the assignment's known product, up to rounding."""
 
     parent_states: tuple[tuple[int, bool], ...]
     new_factor_product: float
@@ -279,12 +292,14 @@ def _setup(net, findings, values, epsilon, pairs, pending):
                 bound *= plain
         if bound * roots < guard:
             return None
-    return _tables(net, findings, w, links, pairs, epsilon, guard)
+    return _tables(net, findings, values, w, links, pairs, epsilon, guard)
 
 
-def _tables(net, findings, w, links, pairs, epsilon, guard):
+def _tables(net, findings, values, w, links, pairs, epsilon, guard):
     """Order the free parents and build the search's tables from the entry
-    pass's ``w``, free links and factor pairs."""
+    pass's ``w``, free links and factor pairs, and find the factors an
+    extension completes besides the findings', the roots' and the
+    pseudo-roots' (see :func:`_completed`)."""
     # descending best activation probability, ties by id:
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
     # low - 1 == -(1 - low) exactly
@@ -312,7 +327,8 @@ def _tables(net, findings, w, links, pairs, epsilon, guard):
             root_fac.append(pair)
             absent_first = pair[0] > pair[1] and priors[p] is not None
             branch.append((False, True) if absent_first else (True, False))
-    # suffix products of the best root or pseudo-root factor
+    # suffix products of the best root or pseudo-root factor; the factors
+    # in completes below are at most 1, so they count as 1 until decided
     rsm = [1.0] * (nfree + 1)
     for d in range(nfree - 1, -1, -1):
         rsm[d] = max(root_fac[d]) * rsm[d + 1]
@@ -334,7 +350,58 @@ def _tables(net, findings, w, links, pairs, epsilon, guard):
         else:
             for p, omq in lf:
                 absent_adj[pos_of[p]].append((fi, omq))
-    return free, branch, root_fac, rsm, w, absent_adj, present_adj, terms, epsilon, guard
+
+    # per position, the factors whose last free variable it decides: a free
+    # parent whose unassigned parents are all free, or an assigned node off
+    # the findings with that property, as (leak complement, links, position,
+    # state): links in link order as (position, 1-q), -1 for a fixed-present
+    # parent (a fixed-absent one changes nothing); position the node's own,
+    # or -1 for an assigned node with its fixed state
+    completes: list[list[tuple[float, tuple, int, bool]]] = [[] for _ in range(nfree)]
+    seen = {nid for nid, _ in findings}  # their factors are the terms
+    leak_c = net._leak_c
+    links_omq = net._links_omq
+    for p in free:
+        for c in net.children[p]:
+            if c in seen:
+                continue
+            seen.add(c)
+            at = pos_of.get(c, -1)
+            if at < 0 and values[c] is None:
+                continue  # free, but no finding's parent
+            depth = at
+            clinks = []
+            for g, omq in links_omq[c]:
+                fixed = values[g]
+                if fixed is None:
+                    q = pos_of.get(g)
+                    if q is None:
+                        break  # a parent outside the subproblem
+                    clinks.append((q, omq))
+                    if q > depth:
+                        depth = q
+                elif fixed:
+                    clinks.append((-1, omq))
+            else:
+                completes[depth].append((leak_c[c], tuple(clinks), at, values[c]))
+    return (
+        free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
+        epsilon, guard,
+    )
+
+
+def _completed(rp, factors, decided):
+    """``rp`` times each factor of ``factors`` (one position's entries in
+    :func:`_tables`' ``completes``) under the decisions ``decided``, by
+    position; the absent probability folds in link order, as
+    :func:`~nobn.model.noisy_or_absent` does, so each factor is the one
+    ``Assignment.assign`` folds in, bit for bit."""
+    for wc, clinks, at, fixed in factors:
+        for q, omq in clinks:
+            if q < 0 or decided[q]:
+                wc *= omq
+        rp *= 1.0 - wc if (decided[at] if at >= 0 else fixed) else wc
+    return rp
 
 
 def _dfs(tables, stats) -> Iterator[Extension]:
@@ -346,7 +413,10 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         stats.setdefault("max_depth", 0)
     if tables is None:
         return
-    free, branch, root_fac, rsm, w, absent_adj, present_adj, terms, epsilon, guard = tables
+    (
+        free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
+        epsilon, guard,
+    ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
     prod = math.prod
@@ -354,7 +424,8 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     # w[f] also folds in the decided-present parents; an absent finding's
     # term is its w
     decided = [False] * nfree
-    root_prod = [1.0] * (nfree + 1)  # root factor product of the first d decisions
+    # the root, pseudo-root and completed factors of the first d decisions
+    root_prod = [1.0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
     iters = [iter(branch[0])]
     while iters:
@@ -387,6 +458,8 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         undo[d] = saved
         decided[d] = state
         rp = root_prod[d] * root_fac[d][state]
+        if completes[d]:
+            rp = _completed(rp, completes[d], decided)
         root_prod[d + 1] = rp
         if track:
             stats["nodes"] += 1
@@ -420,25 +493,30 @@ def upper_bound(
     exactly.  Present findings are bounded by treating every undecided
     parent as present, absent findings by treating them as absent.  Roots
     and pseudo-roots contribute their factor pair (the larger factor while
-    undecided); the other free parents contribute 1.  At entry (the empty
-    decision) the search also applies the tighter cheapest-explanation
-    bound, so a subproblem can end with no node expanded even though this
-    bound clears epsilon.
+    undecided); every other factor the extension completes contributes its
+    value once the decision covers its last free variable, and 1 before.
+    At entry (the empty decision) the search also applies the tighter
+    cheapest-explanation bound, so a subproblem can end with no node
+    expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, root_fac, _, w, absent_adj, present_adj, _, _, _ = _setup(
+    free, _, root_fac, _, completes, w, absent_adj, present_adj, _, _, _ = _setup(
         net, sub.findings, sub.values, 0.0, {}, sub.pending
     )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
+    by_pos = [decided[p] for p in free[:k]]
     # _setup folded the fixed parents into w; the free ones follow in search
     # order, a present one into every finding it feeds, an undecided one into
     # the present findings only
     roots = 1.0
     for pos, pair in enumerate(root_fac):
-        state = decided[free[pos]] if pos < k else None
-        roots *= max(pair) if state is None else pair[state]
+        state = by_pos[pos] if pos < k else None
+        if state is None:
+            roots *= max(pair)
+        else:
+            roots = _completed(roots * pair[state], completes[pos], by_pos)
         if state:
             for fi, omq in absent_adj[pos]:
                 w[fi] *= omq

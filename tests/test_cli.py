@@ -148,6 +148,25 @@ class TestEml:
         _, out_cut, _ = run_cli(capsys, "eml", str(net), str(ev), "--epsilon", "0.05")
         assert len(out_cut.splitlines()) < len(out_all.splitlines())
 
+    @pytest.mark.parametrize(
+        "evidence",
+        ["", "d1 present\nd2 absent\n", "d1 present\nd2 absent\nf1 present\nf2 absent\n"],
+        ids=["empty", "roots", "every-node"],
+    )
+    def test_nothing_to_expand_yields_the_empty_extension(self, capsys, tmp_path, evidence):
+        # no finding with a free parent: the empty extension completes no
+        # factor, so its product is 1 and it qualifies exactly up to 1
+        net = tmp_path / "two.net"
+        net.write_text(TWO_LEVEL_TEXT)
+        ev = tmp_path / "two.ev"
+        ev.write_text(evidence)
+        code, out, err = run_cli(capsys, "eml", str(net), str(ev), "--epsilon", "1")
+        assert (code, out) == (0, "1\n")
+        assert err == "1 extensions at epsilon 1e+00\n"
+        code, out, err = run_cli(capsys, "eml", str(net), str(ev), "--epsilon", "1.5")
+        assert (code, out) == (0, "")
+        assert err.startswith("0 extensions")
+
     def test_rejects_multilevel(self, capsys, chain3_files):
         code, _, err = run_cli(capsys, "eml", *chain3_files, "--epsilon", "0.1")
         assert code == 2

@@ -42,36 +42,43 @@ def _brute_extensions(net, sub):
     """Every free-parent assignment with its product, by direct arithmetic.
 
     Kept independent of the search: factors are evaluated from the noisy-OR
-    definition, not via iter_extensions or ``sub.factors``.  A finding's
-    parent that is not free takes its state from the snapshot ``sub.values``.
-    A free non-root parent whose parents all have a state there is a
-    pseudo-root: its conditional factor is multiplied in like a root's prior.
+    definition, not via iter_extensions or ``sub.factors``.  The product
+    multiplies the factor of every node the assignment completes: a node
+    that, with its parents, has a state in the snapshot ``sub.values`` plus
+    the free parents' states, but not in ``sub.values`` alone.  That covers
+    the findings, the free roots and pseudo-roots, a free parent whose
+    unassigned parents are all free, and an assigned node off the findings
+    whose unassigned parents are all free.
     """
     free = sub.free_parents
-    known = {}  # free parent -> (P(absent), P(present)), roots and pseudo-roots
-    for p in free:
-        spec = net.nodes[p]
-        if spec.prior is not None:
-            known[p] = (1.0 - spec.prior, spec.prior)
-        elif all(sub.values[g] is not None for g, _ in spec.links):
-            w = _noisy_or_absent(spec, sub.values.__getitem__)
-            known[p] = (w, 1.0 - w)
+    values = sub.values
+    for nid, _ in sub.findings:
+        for p, _ in net.nodes[nid].links:
+            assert values[p] is not None or p in free, (
+                "a finding's parent is neither free nor assigned"
+            )
 
-    def fixed(p):
-        assert sub.values[p] is not None, "a finding's parent is neither free nor assigned"
-        return sub.values[p]
+    def complete(states, nid):
+        spec = net.nodes[nid]
+        return states[nid] is not None and all(states[p] is not None for p, _ in spec.links)
 
+    pending = [nid for nid in range(len(net)) if not complete(values, nid)]
     out = {}
     for bits in itertools.product([False, True], repeat=len(free)):
-        states = dict(zip(free, bits))
+        states = list(values)
+        for p, state in zip(free, bits):
+            states[p] = state
         prod = 1.0
-        for nid, fstate in sub.findings:
-            w = _noisy_or_absent(
-                net.nodes[nid], lambda p: states[p] if p in states else fixed(p)
-            )
-            prod *= (1.0 - w) if fstate else w
-        for p, factors in known.items():
-            prod *= factors[states[p]]
+        for nid in pending:
+            if not complete(states, nid):
+                continue
+            spec = net.nodes[nid]
+            if spec.prior is not None:
+                factor = spec.prior if states[nid] else 1.0 - spec.prior
+            else:
+                w = _noisy_or_absent(spec, states.__getitem__)
+                factor = 1.0 - w if states[nid] else w
+            prod *= factor
         out[bits] = prod
     return out
 
@@ -414,6 +421,40 @@ class TestEpsilonMl:
             ((1, True),), ((1, False),)
         ]
 
+    def test_factors_completed_inside_the_subproblem(self):
+        # R -> P, R -> E, and R, P -> F with E and F observed: at level 2 both
+        # R and P are free, so deciding them completes P's factor (its parent
+        # is free here) and E's (an assigned node off the level)
+        net = parse_network(
+            "node R prior 0.3\nnode P leak 0.1 parents R:0.8\n"
+            "node E leak 0.2 parents R:0.5\nnode F leak 0.05 parents R:0.4 P:0.9\n"
+        )
+        a = Assignment.from_evidence(net, [(2, True), (3, True)])
+        sub = build_subproblem(net, a, 2)
+        assert sub.free_parents == (1, 0)
+        assert sub.factors == (None, (0.7, 0.3))
+
+        def hand(p, r):
+            w_p = 0.9 * (0.2 if r else 1.0)
+            return (
+                (1.0 - 0.95 * (0.1 if p else 1.0) * (0.6 if r else 1.0))
+                * (0.3 if r else 0.7)
+                * (1.0 - w_p if p else w_p)
+                * (1.0 - 0.8 * (0.5 if r else 1.0))
+            )
+
+        exts = epsilon_ml(net, sub, 0.0)
+        assert len(exts) == 4
+        for ext in exts:
+            states = dict(ext.parent_states)
+            assert ext.new_factor_product == pytest.approx(hand(states[1], states[0]), rel=1e-12)
+            assert upper_bound(net, sub, states) == ext.new_factor_product
+            assert a.extended(ext.parent_states).known_factor_product == pytest.approx(
+                ext.new_factor_product, rel=1e-15
+            )
+        # before R is decided both completed factors count as 1
+        assert upper_bound(net, sub, {1: True}) >= max(hand(True, r) for r in (False, True))
+
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
         # gives 0.01; the per-node bound of the empty decision reads 0.998
@@ -482,15 +523,16 @@ class TestSearchCounters:
 
         monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (354, 11)
+        assert (res.states_explored, res.accepted_count) == (298, 11)
         # 6 of the 287 expansions reuse a context's extensions
         assert expansions == 287
-        assert counts == {"searches": 281, "nodes": 3852}
+        assert counts == {"searches": 281, "nodes": 3714}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored
-        # states the engine rejects at its prefix or leaf test
-        assert res.states_explored - expansions - res.accepted_count == 56
+        # states the engine rejects at its prefix or leaf test: none, since
+        # each extension's product covers every factor it completes
+        assert res.states_explored - expansions - res.accepted_count == 0
 
 
 class TestUpperBound:

@@ -1,13 +1,16 @@
 """Property tests: the search against the brute-force oracle on random small
 multi-level networks, invariance of the result under evidence order and
-under renumbering of the nodes, the NET text round trip, and the exactness
-of filtering a level's extensions by a higher threshold (what the engine's
-context memo relies on).
+under renumbering of the nodes, the NET text round trip, the exactness of
+filtering a level's extensions by a higher threshold (what the engine's
+context memo relies on), and that an extension's product is the factor
+applying it folds into the known product.
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -204,3 +207,32 @@ def test_filtered_extensions_equal_a_search_at_the_higher_threshold(state, data)
     kept = list(iter_level_extensions(net, a, level, eps1))
     filtered = [e for e in kept if e.new_factor_product >= eps2]
     assert _bits(filtered) == _bits(iter_level_extensions(net, a, level, eps2))
+
+
+@_SETTINGS
+@given(problems())
+def test_extension_product_is_what_assign_folds_in(problem):
+    # Walk the engine's search tree from the evidence: every extension's
+    # product is the factor by which applying it moves the known product,
+    # so no child falls below the target as soon as it is built.
+    net, evidence, epsilon = problem
+    a = Assignment.from_evidence(net, evidence)
+    visited = 0
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        eps_new = a.rescaled_threshold(epsilon)
+        if level is None or eps_new is None or not a.known_factor_product or visited >= 300:
+            return
+        visited += 1
+        product, exponent = a.known_factor_product, a.known_exponent
+        for ext in list(iter_level_extensions(net, a, level, eps_new)):
+            token = a.assign(ext.parent_states)
+            moved = math.ldexp(a.known_factor_product, a.known_exponent - exponent) / product
+            assert moved == pytest.approx(ext.new_factor_product, rel=1e-12)
+            assert a.rescaled_threshold(epsilon) is not None
+            walk()
+            a.undo(token)
+
+    walk()
