@@ -103,14 +103,18 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """argparse type: comma-separated integers."""
+def _level_counts(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated node counts, at least two levels of at
+    least one node each (violations are usage errors, exit 1)."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        counts = tuple(int(tok) for tok in text.split(","))
+        if len(counts) >= 2 and min(counts) >= 1:
+            return counts
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected at least 2 comma-separated integers >= 1, got {text!r}"
+    )
 
 
 def _probability(text: str) -> float:
@@ -477,7 +481,7 @@ def _build_parser() -> _ArgParser:
     p = sub.add_parser("gen", help="generate a seeded network and optional cases")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes-per-level", type=_int_list, default="3,10,15,20,97")
+    p.add_argument("--nodes-per-level", type=_level_counts, default="3,10,15,20,97")
     p.add_argument("--max-parents", type=_int_at_least(1), default=3)
     p.add_argument("--locality", type=_probability, default=0.8)
     p.add_argument("--prior-range", type=_prob_range, default="0.001,0.1")

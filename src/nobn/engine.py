@@ -133,8 +133,9 @@ def top_epsilon(
     def level_extensions(level: int, eps_new: float) -> Iterable[Extension]:
         # The extensions of the level's subproblem, from the context memo
         # when the context was solved at a threshold <= eps_new: the search
-        # yields exactly the extensions whose product clears its threshold,
-        # and neither their order nor their products depend on it.
+        # yields exactly the extensions that clear its threshold (see
+        # Extension.clears), and neither their order, their products nor
+        # their charges depend on it.
         context = contexts[level]
         if context is None:
             return iter_level_extensions(net, a, level, eps_new)
@@ -146,7 +147,7 @@ def top_epsilon(
             lowest, exts = entry
             if eps_new == lowest:
                 return exts
-            return [ext for ext in exts if ext.new_factor_product >= eps_new]
+            return [ext for ext in exts if ext.clears(eps_new)]
         if lookups[level] >= _MEMO_TRIAL and hits[level] * _MEMO_HIT_RATIO < lookups[level]:
             # too few hits to pay for the lookups: search the level directly
             contexts[level] = None

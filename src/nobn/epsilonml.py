@@ -37,18 +37,29 @@ driving engine relies on, and no extension leaves the engine a child whose
 known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
-``_setup`` -> ``_dfs`` path.  :func:`iter_level_extensions`, the engine's
-one-call form, reads the live assignment; :func:`build_subproblem` snapshots
-the assignment into a :class:`Subproblem` that :func:`iter_extensions` and
-:func:`upper_bound` search later, so both forms yield the same extensions in
-the same order.
+``_setup`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots the
+assignment into a :class:`Subproblem` that :func:`iter_extensions` and
+:func:`upper_bound` search later, with the exact set semantics above.
+:func:`iter_level_extensions`, the engine's one-call form, reads the live
+assignment and adds one prune for the engine alone.  A present free parent
+that is not a root and has a parent outside the subproblem contributes 1
+to the product, yet its own factor and those of its unassigned ancestors
+are still to come; their product is at most the parent's cheapest
+explanation (:func:`_explanation`, after Henrion and Poole again).  The
+search multiplies its bound by the smallest such charge among the present
+parents, never by two of them, since two parents may share an ancestor.  A
+dropped extension therefore has no completion that reaches the engine's
+target, and the engine's form yields the two-step form's extensions whose
+charged product (:meth:`Extension.clears`) clears the threshold, in the
+same order and with the same products: a subset, not the same set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import partial
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import Assignment, Network, NetworkError, check_threshold, noisy_or_absent
 
@@ -110,18 +121,31 @@ class Subproblem:
     pending: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Extension:
+class Extension(NamedTuple):
     """One admissible assignment of the free parents.
 
     ``new_factor_product`` multiplies every factor this assignment
     completes: the findings', the free roots' and pseudo-roots', and that
     of every free parent or assigned node whose unassigned parents are all
     free parents.  It is the factor by which applying the extension moves
-    the assignment's known product, up to rounding."""
+    the assignment's known product, up to rounding.
+
+    ``charge`` is what the engine's search (:func:`iter_level_extensions`)
+    charged this extension: the smallest cheapest-explanation bound
+    (:func:`_explanation`) of a present free parent with a parent outside
+    the subproblem, 1.0 when there is none.  That search yields exactly the
+    extensions that :meth:`clears` its threshold.  :func:`iter_extensions`
+    charges nothing, so its extensions carry 1.0.
+
+    A named tuple, so the search builds each one at the cost of a tuple."""
 
     parent_states: tuple[tuple[int, bool], ...]
     new_factor_product: float
+    charge: float = 1.0
+
+    def clears(self, epsilon: float) -> bool:
+        """The search's leaf test: the charged product reaches ``epsilon``."""
+        return self.new_factor_product * self.charge >= epsilon
 
 
 def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
@@ -164,12 +188,18 @@ def iter_level_extensions(
     net: Network, a: Assignment, level: int, epsilon: float
 ) -> Iterator[Extension]:
     """build_subproblem + iter_extensions on the live assignment, without
-    the snapshot; the engine's per-state hot path.  Same results as the
-    two-step form, same ordering; a subproblem rejected at entry costs this
-    one call and no generator."""
+    the snapshot, charged for the free parents whose own parents lie
+    outside the subproblem (see the module notes); the engine's per-state
+    hot path.  It yields the two-step form's extensions whose charged
+    product clears ``epsilon``, each with its charge, in the same order; a
+    subproblem rejected at entry costs this one call and no generator.
+
+    Charges are priced while the search runs and read ``a``, so ``a`` must
+    be as it was at the call whenever the generator resumes, as the engine
+    leaves it (it undoes each extension before taking the next)."""
     tables = _setup(
         net, _findings(net, a, level), a.raw_values(), epsilon, {},
-        a.raw_unassigned_parent_counts(),
+        a.raw_unassigned_parent_counts(), charged=True,
     )
     return iter(()) if tables is None else _dfs(tables, None)
 
@@ -190,7 +220,7 @@ def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]
     return findings
 
 
-def _setup(net, findings, values, epsilon, pairs, pending):
+def _setup(net, findings, values, epsilon, pairs, pending, charged=False):
     """One pass over the findings' links and the entry check; the search
     tables of :func:`_tables` when it passes, None when the subproblem is
     provably empty.
@@ -292,14 +322,15 @@ def _setup(net, findings, values, epsilon, pairs, pending):
                 bound *= plain
         if bound * roots < guard:
             return None
-    return _tables(net, findings, values, w, links, pairs, epsilon, guard)
+    return _tables(net, findings, values, w, links, pairs, epsilon, guard, charged)
 
 
-def _tables(net, findings, values, w, links, pairs, epsilon, guard):
+def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     """Order the free parents and build the search's tables from the entry
     pass's ``w``, free links and factor pairs, and find the factors an
     extension completes besides the findings', the roots' and the
-    pseudo-roots' (see :func:`_completed`)."""
+    pseudo-roots' (see :func:`_completed`).  When ``charged``, also mark
+    the free parents the engine's search charges (see :func:`_explanation`)."""
     # descending best activation probability, ties by id:
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
     # low - 1 == -(1 - low) exactly
@@ -313,14 +344,21 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard):
     pos_of = {p: i for i, p in enumerate(free)}
     priors = net._priors
 
-    # per position: branch order and the (absent, present) factor pair; an
-    # unpriced parent gets (1.0, 1.0), and x * 1.0 == x exactly.  Only a
-    # root may try absent first (prior < 0.5 exactly when absent > present)
+    # per position: branch order, the (absent, present) factor pair and the
+    # engine's charge for setting the parent present.  An unpriced parent
+    # gets the pair (1.0, 1.0), and x * 1.0 == x exactly; when charged, and
+    # unless completes below prices its factor, it has a parent outside the
+    # subproblem, and explain prices its charge when the search first needs
+    # it (-1.0 until then).  Every other charge is 1.0.  Only a root may try
+    # absent first (prior < 0.5 exactly when absent > present)
     branch: list[tuple[bool, bool]] = []
     root_fac: list[tuple[float, float]] = []
-    for p in free:
+    charge = [1.0] * nfree
+    unpriced_charge = -1.0 if charged else 1.0
+    for pos, p in enumerate(free):
         pair = pairs.get(p)
         if pair is None:
+            charge[pos] = unpriced_charge
             root_fac.append((1.0, 1.0))
             branch.append((True, False))
         else:
@@ -384,10 +422,48 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard):
                     clinks.append((-1, omq))
             else:
                 completes[depth].append((leak_c[c], tuple(clinks), at, values[c]))
+                if at >= 0:
+                    charge[at] = 1.0
+    explain = partial(_explanation, net, values, pos_of, {}) if -1.0 in charge else None
     return (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        epsilon, guard,
+        charge, explain, epsilon, guard,
     )
+
+
+def _explanation(net, values, free, hh, n):
+    """At least the product of node ``n``'s conditional factor and the
+    factors of its unassigned ancestors outside the subproblem (``free``
+    holds its free parents), over every completion of ``values`` with ``n``
+    present.
+
+    Either no parent of ``n`` is present, and its factor is its leak,
+    1 - leak_c; or some parent g is, and its factor is at most 1 - w, its
+    noisy-OR with every parent present, while g and its ancestry bring at
+    most ``hh[g]``: 1 for an assigned or free g (its factor is known or
+    priced by the search), the prior for an outside root, and this same
+    bound for any other outside node.  Every factor left out is at most 1.
+    ``hh`` memoises the outside nodes' bounds within one subproblem.
+    """
+    priors = net._priors
+    links = net._links_omq[n]
+    best = 0.0
+    for g, _ in links:
+        if values[g] is not None or g in free:
+            best = 1.0
+            break
+        h = priors[g]
+        if h is None:
+            h = hh.get(g)
+            if h is None:
+                h = hh[g] = _explanation(net, values, free, hh, g)
+        if h > best:
+            best = h
+    w = leak_c = net._leak_c[n]
+    for _, omq in links:
+        w *= omq
+    h = (1.0 - w) * best
+    return h if h > 1.0 - leak_c else 1.0 - leak_c
 
 
 def _completed(rp, factors, decided):
@@ -415,17 +491,20 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         return
     (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        epsilon, guard,
+        charge, explain, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
     prod = math.prod
+    new = tuple.__new__
 
     # w[f] also folds in the decided-present parents; an absent finding's
     # term is its w
     decided = [False] * nfree
-    # the root, pseudo-root and completed factors of the first d decisions
+    # the root, pseudo-root and completed factors of the first d decisions,
+    # and the smallest charge of a present parent among them
     root_prod = [1.0] * (nfree + 1)
+    least = [1.0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
     iters = [iter(branch[0])]
     while iters:
@@ -460,20 +539,35 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         rp = root_prod[d] * root_fac[d][state]
         if completes[d]:
             rp = _completed(rp, completes[d], decided)
-        root_prod[d + 1] = rp
+        c = least[d]
+        d += 1
+        root_prod[d] = rp
         if track:
             stats["nodes"] += 1
-            if d + 1 > stats["max_depth"]:
-                stats["max_depth"] = d + 1
+            if d > stats["max_depth"]:
+                stats["max_depth"] = d
         # at a leaf rsm[nfree] == 1.0, so e is the extension product itself
         e = prod(terms) * rp
-        if e * rsm[d + 1] < guard:
+        bound = e * rsm[d]
+        if bound * c < guard:
             continue
-        if d + 1 == nfree:
-            if e >= epsilon:
-                yield Extension(tuple(zip(free, decided)), e)
+        if state:
+            k = charge[d - 1]
+            if k < c:
+                if k < 0.0:
+                    # priced once a node that sets it present survives
+                    k = charge[d - 1] = explain(free[d - 1])
+                if k < c:
+                    c = k
+                    if bound * c < guard:
+                        continue
+        least[d] = c
+        if d == nfree:
+            # Extension.clears, before the tuple is built
+            if e * c >= epsilon:
+                yield new(Extension, (tuple(zip(free, decided)), e, c))
             continue
-        iters.append(iter(branch[d + 1]))
+        iters.append(iter(branch[d]))
 
 
 def epsilon_ml(net: Network, sub: Subproblem, epsilon: float) -> list[Extension]:
@@ -500,7 +594,7 @@ def upper_bound(
     expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, root_fac, _, completes, w, absent_adj, present_adj, _, _, _ = _setup(
+    free, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _setup(
         net, sub.findings, sub.values, 0.0, {}, sub.pending
     )
     k = len(decided)

@@ -335,6 +335,9 @@ class TestBadInput:
              "--finding-leak-range"),
             (("gen", "--out", "{dir}", "--locality", "7"), "--locality"),
             (("gen", "--out", "{dir}", "--locality", "nan"), "--locality"),
+            (("gen", "--out", "{dir}", "--nodes-per-level", "3,-1"), "--nodes-per-level"),
+            (("gen", "--out", "{dir}", "--nodes-per-level", "0,5"), "--nodes-per-level"),
+            (("gen", "--out", "{dir}", "--nodes-per-level", "3"), "--nodes-per-level"),
         ],
     )
     def test_out_of_range_counts_exit_1(self, capsys, tmp_path, chain3_files, argv, option):

@@ -12,6 +12,7 @@ import pytest
 from nobn import (
     Assignment,
     EpsilonSchedule,
+    Extension,
     Network,
     NetworkError,
     NodeSpec,
@@ -495,6 +496,38 @@ class TestContextMemo:
         assert ties == [((0, False),)] * 2
         want = {a.values: j for a, j in instantiations_above(net, evidence, eps)}
         assert {a.values: j for a, j in res.accepted} == want
+
+    def test_recurring_context_filters_by_the_charged_product(self, monkeypatch):
+        # R -> M -> N -> A, B -> E with E observed.  The level-2 context (N
+        # present) comes back under other states of A and B at a higher
+        # threshold than it was searched at.  Its extension M present clears
+        # that threshold, but not once charged for M's outside parent R, so
+        # the kept list must drop it, as a search would.
+        net = parse_network(
+            "node R prior 0.2\n"
+            "node M leak 0.01 parents R:0.99\n"
+            "node N leak 0.001 parents M:0.8\n"
+            "node A leak 0.1 parents N:0.99\n"
+            "node B leak 0.01 parents N:0.9\n"
+            "node E leak 0.01 parents A:0.8 B:0.99\n"
+        )
+        dropped = []
+        clears = Extension.clears
+
+        def spied(ext, epsilon):
+            kept = clears(ext, epsilon)
+            if not kept and ext.new_factor_product >= epsilon:
+                dropped.append(ext.parent_states)
+            return kept
+
+        monkeypatch.setattr(Extension, "clears", spied)
+        res = top_epsilon(net, [(5, True)], 1e-3)
+        assert dropped and all(states == ((1, True),) for states in dropped)
+        # a trial of one lookup gives every level's memo up at its first miss
+        monkeypatch.setattr(nobn.engine, "_MEMO_TRIAL", 1)
+        searched = top_epsilon(net, [(5, True)], 1e-3)
+        assert _fingerprint(res) == _fingerprint(searched)
+        assert (res.states_explored, res.accepted_count) == (26, 8)
 
 
 class TestAcceptedDump:

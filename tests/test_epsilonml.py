@@ -18,6 +18,7 @@ from nobn import (
     derive_seed,
     epsilon_ml,
     gen_network,
+    instantiations_above,
     iter_extensions,
     make_case,
     parse_network,
@@ -81,6 +82,19 @@ def _brute_extensions(net, sub):
             prod *= factor
         out[bits] = prod
     return out
+
+
+def _charged(net, a, level, exts, eps):
+    """What the engine's one-call form yields at ``eps``, given the two-step
+    form's extensions ``exts`` at ``eps``: those whose product times their
+    charge clears ``eps``, each with its charge.  The charges come from the
+    one-call form at 0, which yields every extension."""
+    charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, level, 0.0)}
+    return [
+        e._replace(charge=charges[e.parent_states])
+        for e in exts
+        if e.new_factor_product * charges[e.parent_states] >= eps
+    ]
 
 
 def _ext_key(sub, ext):
@@ -240,7 +254,11 @@ class TestIterLevelExtensions:
     def test_matches_two_step_form_on_every_frontier_state(self):
         # Walk the engine's search tree (rescaled thresholds included) and
         # compare the one-call form with build_subproblem + iter_extensions
-        # on every state that has a frontier level.
+        # on every state that has a frontier level.  The one-call form also
+        # charges present free parents whose own parents lie outside the
+        # subproblem, so it yields exactly the two-step form's extensions
+        # whose product times their charge clears epsilon; at epsilon 0 it
+        # yields every extension with its charge.
         checked = 0
         for seed in range(60):
             net = small_random_net(seed)
@@ -257,7 +275,9 @@ class TestIterLevelExtensions:
                 eps = target / a.known_factor_product if target else 0.0
                 fused = list(iter_level_extensions(pruned, a, level, eps))
                 sub = build_subproblem(pruned, a, level)
-                assert fused == list(iter_extensions(pruned, sub, eps))
+                assert fused == _charged(
+                    pruned, a, level, iter_extensions(pruned, sub, eps), eps
+                )
                 checked += 1
                 stack.extend(a.extended(ext.parent_states) for ext in fused)
         assert checked >= 300
@@ -266,6 +286,37 @@ class TestIterLevelExtensions:
         a = Assignment.from_evidence(chain3, [(2, True)])
         with pytest.raises(NoFindingsError):
             iter_level_extensions(chain3, a, 1, 0.0)
+
+    def test_charge_drops_an_extension_the_two_step_form_keeps(self):
+        # R -> A -> B -> F with F observed present.  At level 3 the one free
+        # parent B has its parent A outside the subproblem, so B present is
+        # charged what B and its ancestry can still add at best: every node
+        # present, or the leak alone.  A and B have plain = 1 - 0.999 * 0.1
+        # = 0.9001, and hh(A) = max(0.001, 0.9001 * 0.01) = 0.009001.
+        net = parse_network(
+            "node R prior 0.01\nnode A leak 0.001 parents R:0.9\n"
+            "node B leak 0.001 parents A:0.9\nnode F leak 0.01 parents B:0.9\n"
+        )
+        a = Assignment.from_evidence(net, [(3, True)])
+        present, absent = iter_level_extensions(net, a, 3, 0.0)
+        assert present.parent_states == ((2, True),)
+        assert present.new_factor_product == pytest.approx(0.901, rel=1e-15)
+        assert present.charge == pytest.approx(0.9001 * 0.009001, rel=1e-15)
+        assert absent.parent_states == ((2, False),)
+        assert (absent.new_factor_product, absent.charge) == (pytest.approx(0.01), 1.0)
+        # at 0.008 the two-step form keeps B present (0.901); its best
+        # completion is 0.901 * 0.9001 * 0.9001 * 0.01 = 0.0073, so the
+        # engine's form drops it, and keeps B absent (0.01)
+        sub = build_subproblem(net, a, 3)
+        assert [e.parent_states for e in iter_extensions(net, sub, 0.008)] == [
+            ((2, True),), ((2, False),)
+        ]
+        assert list(iter_level_extensions(net, a, 3, 0.008)) == [absent]
+        res = top_epsilon(net, [(3, True)], 0.008, keep_accepted=True)
+        assert {x.values for x, _ in res.accepted} == {
+            x.values for x, _ in instantiations_above(net, [(3, True)], 0.008)
+        }
+        assert all(x.state(2) is False for x, _ in res.accepted)
 
 
 class TestEpsilonMl:
@@ -353,7 +404,8 @@ class TestEpsilonMl:
         # thresholds at, just above and just below each subproblem's best
         # product, plus powers of ten; some of them must be rejected at entry
         # although the per-node bound of the empty decision clears them, and
-        # the one-call form must agree with the two-step form on each
+        # the one-call form must yield the two-step form's extensions that
+        # clear each once charged
         checked = rejected_at_entry = 0
         for seed in range(25):
             for net, a, level, sub in _diagnostic_subproblems(seed):
@@ -367,7 +419,9 @@ class TestEpsilonMl:
                 for eps in eps_values:
                     stats = {}
                     exts = list(iter_extensions(net, sub, eps, stats))
-                    assert list(iter_level_extensions(net, a, level, eps)) == exts
+                    assert list(iter_level_extensions(net, a, level, eps)) == _charged(
+                        net, a, level, exts, eps
+                    )
                     got = {_ext_key(sub, e) for e in exts}
                     # exact against the leaf test; against the brute products
                     # up to the last-ulp ties that only eps == top can hit
@@ -487,17 +541,21 @@ class TestSearchCounters:
         # one bn3 case at 26 findings, each searched subproblem replayed
         # through the public two-step form; exact counts, so a change to the
         # search, its pruning or the engine's context memo shows up here
-        # rather than as benchmark noise
+        # rather than as benchmark noise.  The two-step form charges
+        # nothing, so "nodes" counts the inner nodes of the uncharged search
+        # at each state the engine searches (at least the engine's own), and
+        # "charged" the extensions that the engine's charged form drops
         pruned, evidence = bn3_case()
-        counts = {"searches": 0, "nodes": 0}
+        counts = {"searches": 0, "nodes": 0, "charged": 0}
 
         def replayed(n, a, level, eps):
             stats = {}
-            for _ in iter_extensions(n, build_subproblem(n, a, level), eps, stats):
-                pass
+            exts = list(iter_extensions(n, build_subproblem(n, a, level), eps, stats))
+            kept = list(iter_level_extensions(n, a, level, eps))
             counts["searches"] += 1
             counts["nodes"] += stats["nodes"]
-            return iter_level_extensions(n, a, level, eps)
+            counts["charged"] += len(exts) - len(kept)
+            return iter(kept)
 
         monkeypatch.setattr(nobn.engine, "iter_level_extensions", replayed)
         assign = Assignment.assign
@@ -523,10 +581,12 @@ class TestSearchCounters:
 
         monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (298, 11)
-        # 6 of the 287 expansions reuse a context's extensions
-        assert expansions == 287
-        assert counts == {"searches": 281, "nodes": 3714}
+        assert (res.states_explored, res.accepted_count) == (297, 11)
+        # 6 of the 286 expansions reuse a context's extensions
+        assert expansions == 286
+        # the one charged extension led to a state whose subproblem the
+        # entry check rejects, with no inner node
+        assert counts == {"searches": 280, "nodes": 3714, "charged": 1}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored

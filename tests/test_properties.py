@@ -2,14 +2,16 @@
 multi-level networks, invariance of the result under evidence order and
 under renumbering of the nodes, the NET text round trip, the exactness of
 filtering a level's extensions by a higher threshold (what the engine's
-context memo relies on), and that an extension's product is the factor
-applying it folds into the known product.
+context memo relies on), that an extension's product is the factor
+applying it folds into the known product, and that the engine's charge on
+a present free parent bounds what its outside ancestry can still add.
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -23,6 +25,7 @@ from nobn import (  # noqa: E402
     Network,
     NodeSpec,
     SplitMix64,
+    build_subproblem,
     forward_sample,
     gen_network,
     instantiations_above,
@@ -190,7 +193,9 @@ def frontier_states(draw):
 
 
 def _bits(exts):
-    return [(ext.parent_states, ext.new_factor_product.hex()) for ext in exts]
+    return [
+        (ext.parent_states, ext.new_factor_product.hex(), ext.charge.hex()) for ext in exts
+    ]
 
 
 @_SETTINGS
@@ -198,14 +203,20 @@ def _bits(exts):
 def test_filtered_extensions_equal_a_search_at_the_higher_threshold(state, data):
     net, a, level = state
     hypothesis.assume(level is not None)
-    products = [e.new_factor_product for e in iter_level_extensions(net, a, level, 0.0)]
-    # epsilon2 is an extension's own product, so the filter meets exact ties
+    products = [
+        p
+        for e in iter_level_extensions(net, a, level, 0.0)
+        for p in (e.new_factor_product, e.new_factor_product * e.charge)
+    ]
+    # epsilon2 is an extension's own product, or that product charged, so
+    # the filter meets exact ties
     eps2 = data.draw(st.sampled_from(products), label="eps2")
     eps1 = data.draw(
         st.sampled_from([0.0, eps2 / 2] + [p for p in products if p <= eps2]), label="eps1"
     )
     kept = list(iter_level_extensions(net, a, level, eps1))
-    filtered = [e for e in kept if e.new_factor_product >= eps2]
+    # the context memo's own filter
+    filtered = [e for e in kept if e.clears(eps2)]
     assert _bits(filtered) == _bits(iter_level_extensions(net, a, level, eps2))
 
 
@@ -232,6 +243,126 @@ def test_extension_product_is_what_assign_folds_in(problem):
             moved = math.ldexp(a.known_factor_product, a.known_exponent - exponent) / product
             assert moved == pytest.approx(ext.new_factor_product, rel=1e-12)
             assert a.rescaled_threshold(epsilon) is not None
+            walk()
+            a.undo(token)
+
+    walk()
+
+
+def _factor(net, nid, states):
+    """Node ``nid``'s conditional factor under ``states``, from the noisy-OR
+    definition."""
+    spec = net.nodes[nid]
+    if spec.prior is not None:
+        return spec.prior if states[nid] else 1.0 - spec.prior
+    absent = 1.0 - spec.leak
+    for g, q in spec.links:
+        if states[g]:
+            absent *= 1.0 - q
+    return 1.0 - absent if states[nid] else absent
+
+
+def _outside_product(net, values, free, p):
+    """The largest product, over every completion of ``values`` with ``p``
+    present, of p's factor and the factors of p's unassigned ancestors
+    outside ``free``; None when that takes more than 2^14 completions."""
+    unassigned = set()
+    stack = [p]
+    while stack:
+        for g, _ in net.nodes[stack.pop()].links:
+            if g not in unassigned and values[g] is None:
+                unassigned.add(g)
+                stack.append(g)
+    outside = unassigned - free
+    priced = [p, *outside]
+    # the free parents these factors read
+    read = {g for n in priced for g, _ in net.nodes[n].links if g in free and g != p}
+    variables = sorted(outside | read)
+    if len(variables) > 14:
+        return None
+    best = 0.0
+    states = list(values)
+    states[p] = True
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        for v, state in zip(variables, bits):
+            states[v] = state
+        best = max(best, math.prod(_factor(net, n, states) for n in priced))
+    return best
+
+
+@st.composite
+def deep_problems(draw):
+    """(pruned net, evidence, epsilon) on 3 to 5 levels, with evidence on
+    the deepest level and on a few other nodes, so that most free parents
+    have parents of their own outside the subproblem."""
+    levels = draw(st.integers(3, 5))
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(levels))
+    shape = NetShape(
+        levels=levels,
+        nodes_per_level=counts,
+        max_parents=draw(st.integers(1, 3)),
+        parent_locality=draw(st.sampled_from((0.5, 0.9, 1.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        **draw(st.sampled_from(_REGIMES)),
+    )
+    net = gen_network(shape)
+    sample = forward_sample(net, draw(st.integers(0, 2**32 - 1)))
+    deepest = net.level_nodes[net.max_level]
+    observed = draw(st.lists(st.sampled_from(deepest), min_size=1, unique=True))
+    observed += draw(st.lists(st.integers(0, len(net) - 1), max_size=2, unique=True))
+    evidence = tuple((nid, bool(sample.state(nid))) for nid in sorted(set(observed)))
+    pruned, pev = pruned_with_evidence(net, evidence)
+    epsilon = draw(st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-16)))
+    return pruned, pev, epsilon
+
+
+@_SETTINGS
+@given(deep_problems())
+def test_charge_bounds_what_the_outside_ancestry_adds(problem):
+    # Walk the engine's search tree from the evidence.  At each state, every
+    # extension at threshold 0 carries its charge; a charged free parent's
+    # own charge is that of the extension where it is the only charged
+    # parent present, and it must bound, from the noisy-OR definition, the
+    # factors that setting the parent present leaves for later levels.
+    net, evidence, epsilon = problem
+    a = Assignment.from_evidence(net, evidence)
+    visited = 0
+
+    def check(level):
+        values = a.raw_values()
+        free = set(build_subproblem(net, a, level).free_parents)
+        if len(free) > 10:
+            return
+        exts = list(iter_level_extensions(net, a, level, 0.0))
+        charged = {
+            p
+            for p in free
+            if net.nodes[p].prior is None
+            and any(values[g] is None and g not in free for g, _ in net.nodes[p].links)
+        }
+        own = {}
+        for ext in exts:
+            present = [p for p, state in ext.parent_states if state and p in charged]
+            if len(present) == 1:
+                own.setdefault(present[0], ext.charge)
+        for ext in exts:
+            present = [p for p, state in ext.parent_states if state and p in charged]
+            assert ext.charge == min((own[p] for p in present), default=1.0)
+        for p, charge in own.items():
+            bound = _outside_product(net, values, free, p)
+            if bound is not None:
+                assert charge >= bound * (1.0 - 1e-12)
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        eps_new = a.rescaled_threshold(epsilon)
+        if level is None or eps_new is None or visited >= 60:
+            return
+        visited += 1
+        check(level)
+        for ext in list(iter_level_extensions(net, a, level, eps_new)):
+            token = a.assign(ext.parent_states)
             walk()
             a.undo(token)
 
