@@ -64,9 +64,10 @@ class _ArgParser(argparse.ArgumentParser):
 
 
 def _fmt_eps(eps: float) -> str:
-    mantissa, _, exponent = format(eps, "e").partition("e")
-    mantissa = mantissa.rstrip("0").rstrip(".")
-    return f"{mantissa}e{exponent}"
+    """The shortest ``.{p}e`` form that reads back as the same double; 17
+    significant digits (p = 16) always do."""
+    forms = (format(eps, f".{p}e") for p in range(17))
+    return next(text for text in forms if float(text) == eps)
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +76,8 @@ def _fmt(x: float) -> str:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise NetworkError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
@@ -142,9 +144,10 @@ def _prob_range(text: str) -> tuple[float, float]:
 
 
 def _threshold(text: str) -> float:
-    """argparse type: a finite number >= 0 (nan, inf and negatives exit 1)."""
+    """argparse type: a finite number >= 0 (nan, inf and negatives exit 1);
+    -0 is read as 0."""
     try:
-        return check_threshold(float(text))
+        return check_threshold(float(text)) + 0.0
     except ValueError:  # also NetworkError, a ValueError
         raise argparse.ArgumentTypeError(
             f"expected a finite number >= 0, got {text!r}"
@@ -152,9 +155,10 @@ def _threshold(text: str) -> float:
 
 
 def _schedule(text: str) -> EpsilonSchedule:
-    """argparse type: comma-separated, strictly decreasing thresholds."""
+    """argparse type: comma-separated, strictly decreasing thresholds; -0 is
+    read as 0."""
     try:
-        return EpsilonSchedule(tuple(float(tok) for tok in text.split(",")))
+        return EpsilonSchedule(tuple(float(tok) + 0.0 for tok in text.split(",")))
     except ValueError as e:  # also NetworkError, a ValueError
         raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {e}") from None
 

@@ -10,7 +10,10 @@ level to the branching search with a rescaled threshold
 which is a necessary condition for any completion to reach the target.
 The division, and the test that the known product reaches the target at
 all, is :meth:`~nobn.model.Assignment.rescaled_threshold`, which hides how
-the product is scaled.  Accepted instantiations add their joint to a
+the product is scaled.  A *state* is every assignment the run applies, the
+evidence state included, whether or not it reaches the target; each one is
+counted, tested once against the target, and then accepted if complete or
+expanded if not.  Accepted instantiations add their joint to a
 :class:`~nobn.model.Tally` of mass and per-node present-score, whose ratio is
 the posterior estimate.  With a target of zero the run is exhaustive and the
 mass equals the exact evidence probability.
@@ -55,6 +58,8 @@ class SearchResult:
     epsilon_target: float
     mass_accumulated: float
     score: tuple[float, ...]
+    # every assignment the run applies, the evidence state included, whether
+    # or not it reaches the target
     states_explored: int
     accepted_count: int
     # per-node present-probability estimates, or None when no mass was
@@ -130,103 +135,81 @@ def top_epsilon(
     lookups = [0] * len(contexts)
     hits = [0] * len(contexts)
 
-    def level_extensions(level: int, eps_new: float) -> Iterable[Extension]:
-        # The extensions of the level's subproblem, from the context memo
-        # when the context was solved at a threshold <= eps_new: the search
-        # yields exactly the extensions that clear its threshold (see
-        # Extension.clears), and neither their order, their products nor
-        # their charges depend on it.
-        context = contexts[level]
-        if context is None:
-            return iter_level_extensions(net, a, level, eps_new)
-        lookups[level] += 1
-        key = context(values)
-        entry = memos[level].get(key)
-        if entry is not None and entry[0] <= eps_new:
-            hits[level] += 1
-            lowest, exts = entry
-            if eps_new == lowest:
-                return exts
-            return [ext for ext in exts if ext.clears(eps_new)]
-        if lookups[level] >= _MEMO_TRIAL and hits[level] * _MEMO_HIT_RATIO < lookups[level]:
-            # too few hits to pay for the lookups: search the level directly
-            contexts[level] = None
-            memos[level].clear()
-            return iter_level_extensions(net, a, level, eps_new)
-        return searched(level, key, eps_new, entry is None)
-
-    def searched(level: int, key, eps_new: float, new_context: bool) -> Iterator[Extension]:
-        # Yields the search's extensions as it finds them and keeps them for
-        # the context once it ends; the context cannot recur before then,
-        # since below it every frontier is shallower.
-        kept: list[Extension] | None = []
-        for ext in iter_level_extensions(net, a, level, eps_new):
-            if kept is not None:
-                if len(kept) < _MEMO_CAP:
-                    kept.append(ext)
-                else:
-                    kept = None
-            yield ext
-        if kept is not None:
-            memo = memos[level]
-            if new_context and len(memo) >= _MEMO_CAP:
-                memo.popitem(last=False)
-            memo[key] = (eps_new, tuple(kept))
-
-    def prefix_qualifies() -> bool:
-        return a.rescaled_threshold(epsilon_target) is not None
-
-    def accept() -> None:
-        nonlocal accepted_count
-        accepted_count += 1
-        joint, exponent = a.known_factor_product, a.known_exponent
-        tally.add(a.raw_values(), joint, exponent)
-        if accepted is not None:
-            accepted.append((a.copy(), math.ldexp(joint, exponent)))
-
-    def expander() -> Iterator[None]:
-        # Children of the current state; each child is applied to the shared
-        # assignment before the yield and reverted after resumption.
+    def expander(eps_new: float) -> Iterator[None]:
+        # Children of the current state, whose rescaled threshold is eps_new;
+        # each child is applied to the shared assignment before the yield and
+        # reverted after resumption.
         level = a.frontier_level()
-        if level is not None:
-            eps_new = a.rescaled_threshold(epsilon_target)
-            if eps_new is None:
-                return
-            for ext in level_extensions(level, eps_new):
-                if on_extension is not None:
-                    on_extension(ext, eps_new)
-                token = a.assign(ext.parent_states)
-                yield None
-                a.undo(token)
-        else:
+        if level is None:
             # Unassigned nodes outside the evidence ancestry (retained query
             # nodes and their ancestors): branch on them directly, shallowest
-            # first, pruning on the running known product.
+            # first.
             nid = a.next_forced_unassigned()
             for state in (True, False):
                 token = a.assign(((nid, state),))
-                if prefix_qualifies():
-                    yield None
+                yield None
                 a.undo(token)
+            return
+        # The level's extensions come from the context memo when the context
+        # was solved at a threshold <= eps_new: the search yields exactly the
+        # extensions that clear its threshold (see Extension.clears), and
+        # neither their order, their products nor their charges depend on it.
+        exts: Iterable[Extension] | None = None
+        kept: list[Extension] | None = None
+        context = contexts[level]
+        if context is not None:
+            lookups[level] += 1
+            key = context(values)
+            entry = memos[level].get(key)
+            if entry is not None and entry[0] <= eps_new:
+                hits[level] += 1
+                lowest, exts = entry
+                if eps_new != lowest:
+                    exts = [ext for ext in exts if ext.clears(eps_new)]
+            elif lookups[level] >= _MEMO_TRIAL and hits[level] * _MEMO_HIT_RATIO < lookups[level]:
+                # too few hits to pay for the lookups: search the level directly
+                contexts[level] = None
+                memos[level].clear()
+            else:
+                kept = []
+        if exts is None:
+            exts = iter_level_extensions(net, a, level, eps_new)
+        for ext in exts:
+            if kept is not None and len(kept) <= _MEMO_CAP:
+                kept.append(ext)
+            if on_extension is not None:
+                on_extension(ext, eps_new)
+            token = a.assign(ext.parent_states)
+            yield None
+            a.undo(token)
+        if kept is not None and len(kept) <= _MEMO_CAP:
+            # A searched context keeps its extensions once the search ends; it
+            # cannot recur before then, since below it every frontier is
+            # shallower.  A list one longer than _MEMO_CAP is not kept.
+            memo = memos[level]
+            if entry is None and len(memo) >= _MEMO_CAP:
+                memo.popitem(last=False)
+            memo[key] = (eps_new, tuple(kept))
 
-    stack: list[Iterator[None]] = []
-    states_explored += 1
-    if a.unassigned_count == 0:
-        if prefix_qualifies():
-            accept()
-    else:
-        stack.append(expander())
+    # Every applied state, the evidence state first, is counted, tested once
+    # against the target, and then accepted when complete or expanded.
+    stack: list[Iterator[None]] = [iter((None,))]
     while stack:
-        step = next(stack[-1], _DONE)
-        if step is _DONE:
+        if next(stack[-1], _DONE) is _DONE:
             stack.pop()
             continue
         states_explored += 1
-        if a.unassigned_count == 0:
-            if prefix_qualifies():
-                accept()
-        else:
-            stack.append(expander())
+        eps_new = a.rescaled_threshold(epsilon_target)
+        if eps_new is None:
+            continue
+        if a.unassigned_count:
+            stack.append(expander(eps_new))
+            continue
+        accepted_count += 1
+        joint, exponent = a.known_factor_product, a.known_exponent
+        tally.add(values, joint, exponent)
+        if accepted is not None:
+            accepted.append((a.copy(), math.ldexp(joint, exponent)))
 
     return SearchResult(
         epsilon_target=epsilon_target,

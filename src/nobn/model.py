@@ -107,7 +107,6 @@ class Network:
         "max_level",
         "children",
         "level_nodes",
-        "topo_order",
         "arc_count",
         "_priors",
         "_leak_c",
@@ -166,7 +165,6 @@ class Network:
         for i, lvl in enumerate(levels):
             by_level[lvl].append(i)
         self.level_nodes = tuple(tuple(v) for v in by_level)
-        self.topo_order = tuple(sorted(range(n), key=lambda i: (levels[i], i)))
         # flat per-node parameter arrays for the inference hot paths
         self._priors = tuple(spec.prior for spec in nodes)
         self._leak_c = tuple(

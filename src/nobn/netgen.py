@@ -13,6 +13,7 @@ perturb another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .model import Assignment, Network, NetworkError, NodeSpec, noisy_or_absent
 
@@ -225,7 +226,7 @@ def forward_sample(net: Network, seed: int) -> Assignment:
     rng = SplitMix64(derive_seed(seed, _TAG_SAMPLE))
     a = Assignment(net)
     values = a.raw_values()
-    for nid in net.topo_order:
+    for nid in chain.from_iterable(net.level_nodes):
         p = net.nodes[nid].prior
         if p is None:
             p = 1.0 - noisy_or_absent(net, nid, values)

@@ -289,7 +289,62 @@ class TestInfer:
         assert "cap" in err
 
 
+class TestThresholdText:
+    @pytest.fixture
+    def two_level_files(self, tmp_path):
+        net = tmp_path / "two.net"
+        net.write_text(TWO_LEVEL_TEXT)
+        ev = tmp_path / "two.ev"
+        ev.write_text("f1 present\nf2 absent\n")
+        return str(net), str(ev)
+
+    def test_close_schedule_values_print_apart(self, capsys, two_level_files):
+        # each threshold prints as the shortest text that reads back as it
+        code, out, _ = run_cli(
+            capsys, "infer", *two_level_files,
+            "--schedule", "1.2345674e-5,1.2345671e-5,1.23456705e-5",
+        )
+        assert code == 0
+        assert [r[1] for r in parse_csv(out)] == [
+            "1.2345674e-05", "1.2345671e-05", "1.23456705e-05",
+        ]
+
+    def test_eml_epsilon_prints_every_digit(self, capsys, two_level_files):
+        code, _, err = run_cli(capsys, "eml", *two_level_files, "--epsilon", "0.123456789")
+        assert code == 0
+        assert err.endswith(" extensions at epsilon 1.23456789e-01\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("infer", "--epsilon", "-0"), ("infer", "--schedule", "1e-3,-0")],
+        ids=["epsilon", "schedule"],
+    )
+    def test_negative_zero_infer_prints_zero(self, capsys, two_level_files, argv):
+        code, out, _ = run_cli(capsys, argv[0], *two_level_files, *argv[1:])
+        assert code == 0
+        assert parse_csv(out)[-1][1] == "0e+00"
+
+    def test_negative_zero_eml_prints_zero(self, capsys, two_level_files):
+        code, _, err = run_cli(capsys, "eml", *two_level_files, "--epsilon", "-0")
+        assert code == 0
+        assert err == "4 extensions at epsilon 0e+00\n"
+
+
 class TestBadInput:
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, chain3_files):
+        marked = tmp_path / "bom"
+        marked.mkdir()
+        for path in map(Path, chain3_files):
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        argv = ("--epsilon", "0", "--gold")
+        code, plain, _ = run_cli(capsys, "infer", *chain3_files, *argv)
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "infer", *(str(marked / Path(p).name) for p in chain3_files), *argv
+        )
+        assert (code, err) == (0, "")
+        assert strip_elapsed(out) == strip_elapsed(plain)
+
     def test_non_utf8_network_exits_2(self, capsys, tmp_path):
         p = tmp_path / "latin1.net"
         p.write_bytes("node Ä prior 0.5\n".encode("latin-1"))

@@ -129,9 +129,12 @@ class TestOracleEquivalence:
         ev = ((2, True),)
         pruned = prune_barren(net, ev, query={3})
         assert len(pruned) == 4
-        for eps in (0.1, 0.02, 0.001, 0.0):
+        # every applied state is counted, a forced child that misses the
+        # target included
+        for eps, states in ((0.1, 5), (0.02, 12), (0.001, 15), (0.0, 15)):
             res = top_epsilon(pruned, ev, eps, keep_accepted=True)
             assert _accepted_keys(res) == set(_oracle_keys(pruned, ev, eps))
+            assert res.states_explored == states
 
     def test_impossible_evidence_flagged_not_raised(self):
         net = parse_network("node A prior 0\nnode B leak 0 parents A:0.5")

@@ -1,5 +1,7 @@
 """Property tests: the search against the brute-force oracle on random small
-multi-level networks, invariance of the result under evidence order and
+multi-level networks, pruned and unpruned (where the engine's forced branch
+completes the nodes outside the evidence ancestry, each state tested against
+the target once), invariance of the result under evidence order and
 under renumbering of the nodes, the NET text round trip, the exactness of
 filtering a level's extensions by a higher threshold (what the engine's
 context memo relies on), that an extension's product is the factor
@@ -50,11 +52,13 @@ _REGIMES = (
 )
 
 
-@st.composite
-def problems(draw):
-    """(pruned net, evidence, epsilon): evidence on a random node subset of
-    any level, sampled from the net so that it is possible."""
-    levels = draw(st.integers(2, 4))
+_EPSILONS = st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-16))
+
+
+def _generated(draw, min_levels, max_levels):
+    """A generated net of ``min_levels`` to ``max_levels`` levels of 1 to 4
+    nodes each, and a forward sample of it."""
+    levels = draw(st.integers(min_levels, max_levels))
     counts = tuple(draw(st.integers(1, 4)) for _ in range(levels))
     shape = NetShape(
         levels=levels,
@@ -65,24 +69,47 @@ def problems(draw):
         **draw(st.sampled_from(_REGIMES)),
     )
     net = gen_network(shape)
-    sample = forward_sample(net, draw(st.integers(0, 2**32 - 1)))
+    return net, forward_sample(net, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def problems(draw):
+    """(pruned net, evidence, epsilon): evidence on a random node subset of
+    any level, sampled from the net so that it is possible."""
+    net, sample = _generated(draw, 2, 4)
     observed = draw(
         st.lists(st.integers(0, len(net) - 1), min_size=1, max_size=len(net), unique=True)
     )
     evidence = tuple((nid, bool(sample.state(nid))) for nid in sorted(observed))
     pruned, pev = pruned_with_evidence(net, evidence)
-    epsilon = draw(st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-16)))
-    return pruned, pev, epsilon
+    return pruned, pev, draw(_EPSILONS)
+
+
+@st.composite
+def unpruned_problems(draw):
+    """(net, evidence, epsilon) on the generated net itself, barren nodes
+    kept, so that the engine completes the nodes outside the evidence
+    ancestry in its forced branch; the evidence may be empty, and at most 14
+    nodes are free."""
+    net, sample = _generated(draw, 2, 4)
+    observed = draw(
+        st.lists(
+            st.integers(0, len(net) - 1),
+            min_size=max(0, len(net) - 14),
+            max_size=len(net),
+            unique=True,
+        )
+    )
+    evidence = tuple((nid, bool(sample.state(nid))) for nid in sorted(observed))
+    return net, evidence, draw(_EPSILONS)
 
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-@_SETTINGS
-@given(problems())
-def test_accepted_set_equals_oracle(problem):
-    net, evidence, epsilon = problem
-    res = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+def _assert_oracle_set(net, evidence, epsilon, res):
+    """The accepted set of ``res`` is the brute-force filter at ``epsilon``,
+    up to last-bit ties, and each accepted joint is the oracle's."""
     got = {a.values: j for a, j in res.accepted}
     oracle = {a.values: j for a, j in instantiations_above(net, evidence, 0.0)}
     expected = {k for k, j in oracle.items() if j >= epsilon}
@@ -92,6 +119,35 @@ def test_accepted_set_equals_oracle(problem):
     assert set(got) ^ expected <= ties
     for k, j in got.items():
         assert j == pytest.approx(oracle[k], rel=1e-12)
+
+
+@_SETTINGS
+@given(problems())
+def test_accepted_set_equals_oracle(problem):
+    net, evidence, epsilon = problem
+    res = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+    _assert_oracle_set(net, evidence, epsilon, res)
+
+
+@_SETTINGS
+@given(unpruned_problems())
+def test_forced_branch_equals_oracle_and_tests_each_state_once(problem):
+    net, evidence, epsilon = problem
+    rescaled = Assignment.rescaled_threshold
+    calls = 0
+
+    def spy(a, eps):
+        nonlocal calls
+        calls += 1
+        return rescaled(a, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Assignment, "rescaled_threshold", spy)
+        res = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+    _assert_oracle_set(net, evidence, epsilon, res)
+    # every state, forced children included, is tested against the target
+    # exactly once
+    assert res.states_explored == calls
 
 
 @_SETTINGS
@@ -295,25 +351,13 @@ def deep_problems(draw):
     """(pruned net, evidence, epsilon) on 3 to 5 levels, with evidence on
     the deepest level and on a few other nodes, so that most free parents
     have parents of their own outside the subproblem."""
-    levels = draw(st.integers(3, 5))
-    counts = tuple(draw(st.integers(1, 4)) for _ in range(levels))
-    shape = NetShape(
-        levels=levels,
-        nodes_per_level=counts,
-        max_parents=draw(st.integers(1, 3)),
-        parent_locality=draw(st.sampled_from((0.5, 0.9, 1.0))),
-        seed=draw(st.integers(0, 2**32 - 1)),
-        **draw(st.sampled_from(_REGIMES)),
-    )
-    net = gen_network(shape)
-    sample = forward_sample(net, draw(st.integers(0, 2**32 - 1)))
+    net, sample = _generated(draw, 3, 5)
     deepest = net.level_nodes[net.max_level]
     observed = draw(st.lists(st.sampled_from(deepest), min_size=1, unique=True))
     observed += draw(st.lists(st.integers(0, len(net) - 1), max_size=2, unique=True))
     evidence = tuple((nid, bool(sample.state(nid))) for nid in sorted(set(observed)))
     pruned, pev = pruned_with_evidence(net, evidence)
-    epsilon = draw(st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-16)))
-    return pruned, pev, epsilon
+    return pruned, pev, draw(_EPSILONS)
 
 
 @_SETTINGS
