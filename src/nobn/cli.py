@@ -163,11 +163,10 @@ def _schedule(text: str) -> EpsilonSchedule:
         raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {e}") from None
 
 
-def _gold_spec(text: str) -> str:
-    """argparse type: 'none', 'exact', or a deep-run threshold, kept as typed."""
-    if text not in ("none", "exact"):
-        _threshold(text)
-    return text
+def _gold_spec(text: str) -> str | float:
+    """argparse type: 'none', 'exact', or a deep-run threshold read as
+    :func:`_threshold` reads it."""
+    return text if text in ("none", "exact") else _threshold(text)
 
 
 def _pruned_for(net: Network, evidence):
@@ -324,7 +323,7 @@ def _bench_case(job):
     elif gold_spec == "exact":
         gold = _infer_gold(pruned, pev, cap)
     else:
-        gold = top_epsilon(pruned, pev, float(gold_spec)).mass_accumulated
+        gold = top_epsilon(pruned, pev, gold_spec).mass_accumulated
     rows = []
     states = []
     convergence_eps = None
@@ -364,7 +363,8 @@ def _cmd_bench(args) -> int:
     out = open(args.summary, "w", encoding="utf-8") if args.summary else sys.stderr
     try:
         results.sort(key=lambda r: r[0])
-        out.write(f"# convergence summary (gold: {args.gold})\n")
+        gold_s = args.gold if isinstance(args.gold, str) else _fmt_eps(args.gold)
+        out.write(f"# convergence summary (gold: {gold_s})\n")
         for case_id, _, gold, conv_eps, _ in results:
             gold_s = _fmt(gold) if gold is not None else "unknown"
             conv_s = _fmt_eps(conv_eps) if conv_eps is not None else "none"

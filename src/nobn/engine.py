@@ -13,10 +13,13 @@ all, is :meth:`~nobn.model.Assignment.rescaled_threshold`, which hides how
 the product is scaled.  A *state* is every assignment the run applies, the
 evidence state included, whether or not it reaches the target; each one is
 counted, tested once against the target, and then accepted if complete or
-expanded if not.  Accepted instantiations add their joint to a
-:class:`~nobn.model.Tally` of mass and per-node present-score, whose ratio is
-the posterior estimate.  With a target of zero the run is exhaustive and the
-mass equals the exact evidence probability.
+expanded if not.  Once no level has anything to expand, the unassigned nodes
+are those outside the evidence ancestry; the run lists them once, by level
+then id, and branches on each in turn.  Accepted instantiations add their
+joint to a :class:`~nobn.model.Tally` of mass and per-node present-score,
+whose ratio is the posterior estimate, and are kept, when asked for, as
+(node-state tuple, joint) pairs.  With a target of zero the run is
+exhaustive and the mass equals the exact evidence probability.
 
 The stack holds one extension iterator per expansion, never a materialized
 frontier of states.  When level L is the frontier, every deeper node is
@@ -65,7 +68,9 @@ class SearchResult:
     # per-node present-probability estimates, or None when no mass was
     # accumulated (nothing qualified, or the evidence is impossible)
     posteriors: tuple[float, ...] | None
-    accepted: list[tuple[Assignment, float]] | None = None
+    # (node states in id order, joint) of each accepted instantiation, when
+    # asked for
+    accepted: list[tuple[tuple[bool, ...], float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,6 @@ def top_epsilon(
     evidence: Iterable[tuple[int, bool]],
     epsilon_target: float,
     keep_accepted: bool = False,
-    on_extension: Callable[[Extension, float], None] | None = None,
 ) -> SearchResult:
     """Enumerate exactly the complete instantiations consistent with the
     evidence whose joint is >= ``epsilon_target``.
@@ -120,13 +124,14 @@ def top_epsilon(
     grouping of the factors and a direct product can differ in the last bit.
     At zero the run is exhaustive.  Impossible evidence is not an error: the
     result simply carries zero mass and no posterior estimates.
-    ``on_extension`` is a test hook called with every applied extension and
-    the threshold it had to clear.
+    ``keep_accepted`` keeps each accepted instantiation as a (node states in
+    id order, joint) pair, as :func:`~nobn.oracle.instantiations_above` gives
+    them.
     """
     check_threshold(epsilon_target, "epsilon_target")
     a = Assignment.from_evidence(net, evidence)
     tally = Tally(len(net.nodes))
-    accepted: list[tuple[Assignment, float]] | None = [] if keep_accepted else None
+    accepted: list[tuple[tuple[bool, ...], float]] | None = [] if keep_accepted else None
     accepted_count = 0
     states_explored = 0
     values = a.raw_values()
@@ -134,6 +139,10 @@ def top_epsilon(
     memos = [OrderedDict() for _ in contexts]
     lookups = [0] * len(contexts)
     hits = [0] * len(contexts)
+    # the nodes outside the evidence ancestry, in (level, id) order: the
+    # unassigned nodes at the first forced expansion, which assigns them in
+    # this order, so the next one is at len(forced) - a.unassigned_count
+    forced: list[int] = []
 
     def expander(eps_new: float) -> Iterator[None]:
         # Children of the current state, whose rescaled threshold is eps_new;
@@ -143,8 +152,13 @@ def top_epsilon(
         if level is None:
             # Unassigned nodes outside the evidence ancestry (retained query
             # nodes and their ancestors): branch on them directly, shallowest
-            # first.
-            nid = a.next_forced_unassigned()
+            # first, so that each one's parents are assigned before it.
+            if not forced:
+                forced.extend(sorted(
+                    (i for i, v in enumerate(values) if v is None),
+                    key=lambda i: (net.levels[i], i),
+                ))
+            nid = forced[len(forced) - a.unassigned_count]
             for state in (True, False):
                 token = a.assign(((nid, state),))
                 yield None
@@ -177,8 +191,6 @@ def top_epsilon(
         for ext in exts:
             if kept is not None and len(kept) <= _MEMO_CAP:
                 kept.append(ext)
-            if on_extension is not None:
-                on_extension(ext, eps_new)
             token = a.assign(ext.parent_states)
             yield None
             a.undo(token)
@@ -209,7 +221,7 @@ def top_epsilon(
         joint, exponent = a.known_factor_product, a.known_exponent
         tally.add(values, joint, exponent)
         if accepted is not None:
-            accepted.append((a.copy(), math.ldexp(joint, exponent)))
+            accepted.append((tuple(values), math.ldexp(joint, exponent)))
 
     return SearchResult(
         epsilon_target=epsilon_target,
@@ -242,12 +254,13 @@ def _context_keys(net: Network, a: Assignment) -> list[Callable | None]:
     return keys
 
 
-def format_accepted(net: Network, accepted: list[tuple[Assignment, float]]) -> list[str]:
+def format_accepted(
+    net: Network, accepted: list[tuple[tuple[bool, ...], float]]
+) -> list[str]:
     """Dump lines `<joint> <name>=<p|a> ...` in node-id order, sorted by
     descending joint then lexicographic assignment."""
     entries = []
-    for a, joint in accepted:
-        values = a.raw_values()
+    for values, joint in accepted:
         body = " ".join(
             f"{spec.name}={'p' if values[i] else 'a'}"
             for i, spec in enumerate(net.nodes)

@@ -177,8 +177,7 @@ def iter_extensions(
 
     Branch order: non-root parents, pseudo-roots included, try present
     first; roots try their more probable state first.  ``stats``, when
-    given, receives ``nodes`` (partial decisions expanded) and ``max_depth``
-    (peak stored decisions).
+    given, receives ``nodes`` (partial decisions expanded).
     """
     check_threshold(epsilon)
     return _dfs(_setup(net, sub.findings, sub.values, epsilon, {}, sub.pending), stats)
@@ -486,7 +485,6 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     track = stats is not None
     if track:
         stats.setdefault("nodes", 0)
-        stats.setdefault("max_depth", 0)
     if tables is None:
         return
     (
@@ -544,8 +542,6 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         root_prod[d] = rp
         if track:
             stats["nodes"] += 1
-            if d > stats["max_depth"]:
-                stats["max_depth"] = d
         # at a leaf rsm[nfree] == 1.0, so e is the extension product itself
         e = prod(terms) * rp
         bound = e * rsm[d]

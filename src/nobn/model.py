@@ -463,7 +463,10 @@ class Assignment:
     ``2**-512`` is multiplied by ``2**512``, which keeps every bit while one
     node's new factors multiply to ``2**-510`` or more, so a batch matches
     its pairs assigned one by one.  At exponent 0 the product agrees with
-    :func:`partial_probability` up to rounding.  One search worker at a time.
+    :func:`partial_probability` up to rounding.  Every instance is
+    the empty one changed only by :meth:`assign` and :meth:`undo`, or a
+    copy of such an instance, so the lift holds throughout.  One search
+    worker at a time.
     """
 
     __slots__ = (
@@ -494,16 +497,6 @@ class Assignment:
         evidence = tuple(evidence)
         validate_evidence(net, evidence)
         return cls(net).extended(sorted(evidence))
-
-    @classmethod
-    def _complete(cls, net: Network, values: Sequence[bool], joint: float) -> "Assignment":
-        # trusted fast path for enumerators: every node assigned, product known
-        a = cls(net)
-        a._values = list(values)
-        a._unassigned_parents = [0] * len(net.nodes)
-        a._n_unassigned = 0
-        a.known_factor_product = joint
-        return a
 
     # -- accessors ----------------------------------------------------------
 
@@ -624,19 +617,6 @@ class Assignment:
         c = self.copy()
         c.assign(pairs)
         return c
-
-    def next_forced_unassigned(self) -> int | None:
-        """Unassigned node whose parents are all assigned, smallest
-        (level, id) first; None when the assignment is complete."""
-        best = None
-        levels = self.net.levels
-        counts = self._unassigned_parents
-        for i, v in enumerate(self._values):
-            if v is None and counts[i] == 0:
-                key = (levels[i], i)
-                if best is None or key < best:
-                    best = key
-        return None if best is None else best[1]
 
 
 def partial_probability(net: Network, a: Assignment) -> float:

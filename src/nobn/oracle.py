@@ -6,7 +6,9 @@ free-node cap (2^free instantiations is real money), compensated summation
 through the same :class:`~nobn.model.Tally` the search engine uses (posteriors
 here back tolerances down to 1e-9), and a counting loop instead of recursion,
 so the depth of the network never limits the enumeration.  Factors come from
-:func:`~nobn.model.node_factor`, the search engine's own arithmetic.
+:func:`~nobn.model.node_factor`, the search engine's own arithmetic.  An
+instantiation is given as the tuple of its node states in id order, with
+its joint, the form the search engine keeps its accepted set in.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import Assignment, Network, NetworkError, Tally, check_threshold
+from .model import Network, NetworkError, Tally, check_threshold
 from .model import node_factor, validate_evidence
 
 __all__ = [
@@ -109,12 +111,12 @@ def enumerate_consistent(
     net: Network,
     evidence: Iterable[tuple[int, bool]],
     cap: int = DEFAULT_FREE_NODE_CAP,
-) -> Iterator[tuple[Assignment, float]]:
-    """Every complete assignment agreeing with the evidence, exactly once,
-    with its joint probability.  Deterministic order: binary counting over
-    the free nodes in id order, absent=0 first."""
+) -> Iterator[tuple[tuple[bool, ...], float]]:
+    """Every complete instantiation agreeing with the evidence, exactly
+    once, as (node states in id order, joint probability).  Deterministic
+    order: binary counting over the free nodes in id order, absent=0 first."""
     for values, joint in _enum_values(net, evidence, cap):
-        yield Assignment._complete(net, values, joint), joint
+        yield tuple(values), joint
 
 
 def exact_inference(
@@ -142,13 +144,13 @@ def instantiations_above(
     evidence: Iterable[tuple[int, bool]],
     epsilon: float,
     cap: int = DEFAULT_FREE_NODE_CAP,
-) -> list[tuple[Assignment, float]]:
-    """All consistent complete assignments with joint >= epsilon (inclusive),
-    in enumeration order.  This is the reference set the search engine must
-    reproduce exactly."""
+) -> list[tuple[tuple[bool, ...], float]]:
+    """The (node states, joint) pairs of :func:`enumerate_consistent` with
+    joint >= epsilon (inclusive), in enumeration order.  This is the
+    reference set the search engine must reproduce exactly."""
     check_threshold(epsilon)
-    out = []
-    for values, joint in _enum_values(net, evidence, cap):
-        if joint >= epsilon:
-            out.append((Assignment._complete(net, values, joint), joint))
-    return out
+    return [
+        (tuple(values), joint)
+        for values, joint in _enum_values(net, evidence, cap)
+        if joint >= epsilon
+    ]

@@ -53,17 +53,15 @@ class TestAcceptance:
         runs = 0
         for pruned, pev in _population(200):
             assert len(pruned) <= 16
-            oracle = {
-                a.values: j for a, j in instantiations_above(pruned, pev, 0.0)
-            }
+            oracle = dict(instantiations_above(pruned, pev, 0.0))
             for _ in range(5):
                 eps = 10.0 ** (-(1.0 + 15.0 * r.random()))
                 res = top_epsilon(pruned, pev, eps, keep_accepted=True)
                 expected = {k for k, j in oracle.items() if j >= eps}
-                assert {a.values for a, _ in res.accepted} == expected
-                for a, j in res.accepted:
+                assert {values for values, _ in res.accepted} == expected
+                for values, j in res.accepted:
                     assert math.isclose(
-                        j, oracle[a.values], rel_tol=1e-12, abs_tol=1e-300
+                        j, oracle[values], rel_tol=1e-12, abs_tol=1e-300
                     )
                 runs += 1
         elapsed = time.perf_counter() - t0
@@ -98,7 +96,7 @@ class TestAcceptance:
             prev_score = None
             for eps in ladder:
                 res = top_epsilon(pruned, pev, eps, keep_accepted=True)
-                keys = {a.values for a, _ in res.accepted}
+                keys = {values for values, _ in res.accepted}
                 if prev_keys is not None:
                     assert prev_keys <= keys  # exact set nesting
                     assert res.mass_accumulated >= prev_mass

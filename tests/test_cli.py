@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nobn.cli import CSV_HEADER, main
+from nobn.cli import CSV_HEADER, _build_parser, main
 from conftest import CHAIN3_TEXT
 
 TWO_LEVEL_TEXT = """\
@@ -329,6 +331,17 @@ class TestThresholdText:
         assert code == 0
         assert err == "4 extensions at epsilon 0e+00\n"
 
+    @pytest.mark.parametrize(
+        "gold, header", [("-0", "0e+00"), ("1E-3", "1e-03")], ids=["negative-zero", "upper-e"]
+    )
+    def test_bench_gold_prints_as_read(self, capsys, two_level_files, gold, header):
+        code, _, err = run_cli(
+            capsys, "bench", two_level_files[0], "--cases", "1", "--findings", "1",
+            "--schedule", "1e-2", "--gold", gold,
+        )
+        assert code == 0
+        assert err.startswith(f"# convergence summary (gold: {header})\n")
+
 
 class TestBadInput:
     def test_byte_order_mark_is_skipped(self, capsys, tmp_path, chain3_files):
@@ -530,3 +543,34 @@ class TestGen:
         assert code == 0
         row = parse_csv(out)[0]
         assert float(row[6]) == pytest.approx(1.0, abs=1e-9)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """Per subcommand, the long options of its entry in the README's CLI
+    synopsis (the first ``sh`` block after ``## CLI``)."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for entry in block.replace("\\\n", " ").splitlines():
+        usage = entry.partition("#")[0]  # drop the trailing comment
+        words = usage.split()
+        if words[:1] == ["nobn"]:
+            synopsis[words[1]] = set(re.findall(r"--[a-z][a-z-]*", usage))
+    return synopsis
+
+
+def _parser_options() -> dict[str, set[str]]:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {opt for opt in parser._option_string_actions if opt.startswith("--")} - {"--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_readme_synopsis_lists_every_option():
+    # every subcommand has an entry, and each entry lists exactly the long
+    # options that subcommand takes
+    assert _readme_synopsis() == _parser_options()

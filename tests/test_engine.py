@@ -41,11 +41,43 @@ from conftest import (
 
 
 def _accepted_keys(result):
-    return {a.values for a, _ in result.accepted}
+    return {values for values, _ in result.accepted}
 
 
 def _oracle_keys(net, ev, eps):
-    return {a.values: j for a, j in instantiations_above(net, ev, eps)}
+    return dict(instantiations_above(net, ev, eps))
+
+
+def _applied_extensions(monkeypatch, epsilon_target):
+    """Spy on the searches and the assignments of ``top_epsilon`` runs at
+    ``epsilon_target``.  The returned list receives, for every extension a
+    run applies, the extension, the rescaled threshold of the state it
+    extends, and whether it came straight from a search (or from the context
+    memo).  An extension is recognised by the identity of the parent-state
+    tuple the engine passes to ``assign``."""
+    applied = []
+    searched = {}
+    last = None
+    search = nobn.engine.iter_level_extensions
+    assign = Assignment.assign
+
+    def spied_search(*args):
+        nonlocal last
+        for ext in search(*args):
+            searched[id(ext.parent_states)] = last = ext
+            yield ext
+
+    def spied_assign(a, pairs):
+        nonlocal last
+        ext = searched.get(id(pairs))
+        if ext is not None:
+            applied.append((ext, a.rescaled_threshold(epsilon_target), ext is last))
+            last = None
+        return assign(a, pairs)
+
+    monkeypatch.setattr(nobn.engine, "iter_level_extensions", spied_search)
+    monkeypatch.setattr(Assignment, "assign", spied_assign)
+    return applied
 
 
 class TestTopEpsilonChain3:
@@ -94,8 +126,8 @@ class TestOracleEquivalence:
                 res = top_epsilon(pruned, pev, eps, keep_accepted=True)
                 oracle = _oracle_keys(pruned, pev, eps)
                 assert _accepted_keys(res) == set(oracle)
-                for a, j in res.accepted:
-                    assert j == pytest.approx(oracle[a.values], rel=1e-12)
+                for values, j in res.accepted:
+                    assert j == pytest.approx(oracle[values], rel=1e-12)
                 checked += 1
         assert checked >= 100
 
@@ -185,19 +217,16 @@ class TestMonotonicity:
 
 
 class TestNecessaryConditionChain:
-    def test_every_applied_extension_cleared_its_threshold(self):
-        seen = []
-
-        def hook(ext, eps_new):
-            seen.append((ext.new_factor_product, eps_new))
-            assert ext.new_factor_product >= eps_new
-
+    def test_every_applied_extension_cleared_its_threshold(self, monkeypatch):
+        applied = _applied_extensions(monkeypatch, 1e-6)
         for seed in range(6):
             net = small_random_net(seed)
             ev = random_evidence(net, seed)
             pruned, pev = pruned_with_evidence(net, ev)
-            top_epsilon(pruned, pev, 1e-6, on_extension=hook)
-        assert len(seen) > 0
+            top_epsilon(pruned, pev, 1e-6)
+        assert applied
+        for ext, eps_new, _ in applied:
+            assert ext.new_factor_product >= eps_new
 
 
 class TestEvidencePosteriors:
@@ -349,8 +378,7 @@ class TestLogSpaceRegime:
         from nobn import node_factor
 
         joints = []
-        for a, _ in res0.accepted:
-            vals = a.raw_values()
+        for vals, _ in res0.accepted:
             joints.append(
                 sum(math.log(node_factor(net, i, vals)) for i in range(250))
             )
@@ -488,17 +516,18 @@ class TestContextMemo:
             return search(n, a, level, epsilon)
 
         monkeypatch.setattr(nobn.engine, "iter_level_extensions", counted)
-        ties = []
-
-        def hook(ext, eps_new):
-            if ext.new_factor_product == eps_new:
-                ties.append(ext.parent_states)
-
-        res = top_epsilon(net, evidence, eps, keep_accepted=True, on_extension=hook)
+        applied = _applied_extensions(monkeypatch, eps)
+        res = top_epsilon(net, evidence, eps, keep_accepted=True)
         assert searched_levels.count(1) == 2  # one search per state of M
-        assert ties == [((0, False),)] * 2
-        want = {a.values: j for a, j in instantiations_above(net, evidence, eps)}
-        assert {a.values: j for a, j in res.accepted} == want
+        ties = [ext for ext, eps_new, _ in applied if ext.new_factor_product == eps_new]
+        assert [ext.parent_states for ext in ties] == [((0, False),)] * 2
+        # the search of M present yields R absent and applies it; the memo
+        # keeps it and serves it at both ties
+        assert ties[0] is ties[1]
+        assert [from_search for ext, _, from_search in applied if ext is ties[0]] == [
+            True, False, False,
+        ]
+        assert dict(res.accepted) == dict(instantiations_above(net, evidence, eps))
 
     def test_recurring_context_filters_by_the_charged_product(self, monkeypatch):
         # R -> M -> N -> A, B -> E with E observed.  The level-2 context (N

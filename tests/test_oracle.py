@@ -29,9 +29,9 @@ class TestEnumerateConsistent:
         assert len(got) == 4
         # binary counting over free nodes (A, B) in id order, absent first
         expected_order = [(False, False), (False, True), (True, False), (True, True)]
-        for (a, joint), key in zip(got, expected_order):
-            assert a.values[:2] == key
-            assert a.state(2) is True
+        for (values, joint), key in zip(got, expected_order):
+            assert values[:2] == key
+            assert values[2] is True
             assert joint == pytest.approx(CHAIN3_JOINTS[key], rel=1e-14)
 
     def test_chain3_literal_joints(self, chain3, chain3_ev_c):
@@ -53,9 +53,10 @@ class TestEnumerateConsistent:
         assert len(list(enumerate_consistent(chain3, [], cap=3))) == 8
 
     def test_joints_match_model_recomputation(self, chain3):
-        from nobn import joint_probability
+        from nobn import Assignment, joint_probability
 
-        for a, joint in enumerate_consistent(chain3, []):
+        for values, joint in enumerate_consistent(chain3, []):
+            a = Assignment.from_evidence(chain3, enumerate(values))
             assert joint == pytest.approx(joint_probability(chain3, a), rel=1e-14)
 
 
@@ -119,10 +120,10 @@ class TestExactInference:
 class TestInstantiationsAbove:
     def test_chain3_thresholds(self, chain3, chain3_ev_c):
         top = instantiations_above(chain3, chain3_ev_c, 0.1)
-        assert [(a.state(0), a.state(1)) for a, _ in top] == [(True, True)]
+        assert [values[:2] for values, _ in top] == [(True, True)]
 
         mid = instantiations_above(chain3, chain3_ev_c, 0.05)
-        assert sorted((a.state(0), a.state(1)) for a, _ in mid) == [
+        assert sorted(values[:2] for values, _ in mid) == [
             (False, True),
             (True, True),
         ]
@@ -135,7 +136,7 @@ class TestInstantiationsAbove:
         thresholds = sorted(10.0 ** (-6 * r.random()) for _ in range(8))
         previous = None
         for eps in reversed(thresholds):  # decreasing
-            got = {a.values for a, _ in instantiations_above(chain3, chain3_ev_c, eps)}
+            got = {values for values, _ in instantiations_above(chain3, chain3_ev_c, eps)}
             if previous is not None:
                 assert previous <= got
             previous = got
@@ -143,6 +144,6 @@ class TestInstantiationsAbove:
     def test_inclusive_threshold(self):
         net = parse_network("node A prior 0.25")
         hits = instantiations_above(net, [], 0.25)
-        assert [(a.state(0)) for a, _ in hits] == [False, True]
+        assert [values for values, _ in hits] == [(False,), (True,)]
         hits = instantiations_above(net, [], math.nextafter(0.25, 1.0))
-        assert [(a.state(0)) for a, _ in hits] == [False]
+        assert [values for values, _ in hits] == [(False,)]

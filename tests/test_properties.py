@@ -2,9 +2,10 @@
 multi-level networks, pruned and unpruned (where the engine's forced branch
 completes the nodes outside the evidence ancestry, each state tested against
 the target once), invariance of the result under evidence order and
-under renumbering of the nodes, the NET text round trip, the exactness of
-filtering a level's extensions by a higher threshold (what the engine's
-context memo relies on), that an extension's product is the factor
+under renumbering of the nodes, the NET text round trip, the two rules the
+engine's context memo relies on (states that share a context key have the
+same extensions, and filtering a level's extensions by a higher threshold
+is exact), that an extension's product is the factor
 applying it folds into the known product, and that the engine's charge on
 a present free parent bounds what its outside ancestry can still add.
 
@@ -35,6 +36,7 @@ from nobn import (  # noqa: E402
     print_network,
     top_epsilon,
 )
+from nobn.engine import _context_keys  # noqa: E402
 from nobn.epsilonml import iter_level_extensions  # noqa: E402
 from conftest import pruned_with_evidence  # noqa: E402
 
@@ -110,8 +112,8 @@ _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database
 def _assert_oracle_set(net, evidence, epsilon, res):
     """The accepted set of ``res`` is the brute-force filter at ``epsilon``,
     up to last-bit ties, and each accepted joint is the oracle's."""
-    got = {a.values: j for a, j in res.accepted}
-    oracle = {a.values: j for a, j in instantiations_above(net, evidence, 0.0)}
+    got = dict(res.accepted)
+    oracle = dict(instantiations_above(net, evidence, 0.0))
     expected = {k for k, j in oracle.items() if j >= epsilon}
     # the search's grouping of the factors and the oracle's product may
     # differ in the last bits, which decides a joint within them of epsilon
@@ -158,9 +160,7 @@ def test_invariant_under_evidence_order(problem, seed):
     SplitMix64(seed).shuffle(shuffled)
     first = top_epsilon(net, evidence, epsilon, keep_accepted=True)
     second = top_epsilon(net, shuffled, epsilon, keep_accepted=True)
-    assert [(a.values, j) for a, j in first.accepted] == [
-        (a.values, j) for a, j in second.accepted
-    ]
+    assert first.accepted == second.accepted
     assert (first.mass_accumulated, first.posteriors, first.states_explored) == (
         second.mass_accumulated,
         second.posteriors,
@@ -194,7 +194,7 @@ def relabelled_problems(draw):
 
 def _by_name(net, res):
     names = [spec.name for spec in net.nodes]
-    return {frozenset(zip(names, a.values)): j for a, j in res.accepted}
+    return {frozenset(zip(names, values)): j for values, j in res.accepted}
 
 
 @_SETTINGS
@@ -411,3 +411,33 @@ def test_charge_bounds_what_the_outside_ancestry_adds(problem):
             a.undo(token)
 
     walk()
+
+
+@_SETTINGS
+@given(deep_problems())
+def test_states_sharing_a_context_key_have_the_same_extensions(problem):
+    # Walk the search tree at threshold 0 from the evidence: every two
+    # states whose frontier level L has the same context key yield the same
+    # extensions, bit for bit, at the shared threshold epsilon.
+    net, evidence, epsilon = problem
+    a = Assignment.from_evidence(net, evidence)
+    keys = _context_keys(net, a)
+    first = {}
+    visited = 0
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        if level is None or visited >= 300:
+            return
+        visited += 1
+        if keys[level] is not None:
+            got = _bits(iter_level_extensions(net, a, level, epsilon))
+            assert first.setdefault((level, keys[level](a.raw_values())), got) == got
+        for ext in list(iter_level_extensions(net, a, level, 0.0)):
+            token = a.assign(ext.parent_states)
+            walk()
+            a.undo(token)
+
+    walk()
+
