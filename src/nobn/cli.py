@@ -82,6 +82,15 @@ def _read(path: str) -> str:
         raise NetworkError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
+def _check_writable(*paths: str | Path | None) -> None:
+    """Open each output path that is set for appending, which creates a
+    missing file and changes no existing one, so that a path that cannot be
+    written fails before any search rather than after the whole run."""
+    for path in paths:
+        if path is not None:
+            open(path, "a", encoding="utf-8").close()
+
+
 def _load_network(path: str) -> Network:
     return parse_network(_read(path))
 
@@ -281,6 +290,8 @@ def _cmd_infer(args) -> int:
     case_id = Path(args.evidence).stem
 
     epsilons = args.schedule.values if args.epsilon is None else (args.epsilon,)
+    post_path = Path(args.post or args.evidence + ".post")
+    _check_writable(post_path, args.dump_accepted)
 
     gold = _infer_gold(pruned, pev, args.cap) if args.gold else None
 
@@ -290,7 +301,6 @@ def _cmd_infer(args) -> int:
     for last, row in _schedule_rows(case_id, pruned, pev, epsilons, gold, keep):
         writer.writerow(row)
 
-    post_path = Path(args.post) if args.post else Path(args.evidence + ".post")
     posteriors = last.posteriors
     if posteriors is None:
         print(
@@ -341,6 +351,7 @@ def _bench_case(job):
 
 def _cmd_bench(args) -> int:
     net = _load_network(args.network)
+    _check_writable(args.summary)
     jobs = []
     for i in range(args.cases):
         seed = derive_seed(args.seed, _BENCH_CASE_TAG, i)

@@ -41,17 +41,31 @@ Every subproblem is posed from an assignment and a level and runs the same
 assignment into a :class:`Subproblem` that :func:`iter_extensions` and
 :func:`upper_bound` search later, with the exact set semantics above.
 :func:`iter_level_extensions`, the engine's one-call form, reads the live
-assignment and adds one prune for the engine alone.  A present free parent
-that is not a root and has a parent outside the subproblem contributes 1
-to the product, yet its own factor and those of its unassigned ancestors
-are still to come; their product is at most the parent's cheapest
-explanation (:func:`_explanation`, after Henrion and Poole again).  The
-search multiplies its bound by the smallest such charge among the present
-parents, never by two of them, since two parents may share an ancestor.  A
-dropped extension therefore has no completion that reaches the engine's
-target, and the engine's form yields the two-step form's extensions whose
-charged product (:meth:`Extension.clears`) clears the threshold, in the
-same order and with the same products: a subset, not the same set.
+assignment and adds one prune for the engine alone: it charges each
+extension a bound on factors the extension leaves open, which the product
+counts as 1.  A present free parent that is not a root and has a parent
+outside the subproblem contributes 1 to the product, yet its own factor
+and those of its unassigned ancestors are still to come; their product is
+at most the parent's cheapest explanation (:func:`_explanation`, after
+Henrion and Poole again).  The search takes the smallest such explanation
+among the present parents, never two of them, since two parents may share
+an ancestor.  An absent node whose factor stays open is at most its leak
+complement times the 1-q of every parent already present
+(:func:`_open_absent`).  The search bounds two kinds of such node: a free
+parent with a parent outside the subproblem, once decided absent, and an
+assigned-absent node off the level that a free parent feeds and that has
+a parent outside the subproblem.  These are factors of free and assigned
+nodes, while an explanation covers a present parent and its unassigned
+ancestors outside the subproblem, so no factor is bounded twice and the
+charge is the explanation times every absent bound.  An absent bound only
+shrinks as the search decides parents present, so it prunes inner nodes
+as well as leaves.  A dropped extension therefore has no completion that
+reaches the engine's target, and the engine's form yields the two-step
+form's extensions whose charged product (:meth:`Extension.clears`) clears
+the threshold, in the same order and with the same products: a subset,
+not the same set.  A charge depends on the assignment and the extension
+alone, never on the threshold, which is what lets the engine's context
+memo filter a kept list by it.
 """
 
 from __future__ import annotations
@@ -131,11 +145,17 @@ class Extension(NamedTuple):
     the assignment's known product, up to rounding.
 
     ``charge`` is what the engine's search (:func:`iter_level_extensions`)
-    charged this extension: the smallest cheapest-explanation bound
-    (:func:`_explanation`) of a present free parent with a parent outside
-    the subproblem, 1.0 when there is none.  That search yields exactly the
-    extensions that :meth:`clears` its threshold.  :func:`iter_extensions`
-    charges nothing, so its extensions carry 1.0.
+    charged this extension for the factors it leaves open (see the module
+    notes): the smallest cheapest-explanation bound (:func:`_explanation`)
+    of a present free parent with a parent outside the subproblem, 1.0
+    when there is none, times the bound (:func:`_open_absent`) of every
+    absent free parent with such a parent and of every assigned-absent node
+    off the level that a free parent feeds and that has one.  The two
+    parts bound disjoint sets of factors, so their product bounds what the
+    open factors can add together.  That search yields exactly the
+    extensions that :meth:`clears` its threshold, and a charge does not
+    depend on the threshold.  :func:`iter_extensions` charges nothing, so
+    its extensions carry 1.0.
 
     A named tuple, so the search builds each one at the cost of a tuple."""
 
@@ -187,11 +207,11 @@ def iter_level_extensions(
     net: Network, a: Assignment, level: int, epsilon: float
 ) -> Iterator[Extension]:
     """build_subproblem + iter_extensions on the live assignment, without
-    the snapshot, charged for the free parents whose own parents lie
-    outside the subproblem (see the module notes); the engine's per-state
-    hot path.  It yields the two-step form's extensions whose charged
-    product clears ``epsilon``, each with its charge, in the same order; a
-    subproblem rejected at entry costs this one call and no generator.
+    the snapshot, charged for the factors an extension leaves open (see
+    the module notes); the engine's per-state hot path.  It yields the
+    two-step form's extensions whose charged product clears ``epsilon``,
+    each with its charge, in the same order; a subproblem rejected at entry
+    costs this one call and no generator.
 
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
@@ -329,7 +349,9 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     pass's ``w``, free links and factor pairs, and find the factors an
     extension completes besides the findings', the roots' and the
     pseudo-roots' (see :func:`_completed`).  When ``charged``, also mark
-    the free parents the engine's search charges (see :func:`_explanation`)."""
+    the free parents whose explanation the engine's search charges (see
+    :func:`_explanation`) and table the open absent factors it bounds (see
+    :func:`_open_absent`)."""
     # descending best activation probability, ties by id:
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
     # low - 1 == -(1 - low) exactly
@@ -395,6 +417,14 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     # parent (a fixed-absent one changes nothing); position the node's own,
     # or -1 for an assigned node with its fixed state
     completes: list[list[tuple[float, tuple, int, bool]]] = [[] for _ in range(nfree)]
+    # when charged, the open absent factors (see _open_absent): the product
+    # of their bounds before any decision, per position the bound a free
+    # parent opens once decided absent (None if it opens none), and per
+    # position q the (position, 1-q) of each open factor that deciding q
+    # present shrinks, position -1 for an assigned node
+    absent0 = 1.0
+    opens: list[tuple[float, list] | None] = [None] * nfree
+    reopens: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     seen = {nid for nid, _ in findings}  # their factors are the terms
     leak_c = net._leak_c
     links_omq = net._links_omq
@@ -423,11 +453,49 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
                 completes[depth].append((leak_c[c], tuple(clinks), at, values[c]))
                 if at >= 0:
                     charge[at] = 1.0
-    explain = partial(_explanation, net, values, pos_of, {}) if -1.0 in charge else None
+                continue
+            if charged and values[c] is False:
+                absent0 *= _open_absent(net, values, pos_of, c, -1, reopens)[0]
+    # charge -1.0 marks the free parents with a parent outside the
+    # subproblem, never a root or a pseudo-root, whose pair is priced
+    explain = None
+    if -1.0 in charge:
+        explain = partial(_explanation, net, values, pos_of, {})
+        for pos, k in enumerate(charge):
+            if k < 0.0:
+                opens[pos] = _open_absent(net, values, pos_of, free[pos], pos, reopens)
     return (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, epsilon, guard,
+        charge, explain, absent0, opens, reopens, epsilon, guard,
     )
+
+
+def _open_absent(net, values, pos_of, n, pos, reopens):
+    """Table the charged search's bound on the factor of node ``n`` absent,
+    for the free parent at position ``pos`` or, at -1, an assigned node.
+
+    An absent node's factor is its leak complement times the 1-q of every
+    present parent, so it is at most that product over the parents present
+    so far: any other parent may end up absent and count as 1.  Returns the
+    product over the fixed-present parents and the (position, 1-q) links of
+    the free parents before ``pos``, which the search folds in when it
+    decides the parent absent; each later free parent q gets ``(pos, 1-q)``
+    in ``reopens[q]``, for the search to fold in when it decides q present."""
+    wc = net._leak_c[n]
+    earlier = []
+    for g, omq in net._links_omq[n]:
+        fixed = values[g]
+        if fixed:
+            wc *= omq
+        elif fixed is None:
+            q = pos_of.get(g)
+            if q is None:
+                continue
+            if q < pos:
+                earlier.append((q, omq))
+            else:
+                reopens[q].append((pos, omq))
+    return wc, earlier
 
 
 def _explanation(net, values, free, hh, n):
@@ -489,7 +557,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         return
     (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, epsilon, guard,
+        charge, explain, absent0, opens, reopens, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -500,9 +568,11 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     # term is its w
     decided = [False] * nfree
     # the root, pseudo-root and completed factors of the first d decisions,
-    # and the smallest charge of a present parent among them
+    # the smallest charge of a present parent among them, and the product
+    # of the open absent factors' bounds after them
     root_prod = [1.0] * (nfree + 1)
     least = [1.0] * (nfree + 1)
+    absent = [absent0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
     iters = [iter(branch[0])]
     while iters:
@@ -538,13 +608,28 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         if completes[d]:
             rp = _completed(rp, completes[d], decided)
         c = least[d]
+        # a parent decided present shrinks each open factor it feeds whose
+        # node is assigned (-1) or was decided absent earlier on the path; a
+        # parent decided absent opens its own, over its earlier present parents
+        ab = absent[d]
+        if state:
+            for at, omq in reopens[d]:
+                if at < 0 or not decided[at]:
+                    ab *= omq
+        elif opens[d] is not None:
+            wc, flinks = opens[d]
+            for q, omq in flinks:
+                if decided[q]:
+                    wc *= omq
+            ab *= wc
         d += 1
         root_prod[d] = rp
+        absent[d] = ab
         if track:
             stats["nodes"] += 1
         # at a leaf rsm[nfree] == 1.0, so e is the extension product itself
         e = prod(terms) * rp
-        bound = e * rsm[d]
+        bound = e * rsm[d] * ab
         if bound * c < guard:
             continue
         if state:
@@ -560,6 +645,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         least[d] = c
         if d == nfree:
             # Extension.clears, before the tuple is built
+            c *= ab
             if e * c >= epsilon:
                 yield new(Extension, (tuple(zip(free, decided)), e, c))
             continue

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import nobn.cli
 from nobn.cli import CSV_HEADER, _build_parser, main
 from conftest import CHAIN3_TEXT
 
@@ -371,6 +372,29 @@ class TestBadInput:
         code, _, err = run_cli(capsys, "infer", chain3_files[0], str(ev), "--epsilon", "0")
         assert code == 2
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "{net}", "--cases", "1", "--findings", "1", "--summary", "{bad}"),
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--post", "{bad}"),
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--dump-accepted", "{bad}"),
+        ],
+        ids=["summary", "post", "dump-accepted"],
+    )
+    def test_unwritable_output_exits_2_before_any_search(
+        self, capsys, tmp_path, chain3_files, monkeypatch, argv
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before opening the output")
+
+        monkeypatch.setattr(nobn.cli, "top_epsilon", no_search)
+        net, ev = chain3_files
+        bad = str(tmp_path / "missing" / "out")
+        code, out, err = run_cli(capsys, *(a.format(net=net, ev=ev, bad=bad) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert "missing" in err
 
     @pytest.mark.parametrize(
         "argv, option",

@@ -97,6 +97,17 @@ def _charged(net, a, level, exts, eps):
     ]
 
 
+def _assert_oracle_at_every_gap(net, evidence):
+    """top_epsilon's accepted set and joints equal the oracle's at 0 and at
+    the midpoint between every pair of adjacent joints."""
+    joints = sorted({joint for _, joint in instantiations_above(net, evidence, 0.0)})
+    for eps in [0.0] + [(lo + hi) / 2 for lo, hi in zip(joints, joints[1:])]:
+        got = dict(top_epsilon(net, evidence, eps, keep_accepted=True).accepted)
+        expected = dict(instantiations_above(net, evidence, eps))
+        assert got.keys() == expected.keys()
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
 def _ext_key(sub, ext):
     states = dict(ext.parent_states)
     return tuple(states[p] for p in sub.free_parents)
@@ -292,7 +303,9 @@ class TestIterLevelExtensions:
         # parent B has its parent A outside the subproblem, so B present is
         # charged what B and its ancestry can still add at best: every node
         # present, or the leak alone.  A and B have plain = 1 - 0.999 * 0.1
-        # = 0.9001, and hh(A) = max(0.001, 0.9001 * 0.01) = 0.009001.
+        # = 0.9001, and hh(A) = max(0.001, 0.9001 * 0.01) = 0.009001.  B
+        # absent is charged its factor's bound with no parent present, its
+        # leak complement 0.999.
         net = parse_network(
             "node R prior 0.01\nnode A leak 0.001 parents R:0.9\n"
             "node B leak 0.001 parents A:0.9\nnode F leak 0.01 parents B:0.9\n"
@@ -303,10 +316,10 @@ class TestIterLevelExtensions:
         assert present.new_factor_product == pytest.approx(0.901, rel=1e-15)
         assert present.charge == pytest.approx(0.9001 * 0.009001, rel=1e-15)
         assert absent.parent_states == ((2, False),)
-        assert (absent.new_factor_product, absent.charge) == (pytest.approx(0.01), 1.0)
+        assert (absent.new_factor_product, absent.charge) == (pytest.approx(0.01), 0.999)
         # at 0.008 the two-step form keeps B present (0.901); its best
         # completion is 0.901 * 0.9001 * 0.9001 * 0.01 = 0.0073, so the
-        # engine's form drops it, and keeps B absent (0.01)
+        # engine's form drops it, and keeps B absent (0.01, charged 0.00999)
         sub = build_subproblem(net, a, 3)
         assert [e.parent_states for e in iter_extensions(net, sub, 0.008)] == [
             ((2, True),), ((2, False),)
@@ -317,6 +330,54 @@ class TestIterLevelExtensions:
             values for values, _ in instantiations_above(net, [(3, True)], 0.008)
         }
         assert all(values[2] is False for values, _ in res.accepted)
+
+    def test_absent_parent_charged_its_open_factor(self):
+        # Q, R -> P and P, Q -> F with F observed present: at level 2 the
+        # free parents are P, then Q (F's links 1-q: 0.1, 0.2).  P's parent R
+        # lies outside the subproblem, so the extension leaves P's factor
+        # open.  With P absent and Q present that factor is at most P's leak
+        # complement times Q's 1-q, 0.99 * 0.01, whatever R turns out to be.
+        net = parse_network(
+            "node Q prior 0.5\nnode R prior 0.01\n"
+            "node P leak 0.01 parents Q:0.99 R:0.9\n"
+            "node F leak 0.01 parents P:0.9 Q:0.8\n"
+        )
+        evidence = [(3, True)]
+        a = Assignment.from_evidence(net, evidence)
+        dropped = ((2, False), (0, True))
+        exts = {e.parent_states: e for e in iter_level_extensions(net, a, 2, 0.0)}
+        assert exts[dropped].new_factor_product == pytest.approx(0.802 * 0.5, rel=1e-15)
+        assert exts[dropped].charge == pytest.approx(0.99 * 0.01, rel=1e-15)
+        # its best completion, R absent, is 0.401 * 0.0099 * 0.99 = 0.0039,
+        # below 0.01: the engine's search drops it, the two-step form keeps it
+        sub = build_subproblem(net, a, 2)
+        assert dropped in [e.parent_states for e in iter_extensions(net, sub, 0.01)]
+        assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 0.01)]
+        _assert_oracle_at_every_gap(net, evidence)
+
+    def test_assigned_absent_node_charged_its_open_factor(self):
+        # Q, S -> E and R -> P, with P, Q -> F; R and F observed present, E
+        # absent.  At level 2 the free parents are P (a pseudo-root) and Q.
+        # E lies off the level, Q feeds it and E's parent S lies outside the
+        # subproblem, so E's factor stays open: at most E's leak complement
+        # 0.99, times Q's 1-q 0.01 with Q present, whatever S turns out to be.
+        net = parse_network(
+            "node Q prior 0.5\nnode R prior 0.5\nnode S prior 0.01\n"
+            "node P leak 0.01 parents R:0.5\nnode E leak 0.01 parents Q:0.99 S:0.9\n"
+            "node F leak 0.01 parents P:0.9 Q:0.8\n"
+        )
+        evidence = [(1, True), (4, False), (5, True)]
+        a = Assignment.from_evidence(net, evidence)
+        for ext in iter_level_extensions(net, a, 2, 0.0):
+            q_present = dict(ext.parent_states)[0]
+            assert ext.charge == pytest.approx(0.99 * (0.01 if q_present else 1.0), rel=1e-15)
+        # P and Q present: 0.9802 * 0.505 * 0.5 = 0.2475, at most 0.00245
+        # once E's factor is in; the engine's search drops it at 0.01
+        dropped = ((3, True), (0, True))
+        sub = build_subproblem(net, a, 2)
+        assert dropped in [e.parent_states for e in iter_extensions(net, sub, 0.01)]
+        assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 0.01)]
+        _assert_oracle_at_every_gap(net, evidence)
 
 
 class TestEpsilonMl:
@@ -580,12 +641,12 @@ class TestSearchCounters:
 
         monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (297, 11)
-        # 6 of the 286 expansions reuse a context's extensions
-        assert expansions == 286
-        # the one charged extension led to a state whose subproblem the
-        # entry check rejects, with no inner node
-        assert counts == {"searches": 280, "nodes": 3714, "charged": 1}
+        assert (res.states_explored, res.accepted_count) == (291, 11)
+        # 6 of the 280 expansions reuse a context's extensions
+        assert expansions == 280
+        # the 7 charged extensions led to states whose subproblems the entry
+        # check rejects, with no inner node
+        assert counts == {"searches": 274, "nodes": 3714, "charged": 7}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored

@@ -6,15 +6,14 @@ under renumbering of the nodes, the NET text round trip, the two rules the
 engine's context memo relies on (states that share a context key have the
 same extensions, and filtering a level's extensions by a higher threshold
 is exact), that an extension's product is the factor
-applying it folds into the known product, and that the engine's charge on
-a present free parent bounds what its outside ancestry can still add.
+applying it folds into the known product, and that the engine's charged
+product bounds the joint of every completion of the extension.
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import pytest
@@ -28,7 +27,6 @@ from nobn import (  # noqa: E402
     Network,
     NodeSpec,
     SplitMix64,
-    build_subproblem,
     forward_sample,
     gen_network,
     instantiations_above,
@@ -38,6 +36,7 @@ from nobn import (  # noqa: E402
 )
 from nobn.engine import _context_keys  # noqa: E402
 from nobn.epsilonml import iter_level_extensions  # noqa: E402
+from nobn.oracle import enumerate_consistent  # noqa: E402
 from conftest import pruned_with_evidence  # noqa: E402
 
 # Two parameter regimes: generic links, and bn3's (rare roots,
@@ -305,47 +304,6 @@ def test_extension_product_is_what_assign_folds_in(problem):
     walk()
 
 
-def _factor(net, nid, states):
-    """Node ``nid``'s conditional factor under ``states``, from the noisy-OR
-    definition."""
-    spec = net.nodes[nid]
-    if spec.prior is not None:
-        return spec.prior if states[nid] else 1.0 - spec.prior
-    absent = 1.0 - spec.leak
-    for g, q in spec.links:
-        if states[g]:
-            absent *= 1.0 - q
-    return 1.0 - absent if states[nid] else absent
-
-
-def _outside_product(net, values, free, p):
-    """The largest product, over every completion of ``values`` with ``p``
-    present, of p's factor and the factors of p's unassigned ancestors
-    outside ``free``; None when that takes more than 2^14 completions."""
-    unassigned = set()
-    stack = [p]
-    while stack:
-        for g, _ in net.nodes[stack.pop()].links:
-            if g not in unassigned and values[g] is None:
-                unassigned.add(g)
-                stack.append(g)
-    outside = unassigned - free
-    priced = [p, *outside]
-    # the free parents these factors read
-    read = {g for n in priced for g, _ in net.nodes[n].links if g in free and g != p}
-    variables = sorted(outside | read)
-    if len(variables) > 14:
-        return None
-    best = 0.0
-    states = list(values)
-    states[p] = True
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        for v, state in zip(variables, bits):
-            states[v] = state
-        best = max(best, math.prod(_factor(net, n, states) for n in priced))
-    return best
-
-
 @st.composite
 def deep_problems(draw):
     """(pruned net, evidence, epsilon) on 3 to 5 levels, with evidence on
@@ -362,40 +320,31 @@ def deep_problems(draw):
 
 @_SETTINGS
 @given(deep_problems())
-def test_charge_bounds_what_the_outside_ancestry_adds(problem):
-    # Walk the engine's search tree from the evidence.  At each state, every
-    # extension at threshold 0 carries its charge; a charged free parent's
-    # own charge is that of the extension where it is the only charged
-    # parent present, and it must bound, from the noisy-OR definition, the
-    # factors that setting the parent present leaves for later levels.
+def test_charged_product_bounds_every_completion(problem):
+    # Walk the engine's search tree from the evidence.  At each state with
+    # at most 10 unassigned nodes, every completion of the assignment agrees
+    # with exactly one extension yielded at threshold 0 (nothing is pruned
+    # there), and its joint, by the oracle, is at most the known product
+    # times that extension's product and charge: the charge bounds every
+    # factor the extension leaves open, so the engine drops no extension
+    # with a completion at or above its target.
     net, evidence, epsilon = problem
     a = Assignment.from_evidence(net, evidence)
     visited = 0
 
     def check(level):
-        values = a.raw_values()
-        free = set(build_subproblem(net, a, level).free_parents)
-        if len(free) > 10:
+        if a.unassigned_count > 10:
             return
-        exts = list(iter_level_extensions(net, a, level, 0.0))
-        charged = {
-            p
-            for p in free
-            if net.nodes[p].prior is None
-            and any(values[g] is None and g not in free for g, _ in net.nodes[p].links)
+        exts = {
+            ext.parent_states: ext for ext in iter_level_extensions(net, a, level, 0.0)
         }
-        own = {}
-        for ext in exts:
-            present = [p for p, state in ext.parent_states if state and p in charged]
-            if len(present) == 1:
-                own.setdefault(present[0], ext.charge)
-        for ext in exts:
-            present = [p for p, state in ext.parent_states if state and p in charged]
-            assert ext.charge == min((own[p] for p in present), default=1.0)
-        for p, charge in own.items():
-            bound = _outside_product(net, values, free, p)
-            if bound is not None:
-                assert charge >= bound * (1.0 - 1e-12)
+        parents = next(iter(exts))
+        known = math.ldexp(a.known_factor_product, a.known_exponent)
+        values = a.raw_values()
+        assigned = [(nid, state) for nid, state in enumerate(values) if state is not None]
+        for states, joint in enumerate_consistent(net, assigned):
+            ext = exts[tuple((p, states[p]) for p, _ in parents)]
+            assert joint <= known * ext.new_factor_product * ext.charge * (1.0 + 1e-12)
 
     def walk():
         nonlocal visited
