@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import statistics
 import sys
 import time
@@ -89,6 +90,15 @@ def _check_writable(*paths: str | Path | None) -> None:
     for path in paths:
         if path is not None:
             open(path, "a", encoding="utf-8").close()
+
+
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    """Whether two output paths name one file, links and relative spellings
+    included, whether or not it exists yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return Path(a).resolve() == Path(b).resolve()
 
 
 def _load_network(path: str) -> Network:
@@ -284,13 +294,20 @@ def _infer_gold(pruned, evidence, cap):
 
 
 def _cmd_infer(args) -> int:
+    post_path = Path(args.post or args.evidence + ".post")
+    if args.dump_accepted is not None and _same_file(post_path, args.dump_accepted):
+        print(
+            f"nobn infer: error: --dump-accepted {args.dump_accepted} is also the "
+            f"posterior output {post_path}",
+            file=sys.stderr,
+        )
+        return 1
     net = _load_network(args.network)
     evidence = _load_case(net, args.evidence)
     pruned, pev = _pruned_for(net, evidence)
     case_id = Path(args.evidence).stem
 
     epsilons = args.schedule.values if args.epsilon is None else (args.epsilon,)
-    post_path = Path(args.post or args.evidence + ".post")
     _check_writable(post_path, args.dump_accepted)
 
     gold = _infer_gold(pruned, pev, args.cap) if args.gold else None

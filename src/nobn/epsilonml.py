@@ -47,25 +47,29 @@ counts as 1.  A present free parent that is not a root and has a parent
 outside the subproblem contributes 1 to the product, yet its own factor
 and those of its unassigned ancestors are still to come; their product is
 at most the parent's cheapest explanation (:func:`_explanation`, after
-Henrion and Poole again).  The search takes the smallest such explanation
-among the present parents, never two of them, since two parents may share
-an ancestor.  An absent node whose factor stays open is at most its leak
-complement times the 1-q of every parent already present
-(:func:`_open_absent`).  The search bounds two kinds of such node: a free
-parent with a parent outside the subproblem, once decided absent, and an
-assigned-absent node off the level that a free parent feeds and that has
-a parent outside the subproblem.  These are factors of free and assigned
-nodes, while an explanation covers a present parent and its unassigned
-ancestors outside the subproblem, so no factor is bounded twice and the
-charge is the explanation times every absent bound.  An absent bound only
-shrinks as the search decides parents present, so it prunes inner nodes
-as well as leaves.  A dropped extension therefore has no completion that
-reaches the engine's target, and the engine's form yields the two-step
-form's extensions whose charged product (:meth:`Extension.clears`) clears
-the threshold, in the same order and with the same products: a subset,
-not the same set.  A charge depends on the assignment and the extension
-alone, never on the threshold, which is what lets the engine's context
-memo filter a kept list by it.
+Henrion and Poole again), which also takes from each absent node that an
+outside explainer feeds the 1-q of that link.  The search takes the
+smallest such explanation among the present parents, never two of them,
+since two parents may share an ancestor.  An absent node whose factor
+stays open is at most its leak complement times the 1-q of every parent
+already present (:func:`_open_absent`).  The search bounds two kinds of
+such node: a free parent with a parent outside the subproblem, once
+decided absent, and an assigned-absent node off the level that a free
+parent feeds and that has a parent outside the subproblem.  These bounds
+count only parents fixed or decided present, while an explanation covers
+a present parent, its unassigned ancestors outside the subproblem and the
+links from its outside explainer to absent children, so no factor is bounded
+twice and the charge is the explanation times every absent bound.  Both
+only shrink as the search goes deeper, an absent bound as it decides
+parents present and an explanation as it decides the explainer's other
+free children absent, so they prune inner nodes as well as leaves.  A
+dropped extension therefore has no completion that reaches the engine's
+target, and the engine's form yields the two-step form's extensions
+whose charged product (:meth:`Extension.clears`) clears the threshold, in
+the same order and with the same products: a subset, not the same set.  A
+charge depends on the assignment and the extension alone, never on the
+threshold, which is what lets the engine's context memo filter a kept
+list by it.
 """
 
 from __future__ import annotations
@@ -147,12 +151,15 @@ class Extension(NamedTuple):
     ``charge`` is what the engine's search (:func:`iter_level_extensions`)
     charged this extension for the factors it leaves open (see the module
     notes): the smallest cheapest-explanation bound (:func:`_explanation`)
-    of a present free parent with a parent outside the subproblem, 1.0
-    when there is none, times the bound (:func:`_open_absent`) of every
-    absent free parent with such a parent and of every assigned-absent node
-    off the level that a free parent feeds and that has one.  The two
-    parts bound disjoint sets of factors, so their product bounds what the
-    open factors can add together.  That search yields exactly the
+    of a present free parent with a parent outside the subproblem, priced
+    with the free parents absent in this extension, 1.0 when there is
+    none, times the bound (:func:`_open_absent`) of every absent free
+    parent with such a parent and of every assigned-absent node off the
+    level that a free parent feeds and that has one.  The explanation
+    takes from an absent node only the 1-q of its link from an outside
+    explainer, which no absent bound counts, so the two parts bound
+    disjoint sets of factors and their product bounds what the open
+    factors can add together.  That search yields exactly the
     extensions that :meth:`clears` its threshold, and a charge does not
     depend on the threshold.  :func:`iter_extensions` charges nothing, so
     its extensions carry 1.0.
@@ -457,16 +464,23 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
             if charged and values[c] is False:
                 absent0 *= _open_absent(net, values, pos_of, c, -1, reopens)[0]
     # charge -1.0 marks the free parents with a parent outside the
-    # subproblem, never a root or a pseudo-root, whose pair is priced
-    explain = None
+    # subproblem, never a root or a pseudo-root, whose pair is priced; per
+    # position, the explanation terms that free siblings decided absent
+    # shrink (see _explanation), and the earlier positions whose terms
+    # deciding this one absent shrinks
+    explain = paths = watchers = None
     if -1.0 in charge:
-        explain = partial(_explanation, net, values, pos_of, {})
+        paths = [None] * nfree
+        watchers = [()] * nfree
+        explain = partial(
+            _explanation, net, values, free, pos_of, {}, {}, charge, paths, watchers
+        )
         for pos, k in enumerate(charge):
             if k < 0.0:
                 opens[pos] = _open_absent(net, values, pos_of, free[pos], pos, reopens)
     return (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, absent0, opens, reopens, epsilon, guard,
+        charge, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     )
 
 
@@ -498,7 +512,127 @@ def _open_absent(net, values, pos_of, n, pos, reopens):
     return wc, earlier
 
 
-def _explanation(net, values, free, hh, n):
+def _explanation(net, values, free, pos_of, hh, gg, charge, paths, watchers, pos):
+    """Price the charge for setting the free parent p at ``pos`` present:
+    at least the product of p's conditional factor, the factors of its
+    unassigned ancestors outside the subproblem, and the factors its
+    explainer's presence takes from absent nodes, over every completion
+    with p present and the free parents as decided.
+
+    Either no parent of p is present, and its factor is its leak, 1 -
+    leak_c; or some parent g is, and p's factor is at most ``plain``, its
+    noisy-OR with every parent present.  An assigned or free g brings 1 (its
+    factor is known or priced by the search).  An outside g brings at most
+    ``h(g)`` (:func:`_cheapest`) for itself and its ancestry, and every
+    absent node a != p that g feeds, assigned absent or a free parent
+    decided absent, at most 1-q of the link from g: a's factor is its leak
+    complement times the 1-q of every present parent.  The absent bounds of
+    :func:`_open_absent` count only parents fixed or decided present, never
+    an outside g, and a is g's child, never its ancestor, so no factor is
+    bounded twice:
+
+        h'(p) = max(leak_p, plain_p * max over g of h(g) * prod(1-q_{g,a}))
+
+    Sets ``charge[pos]`` to h' with no free parent absent, and returns it.
+    A g that feeds another free parent and may still win the max is kept in
+    ``paths[pos]`` as its term from :func:`_conflicts`, with h' once every
+    such sibling is absent, the leak, ``plain`` and the best static term,
+    for :func:`_path_charge` to shrink by the siblings decided absent on
+    the path; ``watchers[s]`` lists pos for each such sibling s after it.
+    ``hh`` and ``gg`` memoise h and the terms within one subproblem.
+    """
+    p = free[pos]
+    links = net._links_omq[p]
+    best = 0.0
+    terms = []
+    for g, _ in links:
+        if values[g] is not None or g in pos_of:
+            best = 1.0
+            break
+        term = gg.get(g)
+        if term is None:
+            term = gg[g] = _conflicts(net, values, pos_of, hh, g)
+        if len(term[1]) > 1:  # g feeds a free parent besides p
+            terms.append(term)
+        elif term[0] > best:
+            best = term[0]
+    w = leak_c = net._leak_c[p]
+    for _, omq in links:
+        w *= omq
+    leak = 1.0 - leak_c
+    plain = 1.0 - w
+    # a term at most the best static one, or whose h' is the leak, never
+    # wins; lowest is h' once every other free child of each g is absent
+    top = lowest = best
+    shrinking = []
+    for term in terms:
+        t, kids = term
+        if t > best and plain * t > leak:
+            shrinking.append(term)
+            if t > top:
+                top = t
+            for s, omq in kids:
+                if s != pos:
+                    t *= omq
+            if t > lowest:
+                lowest = t
+    if shrinking:
+        lowest *= plain
+        paths[pos] = (lowest if lowest > leak else leak, leak, plain, best, shrinking)
+        for _, kids in shrinking:
+            for s, _ in kids:
+                if s > pos and pos not in watchers[s]:
+                    watchers[s] += (pos,)
+    h = plain * top
+    charge[pos] = h = h if h > leak else leak
+    return h
+
+
+def _conflicts(net, values, pos_of, hh, g):
+    """For an outside node g: ``h(g)`` times the 1-q of g's link to every
+    assigned-absent child, and the (position, 1-q) of g's link to every free
+    child (see :func:`_explanation`)."""
+    t = net._priors[g]
+    if t is None:
+        t = hh.get(g)
+        if t is None:
+            t = hh[g] = _cheapest(net, values, pos_of, hh, g)
+    kids = []
+    links_omq = net._links_omq
+    for a in net.children[g]:
+        state = values[a]
+        if state is None:
+            s = pos_of.get(a)
+            if s is None:
+                continue
+        elif state:
+            continue
+        for parent, omq in links_omq[a]:
+            if parent == g:
+                break
+        if state is None:
+            kids.append((s, omq))
+        else:
+            t *= omq
+    return t, kids
+
+
+def _path_charge(path, decided, depth):
+    """h' of a parent from its ``paths`` entry (see :func:`_explanation`),
+    each term shrunk by the free parents among the first ``depth``
+    decisions that are absent; the parent itself is present."""
+    _, leak, plain, best, terms = path
+    for t, kids in terms:
+        for s, omq in kids:
+            if s < depth and not decided[s]:
+                t *= omq
+        if t > best:
+            best = t
+    h = plain * best
+    return h if h > leak else leak
+
+
+def _cheapest(net, values, free, hh, n):
     """At least the product of node ``n``'s conditional factor and the
     factors of its unassigned ancestors outside the subproblem (``free``
     holds its free parents), over every completion of ``values`` with ``n``
@@ -523,7 +657,7 @@ def _explanation(net, values, free, hh, n):
         if h is None:
             h = hh.get(g)
             if h is None:
-                h = hh[g] = _explanation(net, values, free, hh, g)
+                h = hh[g] = _cheapest(net, values, free, hh, g)
         if h > best:
             best = h
     w = leak_c = net._leak_c[n]
@@ -557,7 +691,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         return
     (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, absent0, opens, reopens, epsilon, guard,
+        charge, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -632,16 +766,32 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         bound = e * rsm[d] * ab
         if bound * c < guard:
             continue
-        if state:
-            k = charge[d - 1]
-            if k < c:
+        if explain is not None:
+            # the smallest charge of a present parent so far: a parent set
+            # present is priced, one set absent shrinks the charges of the
+            # present parents whose explainers feed it.  A parent whose
+            # lowest h' cannot go below c is not re-priced: on the seed-0
+            # exhaustive round that halves the re-pricings and takes a
+            # tenth off the search's time (in-process A/B, 2-core VM)
+            if state:
+                k = charge[d - 1]
                 if k < 0.0:
                     # priced once a node that sets it present survives
-                    k = charge[d - 1] = explain(free[d - 1])
-                if k < c:
-                    c = k
-                    if bound * c < guard:
-                        continue
+                    k = explain(d - 1)
+                path = paths[d - 1]
+                if path is not None and path[0] < c:
+                    k = _path_charge(path, decided, d)
+            else:
+                k = c
+                for at in watchers[d - 1]:
+                    if decided[at] and paths[at][0] < k:
+                        h = _path_charge(paths[at], decided, d)
+                        if h < k:
+                            k = h
+            if k < c:
+                c = k
+                if bound * c < guard:
+                    continue
         least[d] = c
         if d == nfree:
             # Extension.clears, before the tuple is built

@@ -396,6 +396,34 @@ class TestBadInput:
         assert out == ""
         assert "missing" in err
 
+    @pytest.mark.parametrize("spelling", ["same", "relative", "default-post"])
+    def test_post_and_dump_naming_one_file_exit_1(
+        self, capsys, tmp_path, chain3_files, monkeypatch, spelling
+    ):
+        # the posteriors would be overwritten by the accepted dump
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched although both outputs name one file")
+
+        monkeypatch.setattr(nobn.cli, "top_epsilon", no_search)
+        monkeypatch.chdir(tmp_path)
+        net, ev = chain3_files
+        target = tmp_path / "out.txt"
+        post = ["--post", str(target)]
+        dump = str(target)
+        if spelling == "relative":
+            dump = "./out.txt"
+        elif spelling == "default-post":
+            target = Path(ev + ".post")
+            post, dump = [], ev + ".post"
+        target.write_text("kept\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "infer", net, ev, "--epsilon", "0", *post, "--dump-accepted", dump
+        )
+        assert code == 1
+        assert out == ""
+        assert "--dump-accepted" in err
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize(
         "argv, option",
         [

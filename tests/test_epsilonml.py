@@ -26,6 +26,7 @@ from nobn import (
     upper_bound,
 )
 import nobn.engine
+import nobn.epsilonml
 from nobn.epsilonml import iter_level_extensions
 from conftest import bn3_case, pruned_with_evidence, random_evidence, small_random_net
 
@@ -379,6 +380,58 @@ class TestIterLevelExtensions:
         assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 0.01)]
         _assert_oracle_at_every_gap(net, evidence)
 
+    def test_explainer_charged_for_an_assigned_absent_child(self):
+        # G -> P, G -> A and P -> F, with A observed absent and F present.  At
+        # level 2 the one free parent P has its parent G outside the
+        # subproblem.  G explaining P costs h(G) = 0.01 and, since G also
+        # feeds the absent A, A's factor at most 1-q = 0.1: 0.9001 * 0.01 *
+        # 0.1 is below P's leak, so P present is charged its leak.
+        net = parse_network(
+            "node G prior 0.01\nnode P leak 0.001 parents G:0.9\n"
+            "node A leak 0.001 parents G:0.9\nnode F leak 0.01 parents P:0.9\n"
+        )
+        evidence = [(2, False), (3, True)]
+        a = Assignment.from_evidence(net, evidence)
+        present, absent = iter_level_extensions(net, a, 2, 0.0)
+        assert present.parent_states == ((1, True),)
+        assert present.new_factor_product == pytest.approx(0.901, rel=1e-15)
+        assert present.charge == 1.0 - (1.0 - 0.001)
+        assert absent.charge == 0.999
+        # P present's best completion, G absent, is 0.99 * 0.001 * 0.999 *
+        # 0.901 = 0.000891, below its charged product 0.000901; at 1e-3 the
+        # engine's search drops it and the two-step form keeps it
+        sub = build_subproblem(net, a, 2)
+        assert [e.parent_states for e in iter_extensions(net, sub, 1e-3)] == [
+            ((1, True),), ((1, False),)
+        ]
+        assert list(iter_level_extensions(net, a, 2, 1e-3)) == [absent]
+        _assert_oracle_at_every_gap(net, evidence)
+
+    def test_explainer_charged_for_a_sibling_decided_absent_later(self):
+        # G -> P, G -> S and P, S -> F with F observed present: the free
+        # parents are P, then S, both with G outside.  Deciding S absent
+        # after P present shrinks P's charge from 0.9001 * 0.01 to its leak
+        # 0.001, times S's own open bound 0.999; with both present each
+        # keeps 0.9001 * 0.01.
+        net = parse_network(
+            "node G prior 0.01\nnode P leak 0.001 parents G:0.9\n"
+            "node S leak 0.001 parents G:0.9\nnode F leak 0.01 parents P:0.9 S:0.5\n"
+        )
+        evidence = [(3, True)]
+        a = Assignment.from_evidence(net, evidence)
+        sub = build_subproblem(net, a, 2)
+        assert sub.free_parents == (1, 2)
+        charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, 2, 0.0)}
+        dropped = ((1, True), (2, False))
+        assert charges[dropped] == pytest.approx(0.001 * 0.999, rel=1e-12)
+        assert charges[((1, True), (2, True))] == pytest.approx(0.9001 * 0.01, rel=1e-15)
+        assert charges[((1, False), (2, True))] == pytest.approx(0.001 * 0.999, rel=1e-12)
+        # P present, S absent: 0.901 before its charge, 0.0009 after, and at
+        # best 0.99 * 0.001 * 0.999 * 0.901 = 0.000891
+        assert dropped in [e.parent_states for e in iter_extensions(net, sub, 1e-3)]
+        assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 1e-3)]
+        _assert_oracle_at_every_gap(net, evidence)
+
 
 class TestEpsilonMl:
     def test_chain3_level2_thresholds(self, chain3):
@@ -603,10 +656,19 @@ class TestSearchCounters:
         # search, its pruning or the engine's context memo shows up here
         # rather than as benchmark noise.  The two-step form charges
         # nothing, so "nodes" counts the inner nodes of the uncharged search
-        # at each state the engine searches (at least the engine's own), and
-        # "charged" the extensions that the engine's charged form drops
+        # at each state the engine searches, and "charged" the extensions
+        # that the engine's charged form drops
         pruned, evidence = bn3_case()
         counts = {"searches": 0, "nodes": 0, "charged": 0}
+        # the engine's own charged search passes no stats dict, so its inner
+        # nodes are counted by handing each of its _dfs calls this one
+        engine_stats = {}
+        dfs = nobn.epsilonml._dfs
+
+        def engine_dfs(tables, stats):
+            return dfs(tables, engine_stats if stats is None else stats)
+
+        monkeypatch.setattr(nobn.epsilonml, "_dfs", engine_dfs)
 
         def replayed(n, a, level, eps):
             stats = {}
@@ -641,12 +703,13 @@ class TestSearchCounters:
 
         monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (291, 11)
-        # 6 of the 280 expansions reuse a context's extensions
-        assert expansions == 280
-        # the 7 charged extensions led to states whose subproblems the entry
-        # check rejects, with no inner node
-        assert counts == {"searches": 274, "nodes": 3714, "charged": 7}
+        assert (res.states_explored, res.accepted_count) == (79, 11)
+        # 1 of the 68 expansions reuses a context's extensions
+        assert expansions == 68
+        # the engine's search drops 219 of the uncharged form's extensions,
+        # and visits fewer inner nodes than the uncharged search
+        assert counts == {"searches": 67, "nodes": 3692, "charged": 219}
+        assert engine_stats == {"nodes": 2588}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored
