@@ -44,32 +44,33 @@ assignment into a :class:`Subproblem` that :func:`iter_extensions` and
 assignment and adds one prune for the engine alone: it charges each
 extension a bound on factors the extension leaves open, which the product
 counts as 1.  A present free parent that is not a root and has a parent
-outside the subproblem contributes 1 to the product, yet its own factor
-and those of its unassigned ancestors are still to come; their product is
-at most the parent's cheapest explanation (:func:`_explanation`, after
-Henrion and Poole again), which also takes from each absent node that an
-outside explainer feeds the 1-q of that link.  The search takes the
-smallest such explanation among the present parents, never two of them,
-since two parents may share an ancestor.  An absent node whose factor
-stays open is at most its leak complement times the 1-q of every parent
-already present (:func:`_open_absent`).  The search bounds two kinds of
-such node: a free parent with a parent outside the subproblem, once
-decided absent, and an assigned-absent node off the level that a free
+outside the subproblem contributes 1 to the product, yet its own factor and
+those of its unassigned ancestors are still to come; their product is at
+most the parent's cheapest explanation (:func:`_explanation`, after Henrion
+and Poole again), which also takes from each absent node that an outside
+explainer feeds the 1-q of that link.  Only a parent assigned present, a
+free parent or an outside node can explain: a parent assigned absent
+explains nothing, and with no other candidate the explanation is the leak.
+The search takes the smallest such explanation among the present parents,
+never two of them, since two parents may share an ancestor.  An absent node
+whose factor stays open is at most its leak complement times the 1-q of
+every parent already present (:func:`_open_absent`).  The search bounds two
+kinds of such node: a free parent with a parent outside the subproblem,
+once decided absent, and an assigned-absent node off the level that a free
 parent feeds and that has a parent outside the subproblem.  These bounds
-count only parents fixed or decided present, while an explanation covers
-a present parent, its unassigned ancestors outside the subproblem and the
-links from its outside explainer to absent children, so no factor is bounded
-twice and the charge is the explanation times every absent bound.  Both
-only shrink as the search goes deeper, an absent bound as it decides
-parents present and an explanation as it decides the explainer's other
-free children absent, so they prune inner nodes as well as leaves.  A
-dropped extension therefore has no completion that reaches the engine's
-target, and the engine's form yields the two-step form's extensions
-whose charged product (:meth:`Extension.clears`) clears the threshold, in
-the same order and with the same products: a subset, not the same set.  A
-charge depends on the assignment and the extension alone, never on the
-threshold, which is what lets the engine's context memo filter a kept
-list by it.
+count only parents fixed or decided present, while an explanation covers a
+present parent, its unassigned ancestors outside the subproblem and the
+links from its outside explainer to absent children, so no factor is
+bounded twice and the charge is the explanation times every absent bound.
+Both only shrink as the search goes deeper, an absent bound as it decides
+parents present and an explanation as it decides the explainer's other free
+children absent, so they prune inner nodes as well as leaves.  A dropped
+extension therefore has no completion that reaches the engine's target, and
+the engine's form yields the two-step form's extensions whose charged
+product (:meth:`Extension.clears`) clears the threshold, in the same order
+and with the same products: a subset, not the same set.  A charge depends
+on the assignment and the extension alone, never on the threshold, which is
+what lets the engine's context memo filter a kept list by it.
 """
 
 from __future__ import annotations
@@ -521,7 +522,8 @@ def _explanation(net, values, free, pos_of, hh, gg, charge, paths, watchers, pos
 
     Either no parent of p is present, and its factor is its leak, 1 -
     leak_c; or some parent g is, and p's factor is at most ``plain``, its
-    noisy-OR with every parent present.  An assigned or free g brings 1 (its
+    noisy-OR with every parent present.  An assigned-absent g is never
+    present and is skipped; a g assigned present or free brings 1 (its
     factor is known or priced by the search).  An outside g brings at most
     ``h(g)`` (:func:`_cheapest`) for itself and its ancestry, and every
     absent node a != p that g feeds, assigned absent or a free parent
@@ -546,7 +548,10 @@ def _explanation(net, values, free, pos_of, hh, gg, charge, paths, watchers, pos
     best = 0.0
     terms = []
     for g, _ in links:
-        if values[g] is not None or g in pos_of:
+        fixed = values[g]
+        if fixed is False:
+            continue  # an absent parent explains nothing
+        if fixed or g in pos_of:
             best = 1.0
             break
         term = gg.get(g)
@@ -641,16 +646,21 @@ def _cheapest(net, values, free, hh, n):
     Either no parent of ``n`` is present, and its factor is its leak,
     1 - leak_c; or some parent g is, and its factor is at most 1 - w, its
     noisy-OR with every parent present, while g and its ancestry bring at
-    most ``hh[g]``: 1 for an assigned or free g (its factor is known or
-    priced by the search), the prior for an outside root, and this same
-    bound for any other outside node.  Every factor left out is at most 1.
+    most ``hh[g]``: 1 for a g assigned present or free (its factor is known
+    or priced by the search), the prior for an outside root, and this same
+    bound for any other outside node.  An assigned-absent g is never
+    present, so it is skipped; with no other parent the bound is the leak.
+    Every factor left out is at most 1.
     ``hh`` memoises the outside nodes' bounds within one subproblem.
     """
     priors = net._priors
     links = net._links_omq[n]
     best = 0.0
     for g, _ in links:
-        if values[g] is not None or g in free:
+        fixed = values[g]
+        if fixed is False:
+            continue  # an absent parent explains nothing
+        if fixed or g in free:
             best = 1.0
             break
         h = priors[g]

@@ -432,6 +432,63 @@ class TestIterLevelExtensions:
         assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 1e-3)]
         _assert_oracle_at_every_gap(net, evidence)
 
+    def test_assigned_absent_parent_explains_nothing(self):
+        # Z, G -> P and P -> F, with Z observed absent and F present.  At
+        # level 2 the one free parent P has its parent G outside the
+        # subproblem.  Z cannot explain P, so P present is charged G's
+        # explanation, plain * prior(G) = (1 - 0.75 * 0.5 * 0.5) * 0.5, not
+        # plain alone as if Z might be present.  P absent is charged its
+        # leak complement 0.75.  Dyadic parameters keep every product exact.
+        net = parse_network(
+            "node Z prior 0.5\nnode G prior 0.5\n"
+            "node P leak 0.25 parents Z:0.5 G:0.5\nnode F leak 0.5 parents P:0.5\n"
+        )
+        evidence = [(0, False), (3, True)]
+        a = Assignment.from_evidence(net, evidence)
+        present, absent = iter_level_extensions(net, a, 2, 0.0)
+        assert (present.parent_states, present.new_factor_product) == (((2, True),), 0.75)
+        assert present.charge == 0.8125 * 0.5
+        assert (absent.new_factor_product, absent.charge) == (0.5, 0.75)
+        # P present's best completion, G present, is 0.75 * 0.5 * 0.625 =
+        # 0.234; charged with plain it would read 0.609 and clear 0.5.  Now
+        # it reads 0.305, so the engine's search drops it at 0.5, as it
+        # drops P absent (0.375)
+        sub = build_subproblem(net, a, 2)
+        assert [e.parent_states for e in iter_extensions(net, sub, 0.5)] == [
+            ((2, True),), ((2, False),)
+        ]
+        assert list(iter_level_extensions(net, a, 2, 0.5)) == []
+        # Z's prior makes the known product 0.5, so a target of 0.25 is
+        # searched at 0.5 there: the evidence state is the only one explored
+        assert top_epsilon(net, evidence, 0.25).states_explored == 1
+        _assert_oracle_at_every_gap(net, evidence)
+
+    def test_explainer_with_an_assigned_absent_parent_costs_its_leak(self):
+        # Z -> G -> P -> F, with Z observed absent and F present.  At level 3
+        # the one free parent P has its parent G outside the subproblem, and
+        # G's one parent Z is absent, so G present has only its leak:
+        # h(G) = 1 - 0.75 = 0.25, not G's plain 1 - 0.75 * 0.5.  P present
+        # is charged plain_P * h(G) = (1 - 0.875 * 0.5) * 0.25 = 0.140625,
+        # exactly P's and G's factors in its best completion, G present.
+        net = parse_network(
+            "node Z prior 0.5\nnode G leak 0.25 parents Z:0.5\n"
+            "node P leak 0.125 parents G:0.5\nnode F leak 0.5 parents P:0.5\n"
+        )
+        evidence = [(0, False), (3, True)]
+        a = Assignment.from_evidence(net, evidence)
+        present, absent = iter_level_extensions(net, a, 3, 0.0)
+        assert (present.parent_states, present.new_factor_product) == (((2, True),), 0.75)
+        assert present.charge == 0.5625 * 0.25
+        assert (absent.new_factor_product, absent.charge) == (0.5, 0.875)
+        # charged with G's plain, P present would read 0.75 * 0.5625 * 0.625
+        # = 0.264 and clear 0.2; now it reads 0.105 and is dropped there
+        sub = build_subproblem(net, a, 3)
+        assert [e.parent_states for e in iter_extensions(net, sub, 0.2)] == [
+            ((2, True),), ((2, False),)
+        ]
+        assert list(iter_level_extensions(net, a, 3, 0.2)) == [absent]
+        _assert_oracle_at_every_gap(net, evidence)
+
 
 class TestEpsilonMl:
     def test_chain3_level2_thresholds(self, chain3):
@@ -703,19 +760,29 @@ class TestSearchCounters:
 
         monkeypatch.setattr(Assignment, "rescaled_threshold", expanded)
         res = top_epsilon(pruned, evidence, 1e-12)
-        assert (res.states_explored, res.accepted_count) == (79, 11)
-        # 1 of the 68 expansions reuses a context's extensions
-        assert expansions == 68
-        # the engine's search drops 219 of the uncharged form's extensions,
+        assert (res.states_explored, res.accepted_count) == (60, 11)
+        # 1 of the 49 expansions reuses a context's extensions
+        assert expansions == 49
+        # the engine's search drops 238 of the uncharged form's extensions,
         # and visits fewer inner nodes than the uncharged search
-        assert counts == {"searches": 67, "nodes": 3692, "charged": 219}
-        assert engine_stats == {"nodes": 2588}
+        assert counts == {"searches": 48, "nodes": 3478, "charged": 238}
+        assert engine_stats == {"nodes": 1846}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored
         # states the engine rejects at its prefix or leaf test: none, since
         # each extension's product covers every factor it completes
         assert res.states_explored - expansions - res.accepted_count == 0
+
+    @pytest.mark.parametrize(
+        "index, counts", [(0, (496, 138)), (1, (864, 284)), (2, (938, 272))]
+    )
+    def test_bn3_f83_counters(self, index, counts):
+        # the end-to-end bench shape: a bn3 case at 83 findings, searched to
+        # the 1e-30 gold; exact (states explored, accepted) pairs
+        pruned, evidence = bn3_case(83, index)
+        res = top_epsilon(pruned, evidence, 1e-30)
+        assert (res.states_explored, res.accepted_count) == counts
 
 
 class TestUpperBound:
