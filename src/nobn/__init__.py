@@ -13,14 +13,10 @@ from .model import (
     NodeSpec,
     Tally,
     check_threshold,
-    cpt_probability,
-    joint_probability,
     node_factor,
     noisy_or_absent,
-    nps_holds,
     parse_evidence,
     parse_network,
-    partial_probability,
     print_network,
     prune_barren,
     validate_evidence,
@@ -39,7 +35,6 @@ from .epsilonml import (
     NoFindingsError,
     Subproblem,
     build_subproblem,
-    epsilon_ml,
     iter_extensions,
     upper_bound,
 )

@@ -69,8 +69,13 @@ extension therefore has no completion that reaches the engine's target, and
 the engine's form yields the two-step form's extensions whose charged
 product (:meth:`Extension.clears`) clears the threshold, in the same order
 and with the same products: a subset, not the same set.  A charge depends
-on the assignment and the extension alone, never on the threshold, which is
-what lets the engine's context memo filter a kept list by it.
+on the assignment and the extension alone, never on a positive threshold,
+which is what lets the engine's context memo filter a kept list by it.  At
+threshold 0 nothing can be pruned, so the search prices no charge and every
+extension carries 1.0.  The memo never mixes the two: within one engine call
+every rescaled threshold is 0 or every one is positive, since for a positive
+target ``rescaled_threshold`` returns ``e / p`` with ``e`` at least the
+target and ``p <= 1``.
 """
 
 from __future__ import annotations
@@ -87,7 +92,6 @@ __all__ = [
     "Subproblem",
     "Extension",
     "build_subproblem",
-    "epsilon_ml",
     "iter_extensions",
     "upper_bound",
 ]
@@ -119,23 +123,15 @@ class Subproblem:
     per-node counts of unassigned parents; the search reads only these and
     ``findings``, so later changes to the assignment do not reach it.
 
-    The rest is for inspection.  ``findings`` are the assigned nodes at the
-    level whose factor is not yet known (they still have unassigned parents);
-    nodes whose parents are all assigned already contributed their factor to
-    the driving state's product.  ``free_parents`` is the deterministic
-    search order.  ``factors`` is aligned with it: the (absent, present)
-    factor pair a free parent adds to the joint once assigned,
-    ``(1 - prior, prior)`` for a root and ``(w, 1 - w)`` for a pseudo-root
-    (every parent assigned, ``w`` its noisy-OR absent probability), None
-    while some parent of it is free.  An extension's product still covers
-    every factor it completes: the search prices a parent with None here,
-    and an assigned node off the level, from the states it decides once all
-    of the node's unassigned parents are among the free parents.
+    ``findings`` are the assigned nodes at the level whose factor is not
+    yet known (they still have unassigned parents); nodes whose parents are
+    all assigned already contributed their factor to the driving state's
+    product.  ``free_parents`` is the deterministic search order, for
+    inspection.
     """
 
     findings: tuple[tuple[int, bool], ...]
     free_parents: tuple[int, ...]
-    factors: tuple[tuple[float, float] | None, ...]
     values: tuple[bool | None, ...]
     pending: tuple[int, ...]
 
@@ -162,8 +158,11 @@ class Extension(NamedTuple):
     disjoint sets of factors and their product bounds what the open
     factors can add together.  That search yields exactly the
     extensions that :meth:`clears` its threshold, and a charge does not
-    depend on the threshold.  :func:`iter_extensions` charges nothing, so
-    its extensions carry 1.0.
+    depend on the threshold as long as it is positive.  At threshold 0
+    that search prices nothing and its extensions carry 1.0, as do those
+    of :func:`iter_extensions`, which charges nothing; for a positive
+    target every rescaled threshold is positive too (module notes), so the
+    engine never filters a list found at 0 by a positive threshold.
 
     A named tuple, so the search builds each one at the cost of a tuple."""
 
@@ -178,8 +177,8 @@ class Extension(NamedTuple):
 
 def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     """Snapshot the subproblem :func:`iter_level_extensions` would search at
-    ``level``: the expandable findings, their free parents in search order
-    and those parents' factor pairs.
+    ``level``: the expandable findings and their free parents in search
+    order.
 
     Parents are searched most-relevant first: descending maximum activation
     probability over the findings they feed, ties by node id.  Raises
@@ -189,10 +188,9 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     findings = tuple(_findings(net, a, level))
     values = tuple(a.raw_values())
     pending = tuple(a.raw_unassigned_parent_counts())
-    pairs: dict = {}
     # epsilon 0 skips the entry check, so the kernel always picks its order
-    free = _setup(net, findings, values, 0.0, pairs, pending)[0]
-    return Subproblem(findings, free, tuple(pairs.get(p) for p in free), values, pending)
+    free = _setup(net, findings, values, 0.0, pending)[0]
+    return Subproblem(findings, free, values, pending)
 
 
 def iter_extensions(
@@ -208,7 +206,7 @@ def iter_extensions(
     given, receives ``nodes`` (partial decisions expanded).
     """
     check_threshold(epsilon)
-    return _dfs(_setup(net, sub.findings, sub.values, epsilon, {}, sub.pending), stats)
+    return _dfs(_setup(net, sub.findings, sub.values, epsilon, sub.pending), stats)
 
 
 def iter_level_extensions(
@@ -225,7 +223,7 @@ def iter_level_extensions(
     be as it was at the call whenever the generator resumes, as the engine
     leaves it (it undoes each extension before taking the next)."""
     tables = _setup(
-        net, _findings(net, a, level), a.raw_values(), epsilon, {},
+        net, _findings(net, a, level), a.raw_values(), epsilon,
         a.raw_unassigned_parent_counts(), charged=True,
     )
     return iter(()) if tables is None else _dfs(tables, None)
@@ -247,16 +245,16 @@ def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]
     return findings
 
 
-def _setup(net, findings, values, epsilon, pairs, pending, charged=False):
+def _setup(net, findings, values, epsilon, pending, charged=False):
     """One pass over the findings' links and the entry check; the search
     tables of :func:`_tables` when it passes, None when the subproblem is
     provably empty.
 
     ``values[p]`` is the state of an assigned parent and None for a free one;
     ``pending[p]`` is p's count of unassigned parents.  Each free parent is
-    priced on first sight and its factor pair (see :class:`Subproblem`)
-    added to the empty dict ``pairs``, so the caller can read the table
-    back: a root by its prior, a pseudo-root (``pending[p] == 0``) by
+    priced on first sight: ``pairs`` maps a root to its (absent, present)
+    factor pair ``(1 - prior, prior)`` and a pseudo-root (``pending[p] ==
+    0``) to ``(w, 1 - w)``, ``w`` its noisy-OR absent probability given
     ``values``; a parent with a free parent of its own gets no entry.
 
     The entry check is a cheapest-explanation bound on the findings' factor
@@ -281,6 +279,7 @@ def _setup(net, findings, values, epsilon, pairs, pending, charged=False):
     w = []  # (1-leak) * prod(1-q) over fixed-present parents
     links = []  # per finding: its free (parent, 1-q) links, in link order
     cost: dict[int, float] = {}
+    pairs: dict[int, tuple[float, float]] = {}
     roots = 1.0  # larger factor of every free root and pseudo-root
     bound = 1.0
     present = []
@@ -349,6 +348,8 @@ def _setup(net, findings, values, epsilon, pairs, pending, charged=False):
                 bound *= plain
         if bound * roots < guard:
             return None
+    # nor can a charge prune at guard 0, so none is priced (see Extension)
+    charged = charged and guard > 0
     return _tables(net, findings, values, w, links, pairs, epsilon, guard, charged)
 
 
@@ -812,11 +813,6 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         iters.append(iter(branch[d]))
 
 
-def epsilon_ml(net: Network, sub: Subproblem, epsilon: float) -> list[Extension]:
-    """Exactly the extensions whose new factor product is >= epsilon."""
-    return list(iter_extensions(net, sub, epsilon))
-
-
 def upper_bound(
     net: Network, sub: Subproblem, decided: Mapping[int, bool]
 ) -> float:
@@ -837,7 +833,7 @@ def upper_bound(
     """
     # at epsilon 0 the entry check never rejects
     free, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _setup(
-        net, sub.findings, sub.values, 0.0, {}, sub.pending
+        net, sub.findings, sub.values, 0.0, sub.pending
     )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "NetworkError",
@@ -40,12 +40,8 @@ __all__ = [
     "parse_evidence",
     "validate_evidence",
     "check_threshold",
-    "cpt_probability",
     "noisy_or_absent",
     "node_factor",
-    "nps_holds",
-    "partial_probability",
-    "joint_probability",
     "prune_barren",
 ]
 
@@ -400,29 +396,11 @@ def parse_evidence(text: str, net: Network) -> tuple[tuple[int, bool], ...]:
 # ---------------------------------------------------------------------------
 
 
-def cpt_probability(
-    net: Network, node: int, node_state: bool, parent_states: Mapping[int, bool]
-) -> float:
-    """Noisy-OR conditional probability of one node state given all parents."""
-    spec = net.nodes[node]
-    if spec.is_root:
-        raise NetworkError(f"node {spec.name!r} is a root; use its prior directly")
-    try:
-        w = noisy_or_absent(net, node, parent_states)
-    except KeyError as e:
-        raise NetworkError(
-            f"missing state for parent {net.nodes[e.args[0]].name!r} of {spec.name!r}"
-        ) from None
-    return 1.0 - w if node_state else w
-
-
-def noisy_or_absent(
-    net: Network, node: int, states: Sequence[bool | None] | Mapping[int, bool]
-) -> float:
+def noisy_or_absent(net: Network, node: int, states: Sequence[bool | None]) -> float:
     """P(node absent | parents) = (1 - leak) * prod(1 - q_p : parent p present).
 
-    ``states`` is indexed by parent id (a value list or a mapping).  A root
-    has no links and a unit leak complement, so it gets 1.
+    ``states`` is indexed by node id.  A root has no links and a unit leak
+    complement, so it gets 1.
     """
     w = net._leak_c[node]
     for p, omq in net._links_omq[node]:
@@ -442,12 +420,6 @@ def node_factor(net: Network, node: int, values: Sequence[bool | None]) -> float
     return 1.0 - w if state else w
 
 
-def nps_holds(p_ab: float, p_notab_notb: float, p_a_notb: float, p_nota_b: float) -> bool:
-    """Negative product synergy test over the four restricted table entries
-    for a parent pair: strict inequality of the cross products."""
-    return p_ab * p_notab_notb < p_a_notb * p_nota_b
-
-
 # ---------------------------------------------------------------------------
 # Assignments
 # ---------------------------------------------------------------------------
@@ -462,11 +434,9 @@ class Assignment:
     order.  The lift is checked after each node: a scaled product below
     ``2**-512`` is multiplied by ``2**512``, which keeps every bit while one
     node's new factors multiply to ``2**-510`` or more, so a batch matches
-    its pairs assigned one by one.  At exponent 0 the product agrees with
-    :func:`partial_probability` up to rounding.  Every instance is
-    the empty one changed only by :meth:`assign` and :meth:`undo`, or a
-    copy of such an instance, so the lift holds throughout.  One search
-    worker at a time.
+    its pairs assigned one by one.  Every instance is the empty one
+    changed only by :meth:`assign` and :meth:`undo`, so the lift holds
+    throughout.  One search worker at a time.
     """
 
     __slots__ = (
@@ -496,7 +466,9 @@ class Assignment:
         """All evidence nodes assigned, everything else free."""
         evidence = tuple(evidence)
         validate_evidence(net, evidence)
-        return cls(net).extended(sorted(evidence))
+        a = cls(net)
+        a.assign(sorted(evidence))
+        return a
 
     # -- accessors ----------------------------------------------------------
 
@@ -527,17 +499,6 @@ class Assignment:
             if active[lvl]:
                 return lvl
         return None
-
-    def copy(self) -> "Assignment":
-        c = Assignment.__new__(Assignment)
-        c.net = self.net
-        c._values = self._values.copy()
-        c.known_factor_product = self.known_factor_product
-        c.known_exponent = self.known_exponent
-        c._unassigned_parents = self._unassigned_parents.copy()
-        c._level_active = self._level_active.copy()
-        c._n_unassigned = self._n_unassigned
-        return c
 
     def rescaled_threshold(self, epsilon: float) -> float | None:
         """Epsilon over the known product: what the unknown factors must
@@ -611,35 +572,6 @@ class Assignment:
         self._n_unassigned += len(pairs)
         self.known_factor_product = old_prod
         self.known_exponent = old_exponent
-
-    def extended(self, pairs: Iterable[tuple[int, bool]]) -> "Assignment":
-        """A copy with the given nodes assigned (value-style extension)."""
-        c = self.copy()
-        c.assign(pairs)
-        return c
-
-
-def partial_probability(net: Network, a: Assignment) -> float:
-    """Product of the known factors of the joint: a node's factor is known
-    once the node and all of its parents are assigned.  Empty product is 1."""
-    values = a.raw_values()
-    prod = 1.0
-    for i, spec in enumerate(net.nodes):
-        if values[i] is None:
-            continue
-        if any(values[p] is None for p, _ in spec.links):
-            continue
-        prod *= node_factor(net, i, values)
-    return prod
-
-
-def joint_probability(net: Network, a: Assignment) -> float:
-    """Full joint probability of a complete assignment."""
-    if a.unassigned_count:
-        raise NetworkError(
-            f"assignment is incomplete ({a.unassigned_count} nodes unassigned)"
-        )
-    return partial_probability(net, a)
 
 
 # ---------------------------------------------------------------------------

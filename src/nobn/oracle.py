@@ -6,9 +6,11 @@ free-node cap (2^free instantiations is real money), compensated summation
 through the same :class:`~nobn.model.Tally` the search engine uses (posteriors
 here back tolerances down to 1e-9), and a counting loop instead of recursion,
 so the depth of the network never limits the enumeration.  Factors come from
-:func:`~nobn.model.node_factor`, the search engine's own arithmetic.  An
-instantiation is given as the tuple of its node states in id order, with
-its joint, the form the search engine keeps its accepted set in.
+:func:`~nobn.model.node_factor`, the search engine's own arithmetic, so the
+tests check this module's joints against an independent reference written
+from the noisy-OR definition (``tests/reference.py``).  An instantiation
+is given as the tuple of its node states in id order, with its joint, the
+form the search engine keeps its accepted set in.
 """
 
 from __future__ import annotations

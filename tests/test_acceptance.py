@@ -19,10 +19,10 @@ from nobn import (
     SplitMix64,
     bn3_shape,
     derive_seed,
-    epsilon_ml,
     exact_inference,
     gen_network,
     instantiations_above,
+    iter_extensions,
     print_network,
     top_epsilon,
     upper_bound,
@@ -123,7 +123,7 @@ class TestAcceptance:
                 continue
             brute = _brute_extensions(net, sub)
             # bound dominates every completion of every prefix, exactly
-            all_exts = epsilon_ml(net, sub, 0.0)
+            all_exts = list(iter_extensions(net, sub, 0.0))
             assert {_ext_key(sub, e) for e in all_exts} == set(brute)
             best_by_prefix: dict[tuple, float] = {}
             for ext in all_exts:
@@ -137,7 +137,7 @@ class TestAcceptance:
                 assert upper_bound(net, sub, decided) >= best
             # no qualifying extension is pruned at a random threshold
             eps = 10.0 ** (-12.0 * r.random())
-            got = {_ext_key(sub, e) for e in epsilon_ml(net, sub, eps)}
+            got = {_ext_key(sub, e) for e in iter_extensions(net, sub, eps)}
             assert got == {k for k, p in brute.items() if p >= eps}
             checked += 1
         _announce(4, "branching-bound admissibility")

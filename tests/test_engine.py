@@ -23,13 +23,13 @@ from nobn import (
     format_accepted,
     instantiations_above,
     iter_extensions,
-    node_factor,
     parse_network,
     prune_barren,
     top_epsilon,
 )
 import nobn.cli
 import nobn.engine
+import reference
 from nobn.cli import _schedule_rows
 from nobn.engine import DEFAULT_SCHEDULE
 from conftest import (
@@ -337,15 +337,13 @@ class TestLogSpaceRegime:
     def test_deep_chain_thresholds_match_log_oracle(self):
         # 270 alternating states: the joint lands in the subnormal band where
         # linear products lose precision; decisions must follow the log sum
-        from nobn import node_factor
-
         net = _deep_chain(270)
         values = [i % 2 == 0 for i in range(270)]
         ev = tuple((i, values[i]) for i in range(270))
         a = Assignment.from_evidence(net, ev)
 
         log_joint = sum(
-            math.log(node_factor(net, i, values)) for i in range(270)
+            math.log(reference.factor(net, i, values)) for i in range(270)
         )
         assert log_joint < math.log(1e-308)  # linear underflow territory
 
@@ -375,12 +373,10 @@ class TestLogSpaceRegime:
         res0 = top_epsilon(net, ev, 0.0, keep_accepted=True)
         assert res0.accepted_count == 16
         # thresholds split the 16 completions exactly as the log oracle says
-        from nobn import node_factor
-
         joints = []
         for vals, _ in res0.accepted:
             joints.append(
-                sum(math.log(node_factor(net, i, vals)) for i in range(250))
+                sum(math.log(reference.factor(net, i, vals)) for i in range(250))
             )
         joints.sort()
         mid = math.exp(joints[len(joints) // 2])
@@ -397,7 +393,7 @@ class TestScaledProduct:
         net = _deep_chain(150, q=0.99, leak=0.002, prior=3.67e-5)
         values = [i < 136 and i % 2 == 0 for i in range(150)]
         ev = tuple(enumerate(values))
-        factors = [node_factor(net, i, values) for i in range(150)]
+        factors = [reference.factor(net, i, values) for i in range(150)]
         exact = math.prod(map(Fraction, factors))
         eps = math.ldexp(94, -1074)
         assert math.ldexp(93, -1074) <= exact < eps <= math.prod(factors)

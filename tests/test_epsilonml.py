@@ -16,7 +16,6 @@ from nobn import (
     SplitMix64,
     build_subproblem,
     derive_seed,
-    epsilon_ml,
     gen_network,
     instantiations_above,
     iter_extensions,
@@ -28,23 +27,20 @@ from nobn import (
 import nobn.engine
 import nobn.epsilonml
 from nobn.epsilonml import iter_level_extensions
+import reference
 from conftest import bn3_case, pruned_with_evidence, random_evidence, small_random_net
 
-
-def _noisy_or_absent(spec, present):
-    """P(node absent | parents) from the noisy-OR definition."""
-    w = 1.0 - spec.leak
-    for p, q in spec.links:
-        if present(p):
-            w *= 1.0 - q
-    return w
+# The smallest positive double: the engine's search charges every extension
+# at any positive threshold, and at this one drops only those whose charged
+# product is 0.  At 0 it prices no charge.
+_TINY = 5e-324
 
 
 def _brute_extensions(net, sub):
     """Every free-parent assignment with its product, by direct arithmetic.
 
     Kept independent of the search: factors are evaluated from the noisy-OR
-    definition, not via iter_extensions or ``sub.factors``.  The product
+    definition (``reference``), not via the search.  The product
     multiplies the factor of every node the assignment completes: a node
     that, with its parents, has a state in the snapshot ``sub.values`` plus
     the free parents' states, but not in ``sub.values`` alone.  That covers
@@ -60,11 +56,7 @@ def _brute_extensions(net, sub):
                 "a finding's parent is neither free nor assigned"
             )
 
-    def complete(states, nid):
-        spec = net.nodes[nid]
-        return states[nid] is not None and all(states[p] is not None for p, _ in spec.links)
-
-    pending = [nid for nid in range(len(net)) if not complete(values, nid)]
+    pending = [nid for nid in range(len(net)) if not reference.complete(net, values, nid)]
     out = {}
     for bits in itertools.product([False, True], repeat=len(free)):
         states = list(values)
@@ -72,25 +64,22 @@ def _brute_extensions(net, sub):
             states[p] = state
         prod = 1.0
         for nid in pending:
-            if not complete(states, nid):
-                continue
-            spec = net.nodes[nid]
-            if spec.prior is not None:
-                factor = spec.prior if states[nid] else 1.0 - spec.prior
-            else:
-                w = _noisy_or_absent(spec, states.__getitem__)
-                factor = 1.0 - w if states[nid] else w
-            prod *= factor
+            if reference.complete(net, states, nid):
+                prod *= reference.factor(net, nid, states)
         out[bits] = prod
     return out
 
 
 def _charged(net, a, level, exts, eps):
     """What the engine's one-call form yields at ``eps``, given the two-step
-    form's extensions ``exts`` at ``eps``: those whose product times their
-    charge clears ``eps``, each with its charge.  The charges come from the
-    one-call form at 0, which yields every extension."""
-    charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, level, 0.0)}
+    form's extensions ``exts`` at ``eps``: at 0 all of them, uncharged; else
+    those whose product times their charge clears ``eps``, each with its
+    charge.  The charges come from the one-call form at the smallest
+    positive threshold, which yields every extension with a nonzero charged
+    product."""
+    if not eps:
+        return list(exts)
+    charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, level, _TINY)}
     return [
         e._replace(charge=charges[e.parent_states])
         for e in exts
@@ -159,10 +148,11 @@ def _walked_subproblems(net, evidence, max_states: int = 30, max_free: int = 10)
     """The subproblems the engine poses from the evidence, walked over every
     extension, with at most ``max_free`` free parents; each comes with the
     assignment and level it was built from."""
-    stack = [Assignment.from_evidence(net, evidence)]
+    stack = [()]
     visited = 0
     while stack and visited < max_states:
-        a = stack.pop()
+        path = stack.pop()
+        a = _applied(net, evidence, path)
         level = a.frontier_level()
         if level is None:
             continue
@@ -170,8 +160,16 @@ def _walked_subproblems(net, evidence, max_states: int = 30, max_free: int = 10)
         sub = build_subproblem(net, a, level)
         if len(sub.free_parents) <= max_free:
             yield net, a, level, sub
-        stack.extend(a.extended(e.parent_states) for e in iter_level_extensions(
+        stack.extend(path + (e.parent_states,) for e in iter_level_extensions(
             net, a, level, 0.0))
+
+
+def _applied(net, evidence, path):
+    """The assignment made from the evidence by the batches of ``path``."""
+    a = Assignment.from_evidence(net, evidence)
+    for pairs in path:
+        a.assign(pairs)
+    return a
 
 
 def _bound_subproblems(two_level_seeds: int):
@@ -232,12 +230,12 @@ class TestBuildSubproblem:
         checked = 0
         for seed in range(6):
             for net, a, _, sub in _diagnostic_subproblems(seed):
-                exts = epsilon_ml(net, sub, 0.0)
+                exts = list(iter_extensions(net, sub, 0.0))
                 decisions = [{}] + [dict(e.parent_states) for e in exts]
                 bounds = [upper_bound(net, sub, d) for d in decisions]
 
                 def unchanged():
-                    assert epsilon_ml(net, sub, 0.0) == exts
+                    assert list(iter_extensions(net, sub, 0.0)) == exts
                     assert [upper_bound(net, sub, d) for d in decisions] == bounds
 
                 parents = a.assign(exts[-1].parent_states)
@@ -276,10 +274,11 @@ class TestIterLevelExtensions:
             net = small_random_net(seed)
             pruned, pev = pruned_with_evidence(net, random_evidence(net, seed))
             target = (1e-2, 1e-5, 0.0)[seed % 3]
-            stack = [Assignment.from_evidence(pruned, pev)]
+            stack = [()]
             visited = 0
             while stack and visited < 400:
-                a = stack.pop()
+                path = stack.pop()
+                a = _applied(pruned, pev, path)
                 visited += 1
                 level = a.frontier_level()
                 if level is None or a.known_factor_product < target:
@@ -291,7 +290,7 @@ class TestIterLevelExtensions:
                     pruned, a, level, iter_extensions(pruned, sub, eps), eps
                 )
                 checked += 1
-                stack.extend(a.extended(ext.parent_states) for ext in fused)
+                stack.extend(path + (ext.parent_states,) for ext in fused)
         assert checked >= 300
 
     def test_no_findings_raises(self, chain3):
@@ -312,7 +311,7 @@ class TestIterLevelExtensions:
             "node B leak 0.001 parents A:0.9\nnode F leak 0.01 parents B:0.9\n"
         )
         a = Assignment.from_evidence(net, [(3, True)])
-        present, absent = iter_level_extensions(net, a, 3, 0.0)
+        present, absent = iter_level_extensions(net, a, 3, _TINY)
         assert present.parent_states == ((2, True),)
         assert present.new_factor_product == pytest.approx(0.901, rel=1e-15)
         assert present.charge == pytest.approx(0.9001 * 0.009001, rel=1e-15)
@@ -346,7 +345,7 @@ class TestIterLevelExtensions:
         evidence = [(3, True)]
         a = Assignment.from_evidence(net, evidence)
         dropped = ((2, False), (0, True))
-        exts = {e.parent_states: e for e in iter_level_extensions(net, a, 2, 0.0)}
+        exts = {e.parent_states: e for e in iter_level_extensions(net, a, 2, _TINY)}
         assert exts[dropped].new_factor_product == pytest.approx(0.802 * 0.5, rel=1e-15)
         assert exts[dropped].charge == pytest.approx(0.99 * 0.01, rel=1e-15)
         # its best completion, R absent, is 0.401 * 0.0099 * 0.99 = 0.0039,
@@ -369,7 +368,7 @@ class TestIterLevelExtensions:
         )
         evidence = [(1, True), (4, False), (5, True)]
         a = Assignment.from_evidence(net, evidence)
-        for ext in iter_level_extensions(net, a, 2, 0.0):
+        for ext in iter_level_extensions(net, a, 2, _TINY):
             q_present = dict(ext.parent_states)[0]
             assert ext.charge == pytest.approx(0.99 * (0.01 if q_present else 1.0), rel=1e-15)
         # P and Q present: 0.9802 * 0.505 * 0.5 = 0.2475, at most 0.00245
@@ -392,7 +391,7 @@ class TestIterLevelExtensions:
         )
         evidence = [(2, False), (3, True)]
         a = Assignment.from_evidence(net, evidence)
-        present, absent = iter_level_extensions(net, a, 2, 0.0)
+        present, absent = iter_level_extensions(net, a, 2, _TINY)
         assert present.parent_states == ((1, True),)
         assert present.new_factor_product == pytest.approx(0.901, rel=1e-15)
         assert present.charge == 1.0 - (1.0 - 0.001)
@@ -421,7 +420,7 @@ class TestIterLevelExtensions:
         a = Assignment.from_evidence(net, evidence)
         sub = build_subproblem(net, a, 2)
         assert sub.free_parents == (1, 2)
-        charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, 2, 0.0)}
+        charges = {e.parent_states: e.charge for e in iter_level_extensions(net, a, 2, _TINY)}
         dropped = ((1, True), (2, False))
         assert charges[dropped] == pytest.approx(0.001 * 0.999, rel=1e-12)
         assert charges[((1, True), (2, True))] == pytest.approx(0.9001 * 0.01, rel=1e-15)
@@ -445,7 +444,7 @@ class TestIterLevelExtensions:
         )
         evidence = [(0, False), (3, True)]
         a = Assignment.from_evidence(net, evidence)
-        present, absent = iter_level_extensions(net, a, 2, 0.0)
+        present, absent = iter_level_extensions(net, a, 2, _TINY)
         assert (present.parent_states, present.new_factor_product) == (((2, True),), 0.75)
         assert present.charge == 0.8125 * 0.5
         assert (absent.new_factor_product, absent.charge) == (0.5, 0.75)
@@ -476,7 +475,7 @@ class TestIterLevelExtensions:
         )
         evidence = [(0, False), (3, True)]
         a = Assignment.from_evidence(net, evidence)
-        present, absent = iter_level_extensions(net, a, 3, 0.0)
+        present, absent = iter_level_extensions(net, a, 3, _TINY)
         assert (present.parent_states, present.new_factor_product) == (((2, True),), 0.75)
         assert present.charge == 0.5625 * 0.25
         assert (absent.new_factor_product, absent.charge) == (0.5, 0.875)
@@ -495,12 +494,12 @@ class TestEpsilonMl:
         a = Assignment.from_evidence(chain3, [(2, True)])
         sub = build_subproblem(chain3, a, 2)
 
-        high = epsilon_ml(chain3, sub, 0.1)
+        high = list(iter_extensions(chain3, sub, 0.1))
         assert [(dict(e.parent_states)[1], e.new_factor_product) for e in high] == [
             (True, pytest.approx(0.905, abs=1e-15))
         ]
 
-        both = epsilon_ml(chain3, sub, 0.01)
+        both = list(iter_extensions(chain3, sub, 0.01))
         got = {dict(e.parent_states)[1]: e.new_factor_product for e in both}
         assert got[True] == pytest.approx(0.905, abs=1e-15)
         assert got[False] == pytest.approx(0.05, abs=1e-15)
@@ -508,12 +507,12 @@ class TestEpsilonMl:
     def test_chain3_level1_includes_root_prior(self, chain3):
         a = Assignment.from_evidence(chain3, [(1, True), (2, True)])
         sub = build_subproblem(chain3, a, 1)
-        only = epsilon_ml(chain3, sub, 0.12)
+        only = list(iter_extensions(chain3, sub, 0.12))
         assert len(only) == 1
         assert dict(only[0].parent_states)[0] is True
         assert only[0].new_factor_product == pytest.approx(0.82 * 0.2, abs=1e-15)
         # absent misses: 0.1 * 0.8 = 0.08 < 0.12
-        both = epsilon_ml(chain3, sub, 0.05)
+        both = list(iter_extensions(chain3, sub, 0.05))
         assert len(both) == 2
 
     def test_matches_brute_force_on_random_two_level(self):
@@ -522,7 +521,7 @@ class TestEpsilonMl:
             net, sub = _two_level_subproblem(seed)
             brute = _brute_extensions(net, sub)
             eps = 10.0 ** (-12 * r.random())
-            got = epsilon_ml(net, sub, eps)
+            got = list(iter_extensions(net, sub, eps))
             keys = {_ext_key(sub, e) for e in got}
             expected = {k for k, p in brute.items() if p >= eps}
             assert keys == expected
@@ -537,7 +536,7 @@ class TestEpsilonMl:
             eps_values = sorted(10.0 ** (-k) for k in range(1, 10))
             previous = None
             for eps in reversed(eps_values):  # decreasing
-                keys = {_ext_key(sub, e) for e in epsilon_ml(net, sub, eps)}
+                keys = {_ext_key(sub, e) for e in iter_extensions(net, sub, eps)}
                 if previous is not None:
                     assert previous <= keys
                 previous = keys
@@ -558,7 +557,7 @@ class TestEpsilonMl:
                 continue
             brute = _brute_extensions(pruned, sub)
             for eps in (1e-1, 1e-3, 1e-6):
-                got = {_ext_key(sub, e) for e in epsilon_ml(pruned, sub, eps)}
+                got = {_ext_key(sub, e) for e in iter_extensions(pruned, sub, eps)}
                 assert got == {k for k, p in brute.items() if p >= eps}
             checked += 1
         assert checked >= 10
@@ -566,7 +565,7 @@ class TestEpsilonMl:
     def test_extension_product_recomputes(self):
         for seed in range(10):
             net, sub = _two_level_subproblem(seed)
-            for ext in epsilon_ml(net, sub, 1e-9):
+            for ext in iter_extensions(net, sub, 1e-9):
                 assert upper_bound(net, sub, dict(ext.parent_states)) == (
                     ext.new_factor_product
                 )
@@ -582,7 +581,9 @@ class TestEpsilonMl:
             for net, a, level, sub in _diagnostic_subproblems(seed):
                 brute = _brute_extensions(net, sub)
                 # the search's own leaf products (nothing is pruned at 0)
-                leaf = {_ext_key(sub, e): e.new_factor_product for e in epsilon_ml(net, sub, 0.0)}
+                leaf = {
+                    _ext_key(sub, e): e.new_factor_product for e in iter_extensions(net, sub, 0.0)
+                }
                 assert leaf == pytest.approx(brute, rel=1e-12)
                 top = max(brute.values())
                 eps_values = [top, top * (1 + 1e-12), top * (1 - 1e-12)]
@@ -617,8 +618,12 @@ class TestEpsilonMl:
         a = Assignment.from_evidence(net, evidence)
         sub = build_subproblem(net, a, 2)
         assert sub.free_parents == (1,)
+        # the search prices P by its factor pair (w, 1 - w), as it would a root
         w = 0.9 * (1.0 - 0.8)
-        assert sub.factors == ((w, 1.0 - w),)
+        products = {e.parent_states: e.new_factor_product for e in iter_extensions(net, sub, 0.0)}
+        assert products == pytest.approx(
+            {((1, True),): 0.905 * (1.0 - w), ((1, False),): 0.05 * w}, rel=1e-15
+        )
         assert _brute_extensions(net, sub) == pytest.approx(
             {(True,): 0.905 * 0.82, (False,): 0.05 * 0.18}, rel=1e-12
         )
@@ -626,13 +631,15 @@ class TestEpsilonMl:
         exts = list(iter_extensions(net, sub, 0.02))
         assert [e.parent_states for e in exts] == [((1, True),)]
         assert list(iter_level_extensions(net, a, 2, 0.02)) == exts
-        for ext in epsilon_ml(net, sub, 0.0):
+        for ext in iter_extensions(net, sub, 0.0):
             assert upper_bound(net, sub, dict(ext.parent_states)) == ext.new_factor_product
             # the engine folds in the same factors once the extension is applied
-            applied = a.extended(ext.parent_states)
+            before = a.known_factor_product
+            token = a.assign(ext.parent_states)
             assert ext.new_factor_product == pytest.approx(
-                applied.known_factor_product / a.known_factor_product, rel=1e-15
+                a.known_factor_product / before, rel=1e-15
             )
+            a.undo(token)
         # so the engine never builds the P-absent state it would reject
         res = top_epsilon(net, evidence, 0.3 * 0.02)
         assert (res.states_explored, res.accepted_count) == (2, 1)
@@ -641,10 +648,11 @@ class TestEpsilonMl:
         b = Assignment.from_evidence(net, [(0, False), (2, True)])
         sub_b = build_subproblem(net, b, 2)
         w_b = 1.0 - 0.1
-        assert sub_b.factors == ((w_b, 1.0 - w_b),)
-        assert [e.parent_states for e in epsilon_ml(net, sub_b, 0.0)] == [
-            ((1, True),), ((1, False),)
-        ]
+        exts = list(iter_extensions(net, sub_b, 0.0))
+        assert [e.parent_states for e in exts] == [((1, True),), ((1, False),)]
+        assert [e.new_factor_product for e in exts] == pytest.approx(
+            [0.905 * (1.0 - w_b), 0.05 * w_b], rel=1e-15
+        )
 
     def test_factors_completed_inside_the_subproblem(self):
         # R -> P, R -> E, and R, P -> F with E and F observed: at level 2 both
@@ -657,7 +665,6 @@ class TestEpsilonMl:
         a = Assignment.from_evidence(net, [(2, True), (3, True)])
         sub = build_subproblem(net, a, 2)
         assert sub.free_parents == (1, 0)
-        assert sub.factors == (None, (0.7, 0.3))
 
         def hand(p, r):
             w_p = 0.9 * (0.2 if r else 1.0)
@@ -668,17 +675,20 @@ class TestEpsilonMl:
                 * (1.0 - 0.8 * (0.5 if r else 1.0))
             )
 
-        exts = epsilon_ml(net, sub, 0.0)
+        exts = list(iter_extensions(net, sub, 0.0))
         assert len(exts) == 4
         for ext in exts:
             states = dict(ext.parent_states)
             assert ext.new_factor_product == pytest.approx(hand(states[1], states[0]), rel=1e-12)
             assert upper_bound(net, sub, states) == ext.new_factor_product
-            assert a.extended(ext.parent_states).known_factor_product == pytest.approx(
-                ext.new_factor_product, rel=1e-15
-            )
-        # before R is decided both completed factors count as 1
-        assert upper_bound(net, sub, {1: True}) >= max(hand(True, r) for r in (False, True))
+            token = a.assign(ext.parent_states)
+            assert a.known_factor_product == pytest.approx(ext.new_factor_product, rel=1e-15)
+            a.undo(token)
+        # before R is decided both completed factors count as 1, R brings its
+        # larger factor 0.7, and P, whose parent is free, no factor pair
+        bound = upper_bound(net, sub, {1: True})
+        assert bound == pytest.approx((1.0 - 0.95 * 0.1 * 0.6) * 0.7, rel=1e-15)
+        assert bound >= max(hand(True, r) for r in (False, True))
 
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
@@ -694,7 +704,7 @@ class TestEpsilonMl:
         a = Assignment.from_evidence(chain3, [(2, True)])
         sub = build_subproblem(chain3, a, 2)
         with pytest.raises(NetworkError):
-            epsilon_ml(chain3, sub, -0.1)
+            iter_extensions(chain3, sub, -0.1)
 
     def test_lazy_generator_with_bounded_depth(self):
         net, sub = _two_level_subproblem(3)
@@ -804,7 +814,7 @@ class TestUpperBound:
 
     def test_complete_decision_equals_product(self):
         for net, sub in _bound_subproblems(15):
-            for ext in epsilon_ml(net, sub, 0.0):
+            for ext in iter_extensions(net, sub, 0.0):
                 assert upper_bound(net, sub, dict(ext.parent_states)) == (
                     ext.new_factor_product
                 )
@@ -815,7 +825,7 @@ class TestUpperBound:
             if len(sub.free_parents) > 10:
                 continue
             free = sub.free_parents
-            exts = epsilon_ml(net, sub, 0.0)
+            exts = list(iter_extensions(net, sub, 0.0))
             by_prefix: dict[tuple, float] = {}
             for ext in exts:
                 states = dict(ext.parent_states)
@@ -848,7 +858,7 @@ class TestUniformPriorRanking:
         a = Assignment.from_evidence(net, [(4, True)])
         sub = build_subproblem(net, a, 2)
         assert all(net.nodes[p].prior is None for p in sub.free_parents)
-        exts = epsilon_ml(net, sub, 0.0)
+        exts = list(iter_extensions(net, sub, 0.0))
         uniform = 0.5 ** len(sub.free_parents)
         by_product = sorted(
             exts, key=lambda e: (-e.new_factor_product, _ext_key(sub, e))

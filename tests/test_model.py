@@ -14,17 +14,15 @@ from nobn import (
     NodeSpec,
     SplitMix64,
     Tally,
-    cpt_probability,
     derive_seed,
     exact_inference,
-    joint_probability,
-    nps_holds,
+    node_factor,
     parse_evidence,
     parse_network,
-    partial_probability,
     print_network,
     prune_barren,
 )
+import reference
 from conftest import CHAIN3_TEXT, small_random_net
 
 FIG3_TEXT = """\
@@ -153,32 +151,35 @@ class TestLabelLevels:
                     assert net.levels[p] < net.levels[i]
 
 
+def _cpt(net, node, node_state, parent_states):
+    """P(node state | parents) by the model's factor, which must equal the
+    reference's bit for bit."""
+    values = [None] * len(net)
+    for p, state in parent_states.items():
+        values[p] = state
+    values[node] = node_state
+    got = node_factor(net, node, values)
+    assert got == reference.factor(net, node, values)
+    return got
+
+
 class TestCptProbability:
     def test_two_present_parents_no_leak(self):
         net = parse_network(
             "node A prior 0.5\nnode B prior 0.5\nnode C leak 0 parents A:0.5 B:0.5"
         )
-        assert cpt_probability(net, 2, True, {0: True, 1: True}) == pytest.approx(0.75)
+        assert _cpt(net, 2, True, {0: True, 1: True}) == pytest.approx(0.75)
 
     def test_all_parents_absent_gives_leak(self):
         net = parse_network(
             "node A prior 0.5\nnode B prior 0.5\nnode C leak 0.3 parents A:0.5 B:0.5"
         )
-        assert cpt_probability(net, 2, True, {0: False, 1: False}) == pytest.approx(0.3)
+        assert _cpt(net, 2, True, {0: False, 1: False}) == pytest.approx(0.3)
 
     def test_leak_with_one_present_parent(self):
         net = parse_network("node A prior 0.5\nnode B leak 0.1 parents A:0.8")
-        assert cpt_probability(net, 1, True, {0: True}) == pytest.approx(0.82)
-        assert cpt_probability(net, 1, False, {0: True}) == pytest.approx(0.18)
-
-    def test_missing_parent_state(self):
-        net = parse_network("node A prior 0.5\nnode B leak 0.1 parents A:0.8")
-        with pytest.raises(NetworkError, match="missing state"):
-            cpt_probability(net, 1, True, {})
-
-    def test_root_rejected(self, chain3):
-        with pytest.raises(NetworkError, match="root"):
-            cpt_probability(chain3, 0, True, {})
+        assert _cpt(net, 1, True, {0: True}) == pytest.approx(0.82)
+        assert _cpt(net, 1, False, {0: True}) == pytest.approx(0.18)
 
     def test_monotone_in_present_set(self):
         # turning any parent present can only raise P(present)
@@ -189,23 +190,31 @@ class TestCptProbability:
         )
         for _ in range(50):
             states = {i: r.random() < 0.5 for i in range(3)}
-            p0 = cpt_probability(net, 3, True, states)
+            p0 = _cpt(net, 3, True, states)
             for flip in range(3):
                 if not states[flip]:
                     more = dict(states)
                     more[flip] = True
-                    assert cpt_probability(net, 3, True, more) >= p0
+                    assert _cpt(net, 3, True, more) >= p0
 
 
-def _pair_cpt_entries(leak: float, q1: float, q2: float):
-    """The four restricted entries for a parent pair, other parents absent."""
-    m = 1.0 - leak
-    return (
-        1.0 - m * (1.0 - q1) * (1.0 - q2),  # both present
-        leak,                               # both absent
-        1.0 - m * (1.0 - q1),               # first only
-        1.0 - m * (1.0 - q2),               # second only
-    )
+def _pair_cpt_entries(net, node, first, second):
+    """P(node present) by the model's factor with both of two parents
+    present, neither, the first only and the second only, every other
+    parent absent."""
+    entries = []
+    for pair in ((True, True), (False, False), (True, False), (False, True)):
+        values = [False] * len(net)
+        values[first], values[second] = pair
+        values[node] = True
+        entries.append(node_factor(net, node, values))
+    return entries
+
+
+def _nps_holds(p_ab, p_notab_notb, p_a_notb, p_nota_b):
+    """Negative product synergy over the four restricted entries for a
+    parent pair: strict inequality of the cross products."""
+    return p_ab * p_notab_notb < p_a_notb * p_nota_b
 
 
 class TestTally:
@@ -246,66 +255,81 @@ class TestTally:
 
 class TestNps:
     def test_noisy_or_without_leak(self):
-        assert nps_holds(*_pair_cpt_entries(0.0, 0.5, 0.5))
+        net = parse_network(
+            "node A prior 0.5\nnode B prior 0.5\nnode C leak 0 parents A:0.5 B:0.5"
+        )
+        assert _nps_holds(*_pair_cpt_entries(net, 2, 0, 1))
 
     def test_equal_entries_fail_strictness(self):
-        assert not nps_holds(0.5, 0.5, 0.5, 0.5)
+        # links that never fire leave every entry at the leak
+        net = parse_network(
+            "node A prior 0.5\nnode B prior 0.5\nnode C leak 0.5 parents A:0 B:0"
+        )
+        assert _pair_cpt_entries(net, 2, 0, 1) == [0.5] * 4
+        assert not _nps_holds(*_pair_cpt_entries(net, 2, 0, 1))
 
     def test_with_leak(self):
         # evaluated entries: 0.856 * 0.2 = 0.1712 < 0.76 * 0.52 = 0.3952
-        entries = _pair_cpt_entries(0.2, 0.7, 0.4)
+        net = parse_network(
+            "node A prior 0.5\nnode B prior 0.5\nnode C leak 0.2 parents A:0.7 B:0.4"
+        )
+        entries = _pair_cpt_entries(net, 2, 0, 1)
         assert entries == pytest.approx((0.856, 0.2, 0.76, 0.52))
-        assert nps_holds(*entries)
+        assert _nps_holds(*entries)
 
     def test_universal_over_generated_networks(self):
         for seed in range(20):
             net = small_random_net(seed)
-            for spec in net.nodes:
+            for nid, spec in enumerate(net.nodes):
                 if spec.is_root or len(spec.links) < 2 or spec.leak >= 1.0:
                     continue
-                qs = [q for _, q in spec.links]
-                for i in range(len(qs)):
-                    for j in range(i + 1, len(qs)):
-                        if qs[i] > 0 and qs[j] > 0:
-                            assert nps_holds(
-                                *_pair_cpt_entries(spec.leak, qs[i], qs[j])
-                            )
+                links = [(p, q) for p, q in spec.links if q > 0]
+                for i in range(len(links)):
+                    for j in range(i + 1, len(links)):
+                        entries = _pair_cpt_entries(net, nid, links[i][0], links[j][0])
+                        assert _nps_holds(*entries)
+
+
+def _products(net, pairs):
+    """The known product of the assignment ``pairs`` make, by the model's
+    incremental product and by the reference."""
+    a = Assignment(net)
+    a.assign(pairs)
+    assert a.known_exponent == 0
+    return a.known_factor_product, reference.known_product(net, a.values)
 
 
 class TestFactorProducts:
     def test_partial_empty_assignment(self, chain3):
-        assert partial_probability(chain3, Assignment(chain3)) == 1.0
+        assert _products(chain3, []) == (1.0, 1.0)
 
     def test_partial_only_child_assigned(self, chain3):
-        a = Assignment(chain3)
-        a.assign([(2, True)])
-        assert partial_probability(chain3, a) == 1.0
+        assert _products(chain3, [(2, True)]) == (1.0, 1.0)
 
     def test_partial_b_and_c(self, chain3):
         # only C's factor is known: P(C=p | B=p) = 0.905
-        a = Assignment(chain3)
-        a.assign([(1, True), (2, True)])
-        assert partial_probability(chain3, a) == pytest.approx(0.905, abs=1e-15)
+        assert _products(chain3, [(1, True), (2, True)]) == pytest.approx(
+            (0.905, 0.905), abs=1e-15
+        )
 
     def test_joint_all_present(self, chain3):
-        a = Assignment(chain3).extended([(0, True), (1, True), (2, True)])
         expected = 0.2 * 0.82 * 0.905
-        assert joint_probability(chain3, a) == pytest.approx(expected, rel=1e-12)
+        got = _products(chain3, [(0, True), (1, True), (2, True)])
+        assert got == pytest.approx((expected, expected), rel=1e-12)
+        assert reference.joint(chain3, (True, True, True)) == got[1]
         assert abs(expected - 0.14842) < 1e-12
 
     def test_joint_low_path(self, chain3):
-        a = Assignment(chain3).extended([(0, False), (1, False), (2, True)])
-        assert joint_probability(chain3, a) == pytest.approx(0.036, rel=1e-12)
+        got = _products(chain3, [(0, False), (1, False), (2, True)])
+        assert got == pytest.approx((0.036, 0.036), rel=1e-12)
 
     def test_joint_rejects_incomplete(self, chain3):
-        a = Assignment(chain3).extended([(2, True)])
-        with pytest.raises(NetworkError, match="incomplete"):
-            joint_probability(chain3, a)
+        with pytest.raises(ValueError, match="incomplete"):
+            reference.joint(chain3, (None, None, True))
 
     def test_zero_prior_annihilates(self):
         net = parse_network("node A prior 0\nnode B leak 0.5 parents A:0.5")
-        a = Assignment(net).extended([(0, True), (1, False)])
-        assert joint_probability(net, a) == 0.0
+        assert _products(net, [(0, True), (1, False)]) == (0.0, 0.0)
 
     def test_evidence_nodes_never_reassigned(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
@@ -365,7 +389,7 @@ class TestAssignmentCache:
                     b.frontier_level(),
                 )
                 assert a.values == b.values
-                recomputed = partial_probability(net, a)
+                recomputed = reference.known_product(net, a.values)
                 assert a.known_factor_product == pytest.approx(
                     recomputed, rel=1e-12, abs=1e-300
                 )
@@ -380,13 +404,6 @@ class TestAssignmentCache:
         a.undo(inner)
         a.undo(token)
         assert a.frontier_level() == 2
-
-    def test_copy_is_independent(self, chain3):
-        a = Assignment.from_evidence(chain3, [(2, True)])
-        b = a.copy()
-        b.assign([(1, True)])
-        assert a.state(1) is None
-        assert b.state(1) is True
 
 
 class TestPruneBarren:

@@ -6,8 +6,10 @@ under renumbering of the nodes, the NET text round trip, the two rules the
 engine's context memo relies on (states that share a context key have the
 same extensions, and filtering a level's extensions by a higher threshold
 is exact), that an extension's product is the factor
-applying it folds into the known product, and that the engine's charged
-product bounds the joint of every completion of the extension.
+applying it folds into the known product, that the engine's charged
+product bounds the joint of every completion of the extension, and that
+every joint the oracle and the engine report equals the test-side noisy-OR
+reference's.
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
@@ -27,6 +29,7 @@ from nobn import (  # noqa: E402
     Network,
     NodeSpec,
     SplitMix64,
+    exact_inference,
     forward_sample,
     gen_network,
     instantiations_above,
@@ -37,7 +40,9 @@ from nobn import (  # noqa: E402
 from nobn.engine import _context_keys  # noqa: E402
 from nobn.epsilonml import iter_level_extensions  # noqa: E402
 from nobn.oracle import enumerate_consistent  # noqa: E402
+import reference  # noqa: E402
 from conftest import pruned_with_evidence  # noqa: E402
+from test_epsilonml import _TINY  # noqa: E402
 
 # Two parameter regimes: generic links, and bn3's (rare roots,
 # near-deterministic internal links, leaky findings), where most leaf
@@ -128,6 +133,23 @@ def test_accepted_set_equals_oracle(problem):
     net, evidence, epsilon = problem
     res = top_epsilon(net, evidence, epsilon, keep_accepted=True)
     _assert_oracle_set(net, evidence, epsilon, res)
+
+
+@_SETTINGS
+@given(problems())
+def test_joints_equal_the_reference(problem):
+    # the oracle and the engine share the package's factor code, so their
+    # joints are checked against the independent reference instead
+    net, evidence, epsilon = problem
+    joints = []
+    for values, joint in enumerate_consistent(net, evidence):
+        joints.append(reference.joint(net, values))
+        assert joint == pytest.approx(joints[-1], rel=1e-12)
+    mass = exact_inference(net, evidence).evidence_probability
+    assert mass == pytest.approx(math.fsum(joints), rel=1e-12)
+    res = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+    for values, joint in res.accepted:
+        assert joint == pytest.approx(reference.joint(net, values), rel=1e-12)
 
 
 @_SETTINGS
@@ -258,17 +280,21 @@ def _bits(exts):
 def test_filtered_extensions_equal_a_search_at_the_higher_threshold(state, data):
     net, a, level = state
     hypothesis.assume(level is not None)
+    # charges are priced at positive thresholds only; within one engine call
+    # the thresholds are all positive or all 0, so the memo filters a list
+    # found at a positive threshold only
     products = [
         p
-        for e in iter_level_extensions(net, a, level, 0.0)
+        for e in iter_level_extensions(net, a, level, _TINY)
         for p in (e.new_factor_product, e.new_factor_product * e.charge)
     ]
     # epsilon2 is an extension's own product, or that product charged, so
     # the filter meets exact ties
     eps2 = data.draw(st.sampled_from(products), label="eps2")
     eps1 = data.draw(
-        st.sampled_from([0.0, eps2 / 2] + [p for p in products if p <= eps2]), label="eps1"
+        st.sampled_from([eps2 / 2] + [p for p in products if p <= eps2]), label="eps1"
     )
+    hypothesis.assume(eps1 > 0)
     kept = list(iter_level_extensions(net, a, level, eps1))
     # the context memo's own filter
     filtered = [e for e in kept if e.clears(eps2)]
@@ -287,6 +313,12 @@ def test_extension_product_is_what_assign_folds_in(problem):
 
     def walk():
         nonlocal visited
+        # a positive target's rescaled threshold stays positive, so the
+        # engine's memo never filters a list searched at 0 by a positive one
+        for eps in (_TINY, 1.0, epsilon):
+            if eps > 0:
+                rescaled = a.rescaled_threshold(eps)
+                assert rescaled is None or rescaled > 0
         level = a.frontier_level()
         eps_new = a.rescaled_threshold(epsilon)
         if level is None or eps_new is None or not a.known_factor_product or visited >= 300:
@@ -323,11 +355,12 @@ def deep_problems(draw):
 def test_charged_product_bounds_every_completion(problem):
     # Walk the engine's search tree from the evidence.  At each state with
     # at most 10 unassigned nodes, every completion of the assignment agrees
-    # with exactly one extension yielded at threshold 0 (nothing is pruned
-    # there), and its joint, by the oracle, is at most the known product
-    # times that extension's product and charge: the charge bounds every
-    # factor the extension leaves open, so the engine drops no extension
-    # with a completion at or above its target.
+    # with exactly one extension yielded, charged, at the smallest positive
+    # threshold (only a charged product of 0 is dropped there, and these
+    # nets have none), and its joint, by the oracle, is at most the known
+    # product times that extension's product and charge: the charge bounds
+    # every factor the extension leaves open, so the engine drops no
+    # extension with a completion at or above its target.
     net, evidence, epsilon = problem
     a = Assignment.from_evidence(net, evidence)
     visited = 0
@@ -336,7 +369,7 @@ def test_charged_product_bounds_every_completion(problem):
         if a.unassigned_count > 10:
             return
         exts = {
-            ext.parent_states: ext for ext in iter_level_extensions(net, a, level, 0.0)
+            ext.parent_states: ext for ext in iter_level_extensions(net, a, level, _TINY)
         }
         parents = next(iter(exts))
         known = math.ldexp(a.known_factor_product, a.known_exponent)
