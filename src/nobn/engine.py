@@ -104,7 +104,7 @@ _DONE = object()
 # level is searched directly for the rest of the call once _MEMO_TRIAL
 # lookups have hit less than one time in _MEMO_HIT_RATIO: on bn3-f83 a lookup
 # that misses costs about a sixth of the search a hit saves, and the level-2
-# contexts there hit 5% of the time (61 of 1,174 lookups on a seed-0 round).
+# contexts there hit 5% of the time (60 of 1,156 lookups on a seed-0 round).
 _MEMO_CAP = 256
 _MEMO_TRIAL = 64
 _MEMO_HIT_RATIO = 8

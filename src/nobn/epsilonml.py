@@ -48,20 +48,22 @@ outside the subproblem contributes 1 to the product, yet its own factor and
 those of its unassigned ancestors are still to come; their product is at
 most the parent's cheapest explanation (:func:`_explanation`, after Henrion
 and Poole again), which also takes from each absent node that an outside
-explainer feeds the 1-q of that link.  Only a parent assigned present, a
-free parent or an outside node can explain: a parent assigned absent
-explains nothing, and with no other candidate the explanation is the leak.
-The search takes the smallest such explanation among the present parents,
-never two of them, since two parents may share an ancestor.  An absent node
-whose factor stays open is at most its leak complement times the 1-q of
+explainer feeds the 1-q of that link.  An outside explainer is priced by
+the same bound in turn, so its own explainer pays for the absent nodes it
+feeds too.  Only a parent assigned present, a free parent or an outside
+node can explain: a parent assigned absent explains nothing, and with no
+other candidate the explanation is the leak.  The search takes the
+smallest such explanation among the present parents, never two of them,
+since two parents may share an ancestor.  An absent node whose factor
+stays open is at most its leak complement times the 1-q of
 every parent already present (:func:`_open_absent`).  The search bounds two
 kinds of such node: a free parent with a parent outside the subproblem,
 once decided absent, and an assigned-absent node off the level that a free
 parent feeds and that has a parent outside the subproblem.  These bounds
 count only parents fixed or decided present, while an explanation covers a
 present parent, its unassigned ancestors outside the subproblem and the
-links from its outside explainer to absent children, so no factor is
-bounded twice and the charge is the explanation times every absent bound.
+links from those ancestors to absent children, so no factor is bounded
+twice and the charge is the explanation times every absent bound.
 Both only shrink as the search goes deeper, an absent bound as it decides
 parents present and an explanation as it decides the explainer's other free
 children absent, so they prune inner nodes as well as leaves.  A dropped
@@ -149,12 +151,13 @@ class Extension(NamedTuple):
     charged this extension for the factors it leaves open (see the module
     notes): the smallest cheapest-explanation bound (:func:`_explanation`)
     of a present free parent with a parent outside the subproblem, priced
-    with the free parents absent in this extension, 1.0 when there is
-    none, times the bound (:func:`_open_absent`) of every absent free
-    parent with such a parent and of every assigned-absent node off the
-    level that a free parent feeds and that has one.  The explanation
-    takes from an absent node only the 1-q of its link from an outside
-    explainer, which no absent bound counts, so the two parts bound
+    with the free parents absent in this extension and each outside
+    explainer priced by the same bound, 1.0 when there is none, times the
+    bound (:func:`_open_absent`) of every absent free parent with such a
+    parent and of every assigned-absent node off the level that a free
+    parent feeds and that has one.  The explanation takes from an absent
+    node only the 1-q of its links from outside explainers, which no
+    absent bound counts, so the two parts bound
     disjoint sets of factors and their product bounds what the open
     factors can add together.  That search yields exactly the
     extensions that :meth:`clears` its threshold, and a charge does not
@@ -374,21 +377,15 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     pos_of = {p: i for i, p in enumerate(free)}
     priors = net._priors
 
-    # per position: branch order, the (absent, present) factor pair and the
-    # engine's charge for setting the parent present.  An unpriced parent
-    # gets the pair (1.0, 1.0), and x * 1.0 == x exactly; when charged, and
-    # unless completes below prices its factor, it has a parent outside the
-    # subproblem, and explain prices its charge when the search first needs
-    # it (-1.0 until then).  Every other charge is 1.0.  Only a root may try
-    # absent first (prior < 0.5 exactly when absent > present)
+    # per position: branch order and the (absent, present) factor pair.  An
+    # unpriced parent gets the pair (1.0, 1.0), and x * 1.0 == x exactly.
+    # Only a root may try absent first (prior < 0.5 exactly when absent >
+    # present)
     branch: list[tuple[bool, bool]] = []
     root_fac: list[tuple[float, float]] = []
-    charge = [1.0] * nfree
-    unpriced_charge = -1.0 if charged else 1.0
-    for pos, p in enumerate(free):
+    for p in free:
         pair = pairs.get(p)
         if pair is None:
-            charge[pos] = unpriced_charge
             root_fac.append((1.0, 1.0))
             branch.append((True, False))
         else:
@@ -428,13 +425,15 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     completes: list[list[tuple[float, tuple, int, bool]]] = [[] for _ in range(nfree)]
     # when charged, the open absent factors (see _open_absent): the product
     # of their bounds before any decision, per position the bound a free
-    # parent opens once decided absent (None if it opens none), and per
-    # position q the (position, 1-q) of each open factor that deciding q
-    # present shrinks, position -1 for an assigned node
+    # parent with a parent outside the subproblem opens once decided absent
+    # (None for the rest, whose charge is 1), and per position q the
+    # (position, 1-q) of each open factor that deciding q present shrinks,
+    # position -1 for an assigned node
     absent0 = 1.0
     opens: list[tuple[float, list] | None] = [None] * nfree
     reopens: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     seen = {nid for nid, _ in findings}  # their factors are the terms
+    completed_at = set()
     leak_c = net._leak_c
     links_omq = net._links_omq
     for p in free:
@@ -460,29 +459,27 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
                     clinks.append((-1, omq))
             else:
                 completes[depth].append((leak_c[c], tuple(clinks), at, values[c]))
-                if at >= 0:
-                    charge[at] = 1.0
+                completed_at.add(at)
                 continue
             if charged and values[c] is False:
                 absent0 *= _open_absent(net, values, pos_of, c, -1, reopens)[0]
-    # charge -1.0 marks the free parents with a parent outside the
-    # subproblem, never a root or a pseudo-root, whose pair is priced; per
-    # position, the explanation terms that free siblings decided absent
-    # shrink (see _explanation), and the earlier positions whose terms
-    # deciding this one absent shrinks
+    # the charged positions' h' records (see _explanation), priced when the
+    # search first sets the parent present, and per position the earlier
+    # positions whose records deciding this one absent shrinks
     explain = paths = watchers = None
-    if -1.0 in charge:
-        paths = [None] * nfree
-        watchers = [()] * nfree
-        explain = partial(
-            _explanation, net, values, free, pos_of, {}, {}, charge, paths, watchers
-        )
-        for pos, k in enumerate(charge):
-            if k < 0.0:
-                opens[pos] = _open_absent(net, values, pos_of, free[pos], pos, reopens)
+    if charged:
+        # a free parent neither priced (a root or pseudo-root) nor completed
+        # here has a parent outside the subproblem
+        for pos, p in enumerate(free):
+            if p not in pairs and pos not in completed_at:
+                opens[pos] = _open_absent(net, values, pos_of, p, pos, reopens)
+        if any(opens):
+            paths = [None] * nfree
+            watchers = [()] * nfree
+            explain = partial(_explanation, net, values, pos_of, {}, watchers)
     return (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     )
 
 
@@ -514,38 +511,40 @@ def _open_absent(net, values, pos_of, n, pos, reopens):
     return wc, earlier
 
 
-def _explanation(net, values, free, pos_of, hh, gg, charge, paths, watchers, pos):
-    """Price the charge for setting the free parent p at ``pos`` present:
-    at least the product of p's conditional factor, the factors of its
-    unassigned ancestors outside the subproblem, and the factors its
-    explainer's presence takes from absent nodes, over every completion
-    with p present and the free parents as decided.
+def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
+    """Bound h'(n), the charge for setting node ``n`` present: the free
+    parent at position ``pos``, or an outside node at -1.  It is at least
+    the product of n's conditional factor, the factors of its unassigned
+    ancestors outside the subproblem, and the factors their presence takes
+    from absent nodes, over every completion with n present and the free
+    parents as decided.
 
-    Either no parent of p is present, and its factor is its leak, 1 -
-    leak_c; or some parent g is, and p's factor is at most ``plain``, its
+    Either no parent of n is present, and its factor is its leak, 1 -
+    leak_c; or some parent g is, and n's factor is at most ``plain``, its
     noisy-OR with every parent present.  An assigned-absent g is never
     present and is skipped; a g assigned present or free brings 1 (its
-    factor is known or priced by the search).  An outside g brings at most
-    ``h(g)`` (:func:`_cheapest`) for itself and its ancestry, and every
-    absent node a != p that g feeds, assigned absent or a free parent
-    decided absent, at most 1-q of the link from g: a's factor is its leak
-    complement times the 1-q of every present parent.  The absent bounds of
-    :func:`_open_absent` count only parents fixed or decided present, never
-    an outside g, and a is g's child, never its ancestor, so no factor is
-    bounded twice:
+    factor is known or priced by the search).  An outside g brings its
+    term from :func:`_conflicts`: its prior if it is a root and this same
+    bound if not, for itself and its ancestry, times the 1-q of its link
+    to every absent node a that it feeds, assigned absent or, for a free
+    n, a free sibling decided absent; a's factor is its leak complement
+    times the 1-q of every present parent.  The absent bounds of
+    :func:`_open_absent` count only parents fixed or decided present,
+    never an outside g, and no finding or completed factor has an outside
+    parent, so no factor is bounded twice:
 
-        h'(p) = max(leak_p, plain_p * max over g of h(g) * prod(1-q_{g,a}))
+        h'(n) = max(leak_n, plain_n * max over g of h'(g) * prod(1-q_{g,a}))
 
-    Sets ``charge[pos]`` to h' with no free parent absent, and returns it.
-    A g that feeds another free parent and may still win the max is kept in
-    ``paths[pos]`` as its term from :func:`_conflicts`, with h' once every
-    such sibling is absent, the leak, ``plain`` and the best static term,
-    for :func:`_path_charge` to shrink by the siblings decided absent on
-    the path; ``watchers[s]`` lists pos for each such sibling s after it.
-    ``hh`` and ``gg`` memoise h and the terms within one subproblem.
+    Returns the record ``(leak, plain, best, terms)`` that
+    :func:`_path_charge` prices: the leak, ``plain``, the best term that no
+    sibling changes, and the terms of the gs that feed another free parent
+    and may still win the max.  Only a free n keeps such terms, for
+    :func:`_path_charge` to shrink by the siblings decided absent on the
+    path, and lists pos in ``watchers[s]`` for each such sibling s after
+    it; an outside n's explainers count their free children as 1.
+    ``memo`` holds the outside nodes' terms within one subproblem.
     """
-    p = free[pos]
-    links = net._links_omq[p]
+    links = net._links_omq[n]
     best = 0.0
     terms = []
     for g, _ in links:
@@ -555,54 +554,36 @@ def _explanation(net, values, free, pos_of, hh, gg, charge, paths, watchers, pos
         if fixed or g in pos_of:
             best = 1.0
             break
-        term = gg.get(g)
+        term = memo.get(g)
         if term is None:
-            term = gg[g] = _conflicts(net, values, pos_of, hh, g)
-        if len(term[1]) > 1:  # g feeds a free parent besides p
+            t = net._priors[g]
+            if t is None:
+                t = _path_charge(_explanation(net, values, pos_of, memo, None, g), None, 0)
+            term = memo[g] = _conflicts(net, values, pos_of, g, t)
+        if pos >= 0 and len(term[1]) > 1:  # g feeds a free parent besides n
             terms.append(term)
         elif term[0] > best:
             best = term[0]
-    w = leak_c = net._leak_c[p]
+    w = leak_c = net._leak_c[n]
     for _, omq in links:
         w *= omq
     leak = 1.0 - leak_c
     plain = 1.0 - w
-    # a term at most the best static one, or whose h' is the leak, never
-    # wins; lowest is h' once every other free child of each g is absent
-    top = lowest = best
+    # a term at most the best static one, or whose h' is the leak, never wins
     shrinking = []
     for term in terms:
-        t, kids = term
-        if t > best and plain * t > leak:
+        if term[0] > best and plain * term[0] > leak:
             shrinking.append(term)
-            if t > top:
-                top = t
-            for s, omq in kids:
-                if s != pos:
-                    t *= omq
-            if t > lowest:
-                lowest = t
-    if shrinking:
-        lowest *= plain
-        paths[pos] = (lowest if lowest > leak else leak, leak, plain, best, shrinking)
-        for _, kids in shrinking:
-            for s, _ in kids:
+            for s, _ in term[1]:
                 if s > pos and pos not in watchers[s]:
                     watchers[s] += (pos,)
-    h = plain * top
-    charge[pos] = h = h if h > leak else leak
-    return h
+    return leak, plain, best, shrinking
 
 
-def _conflicts(net, values, pos_of, hh, g):
-    """For an outside node g: ``h(g)`` times the 1-q of g's link to every
-    assigned-absent child, and the (position, 1-q) of g's link to every free
-    child (see :func:`_explanation`)."""
-    t = net._priors[g]
-    if t is None:
-        t = hh.get(g)
-        if t is None:
-            t = hh[g] = _cheapest(net, values, pos_of, hh, g)
+def _conflicts(net, values, pos_of, g, t):
+    """For an outside node g priced ``t`` (see :func:`_explanation`): t
+    times the 1-q of g's link to every assigned-absent child, and the
+    (position, 1-q) of g's link to every free child."""
     kids = []
     links_omq = net._links_omq
     for a in net.children[g]:
@@ -624,10 +605,10 @@ def _conflicts(net, values, pos_of, hh, g):
 
 
 def _path_charge(path, decided, depth):
-    """h' of a parent from its ``paths`` entry (see :func:`_explanation`),
-    each term shrunk by the free parents among the first ``depth``
-    decisions that are absent; the parent itself is present."""
-    _, leak, plain, best, terms = path
+    """h' from a record of :func:`_explanation`, each term shrunk by the
+    free parents among the first ``depth`` decisions that are absent; the
+    parent itself is present."""
+    leak, plain, best, terms = path
     for t, kids in terms:
         for s, omq in kids:
             if s < depth and not decided[s]:
@@ -636,46 +617,6 @@ def _path_charge(path, decided, depth):
             best = t
     h = plain * best
     return h if h > leak else leak
-
-
-def _cheapest(net, values, free, hh, n):
-    """At least the product of node ``n``'s conditional factor and the
-    factors of its unassigned ancestors outside the subproblem (``free``
-    holds its free parents), over every completion of ``values`` with ``n``
-    present.
-
-    Either no parent of ``n`` is present, and its factor is its leak,
-    1 - leak_c; or some parent g is, and its factor is at most 1 - w, its
-    noisy-OR with every parent present, while g and its ancestry bring at
-    most ``hh[g]``: 1 for a g assigned present or free (its factor is known
-    or priced by the search), the prior for an outside root, and this same
-    bound for any other outside node.  An assigned-absent g is never
-    present, so it is skipped; with no other parent the bound is the leak.
-    Every factor left out is at most 1.
-    ``hh`` memoises the outside nodes' bounds within one subproblem.
-    """
-    priors = net._priors
-    links = net._links_omq[n]
-    best = 0.0
-    for g, _ in links:
-        fixed = values[g]
-        if fixed is False:
-            continue  # an absent parent explains nothing
-        if fixed or g in free:
-            best = 1.0
-            break
-        h = priors[g]
-        if h is None:
-            h = hh.get(g)
-            if h is None:
-                h = hh[g] = _cheapest(net, values, free, hh, g)
-        if h > best:
-            best = h
-    w = leak_c = net._leak_c[n]
-    for _, omq in links:
-        w *= omq
-    h = (1.0 - w) * best
-    return h if h > 1.0 - leak_c else 1.0 - leak_c
 
 
 def _completed(rp, factors, decided):
@@ -702,7 +643,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         return
     (
         free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        charge, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -778,24 +719,20 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         if bound * c < guard:
             continue
         if explain is not None:
-            # the smallest charge of a present parent so far: a parent set
-            # present is priced, one set absent shrinks the charges of the
-            # present parents whose explainers feed it.  A parent whose
-            # lowest h' cannot go below c is not re-priced: on the seed-0
-            # exhaustive round that halves the re-pricings and takes a
-            # tenth off the search's time (in-process A/B, 2-core VM)
+            # the smallest charge of a present parent so far: a charged parent
+            # set present is priced, one set absent shrinks the charges of the
+            # present parents whose explainers feed it
+            k = c
             if state:
-                k = charge[d - 1]
-                if k < 0.0:
-                    # priced once a node that sets it present survives
-                    k = explain(d - 1)
-                path = paths[d - 1]
-                if path is not None and path[0] < c:
+                if opens[d - 1] is not None:
+                    path = paths[d - 1]
+                    if path is None:
+                        # priced once a node that sets it present survives
+                        path = paths[d - 1] = explain(free[d - 1], d - 1)
                     k = _path_charge(path, decided, d)
             else:
-                k = c
                 for at in watchers[d - 1]:
-                    if decided[at] and paths[at][0] < k:
+                    if decided[at]:
                         h = _path_charge(paths[at], decided, d)
                         if h < k:
                             k = h

@@ -303,7 +303,7 @@ class TestIterLevelExtensions:
         # parent B has its parent A outside the subproblem, so B present is
         # charged what B and its ancestry can still add at best: every node
         # present, or the leak alone.  A and B have plain = 1 - 0.999 * 0.1
-        # = 0.9001, and hh(A) = max(0.001, 0.9001 * 0.01) = 0.009001.  B
+        # = 0.9001, and h'(A) = max(0.001, 0.9001 * 0.01) = 0.009001.  B
         # absent is charged its factor's bound with no parent present, its
         # leak complement 0.999.
         net = parse_network(
@@ -486,6 +486,37 @@ class TestIterLevelExtensions:
             ((2, True),), ((2, False),)
         ]
         assert list(iter_level_extensions(net, a, 3, 0.2)) == [absent]
+        _assert_oracle_at_every_gap(net, evidence)
+
+    def test_outside_explainer_charged_for_its_explainers_absent_child(self):
+        # H -> G -> P -> F and H -> A, with A observed absent and F present.
+        # At level 3 the one free parent P has its parent G outside the
+        # subproblem, and G's one parent H is an outside root that also
+        # feeds the absent A.  H explaining G takes A's 1-q 0.5 too, so
+        # h'(G) = (1 - 0.875 * 0.5) * 0.5 * 0.5 = 0.140625, not 0.28125, and
+        # P present is charged plain_P * h'(G) = 0.53125 * 0.140625: exactly
+        # the factors of H, G and P and the part of A's factor that H takes
+        # in P present's best completion, H and G present.  Dyadic
+        # parameters keep every product exact.
+        net = parse_network(
+            "node H prior 0.5\nnode G leak 0.125 parents H:0.5\n"
+            "node A leak 0.25 parents H:0.5\nnode P leak 0.0625 parents G:0.5\n"
+            "node F leak 0.5 parents P:0.5\n"
+        )
+        evidence = [(2, False), (4, True)]
+        a = Assignment.from_evidence(net, evidence)
+        present, absent = iter_level_extensions(net, a, 3, _TINY)
+        assert (present.parent_states, present.new_factor_product) == (((3, True),), 0.75)
+        assert present.charge == 0.53125 * 0.140625
+        assert (absent.new_factor_product, absent.charge) == (0.5, 0.9375)
+        # with G's own explainer not charged for A, P present would read
+        # 0.75 * 0.53125 * 0.28125 = 0.112 and clear 0.1; now it reads 0.056
+        # and is dropped there (its best completion's joint is 0.042)
+        sub = build_subproblem(net, a, 3)
+        assert [e.parent_states for e in iter_extensions(net, sub, 0.1)] == [
+            ((3, True),), ((3, False),)
+        ]
+        assert list(iter_level_extensions(net, a, 3, 0.1)) == [absent]
         _assert_oracle_at_every_gap(net, evidence)
 
 
@@ -785,13 +816,24 @@ class TestSearchCounters:
         assert res.states_explored - expansions - res.accepted_count == 0
 
     @pytest.mark.parametrize(
-        "index, counts", [(0, (496, 138)), (1, (864, 284)), (2, (938, 272))]
+        "index, counts", [(0, (473, 138)), (1, (864, 284)), (2, (892, 272))]
     )
     def test_bn3_f83_counters(self, index, counts):
         # the end-to-end bench shape: a bn3 case at 83 findings, searched to
         # the 1e-30 gold; exact (states explored, accepted) pairs
         pruned, evidence = bn3_case(83, index)
         res = top_epsilon(pruned, evidence, 1e-30)
+        assert (res.states_explored, res.accepted_count) == counts
+
+    @pytest.mark.parametrize(
+        "index, counts", [(0, (1126, 122)), (1, (943, 98)), (2, (983, 99))]
+    )
+    def test_bn3_f26_counters(self, index, counts):
+        # the deep-search bench shape: a bn3 case at 26 findings, searched to
+        # 1e-20, the last threshold of the default schedule; exact (states
+        # explored, accepted) pairs
+        pruned, evidence = bn3_case(26, index)
+        res = top_epsilon(pruned, evidence, 1e-20)
         assert (res.states_explored, res.accepted_count) == counts
 
 
