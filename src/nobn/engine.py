@@ -102,9 +102,12 @@ _DONE = object()
 # The context memo of one call keeps at most _MEMO_CAP contexts per level,
 # the oldest evicted first, and no extension list longer than _MEMO_CAP.  A
 # level is searched directly for the rest of the call once _MEMO_TRIAL
-# lookups have hit less than one time in _MEMO_HIT_RATIO: on bn3-f83 a lookup
-# that misses costs about a sixth of the search a hit saves, and the level-2
-# contexts there hit 5% of the time (60 of 1,156 lookups on a seed-0 round).
+# lookups have hit less than one time in _MEMO_HIT_RATIO.  On a seed-0
+# bn3-f83 round a lookup that misses costs 5-6 us, about a fifth of the
+# level-1 search a hit saves and a twentieth of the level-2 one (a seventh
+# and a 28th before the level search kept its subproblem plans; in-process
+# timing, 2-core VM), and the level-2 contexts hit 5% of the time (60 of
+# 1,156 lookups): about break-even, so the ratio stays.
 _MEMO_CAP = 256
 _MEMO_TRIAL = 64
 _MEMO_HIT_RATIO = 8

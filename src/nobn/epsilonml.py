@@ -11,15 +11,22 @@ that bound from the search's own tables in the order of the leaf product;
 the search keeps it incrementally, groups the products differently, and so
 prunes only with a margin (``_PRUNE_MARGIN``).
 
-Every subproblem starts with one pass over its findings' links (``_setup``).
-The pass folds the assigned parents into each finding's factor, records the
-free links, looks up each free parent's factor pair, and prices each free
-parent as the explanation of a present finding; a cheapest-explanation
-bound on the whole subproblem follows at once.  Most subproblems that yield
-nothing fail that bound and end there, before the free parents are ordered
-or any search table is built.  The rest reuse the pass's factors, links and
-factor pairs for their tables (``_tables``) and the depth-first search
-(``_dfs``).
+Every subproblem is set up in two parts.  Its plan (``_plan``) is the
+structure that depends only on which nodes are assigned: the findings' links
+split into assigned and free, the free parents in search order, which of
+them are roots or pseudo-roots, each finding's search table entries and the
+factors an extension completes.  Its value pass (``_bind``) does the
+arithmetic that depends on the states: it folds the assigned-present parents
+into each finding's factor, prices each pseudo-root and each free parent as
+the explanation of a present finding, and checks a cheapest-explanation
+bound on the whole subproblem.  Most subproblems that yield nothing fail
+that bound and end there, before any search table is filled; the rest fill
+the tables from the plan for the depth-first search (``_dfs``).  Within one
+engine call every state whose frontier is level L has the same assigned
+nodes, and so do the engine's calls on the same evidence, so the engine's
+search keeps one plan per level for the network it searched last
+(``_plans``).  The value pass runs in the same order whichever search built
+the plan, so every product keeps its bits.
 
 The thresholded product multiplies every factor the extension completes,
 which are the very factors the engine folds in when it applies the
@@ -37,7 +44,7 @@ driving engine relies on, and no extension leaves the engine a child whose
 known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
-``_setup`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots the
+``_plan`` -> ``_bind`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots the
 assignment into a :class:`Subproblem` that :func:`iter_extensions` and
 :func:`upper_bound` search later, with the exact set semantics above.
 :func:`iter_level_extensions`, the engine's one-call form, reads the live
@@ -83,6 +90,7 @@ target and ``p <= 1``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple
@@ -188,12 +196,13 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     :class:`NoFindingsError` when the level has nothing to expand, which
     tells a driver to look at a shallower level.
     """
-    findings = tuple(_findings(net, a, level))
+    findings = _findings(net, a, level)
     values = tuple(a.raw_values())
     pending = tuple(a.raw_unassigned_parent_counts())
-    # epsilon 0 skips the entry check, so the kernel always picks its order
-    free = _setup(net, findings, values, 0.0, pending)[0]
-    return Subproblem(findings, free, values, pending)
+    plan = _plan(net, findings, values, pending)
+    return Subproblem(
+        tuple((nid, values[nid]) for nid in findings), plan.free, values, pending
+    )
 
 
 def iter_extensions(
@@ -209,7 +218,29 @@ def iter_extensions(
     given, receives ``nodes`` (partial decisions expanded).
     """
     check_threshold(epsilon)
-    return _dfs(_setup(net, sub.findings, sub.values, epsilon, sub.pending), stats)
+    return _dfs(_bind(net, _snapshot_plan(net, sub), sub.values, epsilon), stats)
+
+
+# The plans of the network searched last: a weak reference to it and one
+# (assigned-node flags, plan) slot per level.  Within one top_epsilon call
+# every state whose frontier is level L has the same assigned nodes, and so
+# has every call on the same evidence, so a seed-0 benchmark round builds 10
+# plans for the 4,919 bn3-f26 subproblems it poses.  Keyed to the last
+# network only: a slot on each Network would keep the plans of every live
+# case net (twelve in a wide-log round), and a cache per call would build
+# again the plans of every later call on the same evidence.  The plans go
+# with their network: keeping the network alive after its caller dropped it
+# slowed the benchmark's set-up between rounds by 5-9% (setup_s, bn3-f26 and
+# bn3-f83).  A slot is an immutable tuple replaced whole, so threads sharing
+# it at worst rebuild a plan.
+_plans: tuple[weakref.ref | None, list] = (None, [])
+
+
+def _drop_plans(owner: weakref.ref) -> None:
+    """Forget the kept plans once their network is gone."""
+    global _plans
+    if _plans[0] is owner:
+        _plans = (None, [])
 
 
 def iter_level_extensions(
@@ -225,40 +256,186 @@ def iter_level_extensions(
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
     leaves it (it undoes each extension before taking the next)."""
-    tables = _setup(
-        net, _findings(net, a, level), a.raw_values(), epsilon,
-        a.raw_unassigned_parent_counts(), charged=True,
-    )
+    global _plans
+    # ahead of the slots, where a negative level would wrap
+    if not 0 <= level <= net.max_level:
+        raise NetworkError(f"level {level} out of range")
+    owner, slots = _plans
+    if owner is None or owner() is not net:
+        slots = [None] * (net.max_level + 1)
+        _plans = (weakref.ref(net, _drop_plans), slots)
+    values = a.raw_values()
+    slot = slots[level]
+    if slot is not None and slot[0] == a._assigned:
+        plan = slot[1]
+    else:
+        pending = a.raw_unassigned_parent_counts()
+        plan = _plan(net, _findings(net, a, level), values, pending)
+        slots[level] = (bytes(a._assigned), plan)
+    tables = _bind(net, plan, values, epsilon, charged=True)
     return iter(()) if tables is None else _dfs(tables, None)
 
 
-def _findings(net: Network, a: Assignment, level: int) -> list[tuple[int, bool]]:
+def _findings(net: Network, a: Assignment, level: int) -> list[int]:
     """The assigned nodes at ``level`` that still have unassigned parents."""
     if not 0 <= level <= net.max_level:
         raise NetworkError(f"level {level} out of range")
     values = a.raw_values()
     pending = a.raw_unassigned_parent_counts()
     findings = [
-        (nid, values[nid])
-        for nid in net.level_nodes[level]
-        if values[nid] is not None and pending[nid]
+        nid for nid in net.level_nodes[level] if values[nid] is not None and pending[nid]
     ]
     if not findings:
         raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
     return findings
 
 
-def _setup(net, findings, values, epsilon, pending, charged=False):
-    """One pass over the findings' links and the entry check; the search
-    tables of :func:`_tables` when it passes, None when the subproblem is
-    provably empty.
+class _Plan(NamedTuple):
+    """What a subproblem's search tables need that depends only on which
+    nodes are assigned (see :func:`_plan`); never changed once built."""
 
-    ``values[p]`` is the state of an assigned parent and None for a free one;
-    ``pending[p]`` is p's count of unassigned parents.  Each free parent is
-    priced on first sight: ``pairs`` maps a root to its (absent, present)
-    factor pair ``(1 - prior, prior)`` and a pseudo-root (``pending[p] ==
-    0``) to ``(w, 1 - w)``, ``w`` its noisy-OR absent probability given
-    ``values``; a parent with a free parent of its own gets no entry.
+    findings: tuple  # (id, fixed links, free links, free_omq, present entries, tail)
+    free: tuple[int, ...]
+    pos_of: dict[int, int]
+    branch: tuple[tuple[bool, bool], ...]
+    root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
+    pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
+    priced: tuple[int, ...]  # positions of the roots and pseudo-roots, first seen first
+    completes: tuple  # (depth, leak complement, links, position, id)
+    opens: tuple  # records of _open_absent
+
+
+def _plan(net, findings, values, pending):
+    """The :class:`_Plan` of the subproblem posed by ``findings`` (node ids,
+    from :func:`_findings`).  It reads ``values`` and ``pending`` only for
+    which nodes are assigned, so it holds for every assignment of the same
+    nodes.
+
+    A finding's record holds its links to assigned parents ("fixed") and
+    its (position, 1-q) links to free parents, both in link order, the
+    product of the latter, and its search table entries as a present
+    finding, ``(position, (finding, 1-q, tail))`` by descending position,
+    tail the product of the 1-q of its later parents, and the final tail.
+    Free parents are ordered by descending best activation probability,
+    ties by id.  ``completes`` holds the factors an extension completes
+    besides the findings', the roots' and the pseudo-roots' (see
+    :func:`_completed`), and ``opens`` the open absent factors of the
+    charged search."""
+    links_omq = net._links_omq
+    priors = net._priors
+    # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
+    # low - 1 == -(1 - low) exactly
+    low: dict[int, float] = {}  # first seen first
+    split = []
+    for nid in findings:
+        fixed = []
+        lf = []
+        for link in links_omq[nid]:
+            p, omq = link
+            if values[p] is None:
+                lf.append(link)
+                if omq < low.get(p, 2.0):
+                    low[p] = omq
+            else:
+                fixed.append(link)
+        split.append((nid, tuple(fixed), lf))
+    free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
+    pos_of = {p: i for i, p in enumerate(free)}
+
+    records = []
+    for fi, (nid, fixed, lf) in enumerate(split):
+        plinks = tuple((pos_of[p], omq) for p, omq in lf)
+        free_omq = 1.0
+        for _, omq in plinks:
+            free_omq *= omq
+        present = []
+        tail = 1.0
+        for pos, omq in sorted(plinks, reverse=True):
+            present.append((pos, (fi, omq, tail)))
+            tail *= omq
+        records.append((nid, fixed, plinks, free_omq, tuple(present), tail))
+
+    # only a root may try absent first (prior < 0.5 exactly when absent >
+    # present)
+    root_fac = [
+        (1.0, 1.0) if pending[p]
+        else None if priors[p] is None
+        else (1.0 - priors[p], priors[p])
+        for p in free
+    ]
+    branch = tuple(
+        (False, True) if pair is not None and pair[0] > pair[1] else (True, False)
+        for pair in root_fac
+    )
+    pseudo = tuple((pos, p) for pos, p in enumerate(free) if root_fac[pos] is None)
+    priced = tuple(pos_of[p] for p in low if not pending[p])
+
+    # the factors whose last free variable a position decides: a free parent
+    # whose unassigned parents are all free, or an assigned node off the
+    # findings with that property, as (depth, leak complement, links,
+    # position, id): links in link order as (position, 1-q, parent), position
+    # -1 for an assigned parent; position the node's own, or -1 for an
+    # assigned node.  An assigned node with a parent outside the subproblem
+    # is an open absent factor if it is absent.
+    completes = []
+    opens = []
+    seen = set(findings)  # their factors are the terms
+    completed_at = set()
+    leak_c = net._leak_c
+    for p in free:
+        for c in net.children[p]:
+            if c in seen:
+                continue
+            seen.add(c)
+            at = pos_of.get(c, -1)
+            if at < 0 and values[c] is None:
+                continue  # free, but no finding's parent
+            depth = at
+            clinks = []
+            for g, omq in links_omq[c]:
+                if values[g] is None:
+                    q = pos_of.get(g)
+                    if q is None:
+                        break  # a parent outside the subproblem
+                    clinks.append((q, omq, g))
+                    if q > depth:
+                        depth = q
+                else:
+                    clinks.append((-1, omq, g))
+            else:
+                completes.append((depth, leak_c[c], tuple(clinks), at, c))
+                completed_at.add(at)
+                continue
+            if at < 0:
+                opens.append(_open_absent(net, values, pos_of, c, -1))
+    # a free parent neither priced (a root or pseudo-root) nor completed
+    # here has a parent outside the subproblem
+    opens += [
+        _open_absent(net, values, pos_of, p, pos)
+        for pos, p in enumerate(free)
+        if pending[p] and pos not in completed_at
+    ]
+    return _Plan(
+        tuple(records), free, pos_of, branch, tuple(root_fac), pseudo, priced,
+        tuple(completes), tuple(opens),
+    )
+
+
+def _snapshot_plan(net, sub):
+    """The plan of a :class:`Subproblem`, built afresh from its snapshot."""
+    return _plan(net, [nid for nid, _ in sub.findings], sub.values, sub.pending)
+
+
+def _bind(net, plan, values, epsilon, charged=False):
+    """The entry check and, when it passes, the search tables of ``plan``
+    under the states ``values``; None when the subproblem is provably empty.
+    The state-dependent arithmetic only, in a fixed order, so every product
+    keeps its bits whichever search built the plan.
+
+    Each finding's factor folds its fixed-present parents into ``w``, (1 -
+    leak) * prod(1-q) over them.  Each free root or pseudo-root gets its
+    (absent, present) factor pair, a pseudo-root's ``(w, 1 - w)`` with ``w``
+    its noisy-OR absent probability given ``values``.
 
     The entry check is a cheapest-explanation bound on the findings' factor
     product over every assignment of the free parents, times the larger
@@ -275,65 +452,57 @@ def _setup(net, findings, values, epsilon, pending, charged=False):
     keep plain.  Greedy order: largest
     saving (h/plain ascending) first, ties by finding index; a finding with
     h == plain saves nothing and is left out of the picking.
-    """
+
+    When ``charged``, also table the open absent factors the engine's
+    search bounds (see :func:`_open_absent`) and mark the free parents whose
+    explanation it charges (see :func:`_explanation`)."""
     leak_c = net._leak_c
-    links_omq = net._links_omq
-    priors = net._priors
+    records = plan.findings
+    free = plan.free
+    nfree = len(free)
     w = []  # (1-leak) * prod(1-q) over fixed-present parents
-    links = []  # per finding: its free (parent, 1-q) links, in link order
-    cost: dict[int, float] = {}
-    pairs: dict[int, tuple[float, float]] = {}
-    roots = 1.0  # larger factor of every free root and pseudo-root
     bound = 1.0
     present = []
     # level labeling forbids arcs inside a level, so no finding feeds another
-    for fi, (nid, state) in enumerate(findings):
+    for fi, (nid, fixed, _, _, _, _) in enumerate(records):
         base = leak_c[nid]
-        lf = []
-        for link in links_omq[nid]:
-            p, omq = link
-            fixed = values[p]
-            if fixed is None:
-                lf.append(link)
-                c = cost.get(p)
-                if c is None:
-                    prior = priors[p]
-                    if prior is not None:
-                        pair = pairs[p] = (1.0 - prior, prior)
-                    elif pending[p]:
-                        pair = None
-                    else:
-                        # the factor Assignment.assign folds in, bit for bit
-                        a_p = noisy_or_absent(net, p, values)
-                        pair = pairs[p] = (a_p, 1.0 - a_p)
-                    if pair is None:
-                        c = 1.0
-                    else:
-                        off, on = pair
-                        larger = off if off > on else on
-                        roots *= larger
-                        c = on / larger
-                cost[p] = c if state else c * omq
-            elif fixed:
+        for p, omq in fixed:
+            if values[p]:
                 base *= omq
         w.append(base)
-        links.append(lf)
-        if state:
+        if values[nid]:
             present.append(fi)
         else:
             bound *= base
+    # per position the (absent, present) factor pair; an unpriced parent
+    # gets (1.0, 1.0), and x * 1.0 == x exactly
+    root_fac = list(plan.root_fac)
+    for pos, p in plan.pseudo:
+        # the factor Assignment.assign folds in, bit for bit
+        a_p = noisy_or_absent(net, p, values)
+        root_fac[pos] = (a_p, 1.0 - a_p)
 
     guard = epsilon - epsilon * _PRUNE_MARGIN
     # at guard 0 nothing can be pruned, so the bound is not worth finishing
     if guard > 0:
+        cost = [1.0] * nfree
+        roots = 1.0  # larger factor of every free root and pseudo-root
+        for pos in plan.priced:
+            off, on = root_fac[pos]
+            larger = off if off > on else on
+            roots *= larger
+            cost[pos] = on / larger
+        for nid, _, plinks, _, _, _ in records:
+            if not values[nid]:
+                for pos, omq in plinks:
+                    cost[pos] *= omq
         ranked = []
         for fi in present:  # every cost is final now
-            free_omq = 1.0
+            _, _, plinks, free_omq, _, _ = records[fi]
             max_cost = 0.0
-            for p, omq in links[fi]:
-                free_omq *= omq
-                if cost[p] > max_cost:
-                    max_cost = cost[p]
+            for pos, _ in plinks:
+                if cost[pos] > max_cost:
+                    max_cost = cost[pos]
             plain = 1.0 - w[fi] * free_omq
             h = max(1.0 - w[fi], plain * max_cost)
             if h < plain:
@@ -343,7 +512,7 @@ def _setup(net, findings, values, epsilon, pending, charged=False):
         ranked.sort()
         taken: set[int] = set()
         for _, fi, h, plain in ranked:
-            parents = [p for p, _ in links[fi]]
+            parents = [pos for pos, _ in records[fi][2]]
             if taken.isdisjoint(parents):
                 taken.update(parents)
                 bound *= h
@@ -351,47 +520,7 @@ def _setup(net, findings, values, epsilon, pending, charged=False):
                 bound *= plain
         if bound * roots < guard:
             return None
-    # nor can a charge prune at guard 0, so none is priced (see Extension)
-    charged = charged and guard > 0
-    return _tables(net, findings, values, w, links, pairs, epsilon, guard, charged)
 
-
-def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
-    """Order the free parents and build the search's tables from the entry
-    pass's ``w``, free links and factor pairs, and find the factors an
-    extension completes besides the findings', the roots' and the
-    pseudo-roots' (see :func:`_completed`).  When ``charged``, also mark
-    the free parents whose explanation the engine's search charges (see
-    :func:`_explanation`) and table the open absent factors it bounds (see
-    :func:`_open_absent`)."""
-    # descending best activation probability, ties by id:
-    # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
-    # low - 1 == -(1 - low) exactly
-    low: dict[int, float] = {}
-    for lf in links:
-        for p, omq in lf:
-            if omq < low.get(p, 2.0):
-                low[p] = omq
-    free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
-    nfree = len(free)
-    pos_of = {p: i for i, p in enumerate(free)}
-    priors = net._priors
-
-    # per position: branch order and the (absent, present) factor pair.  An
-    # unpriced parent gets the pair (1.0, 1.0), and x * 1.0 == x exactly.
-    # Only a root may try absent first (prior < 0.5 exactly when absent >
-    # present)
-    branch: list[tuple[bool, bool]] = []
-    root_fac: list[tuple[float, float]] = []
-    for p in free:
-        pair = pairs.get(p)
-        if pair is None:
-            root_fac.append((1.0, 1.0))
-            branch.append((True, False))
-        else:
-            root_fac.append(pair)
-            absent_first = pair[0] > pair[1] and priors[p] is not None
-            branch.append((False, True) if absent_first else (True, False))
     # suffix products of the best root or pseudo-root factor; the factors
     # in completes below are at most 1, so they count as 1 until decided
     rsm = [1.0] * (nfree + 1)
@@ -399,30 +528,28 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
         rsm[d] = max(root_fac[d]) * rsm[d + 1]
 
     # per position, the findings it feeds: absent ones as (finding, 1-q),
-    # present ones as (finding, 1-q, tail), tail the product of the 1-q of
-    # the finding's parents later in the order; a present finding's term
-    # treats those undecided parents as present, an absent one's as absent
+    # present ones as (finding, 1-q, tail); a present finding's term treats
+    # its undecided parents as present, an absent one's as absent
     absent_adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     present_adj: list[list[tuple[int, float, float]]] = [[] for _ in range(nfree)]
     terms = w.copy()
-    for fi, lf in enumerate(links):
-        if findings[fi][1]:
-            tail = 1.0
-            for pos, omq in sorted([(pos_of[p], omq) for p, omq in lf], reverse=True):
-                present_adj[pos].append((fi, omq, tail))
-                tail *= omq
+    for fi, (nid, _, plinks, _, as_present, tail) in enumerate(records):
+        if values[nid]:
+            for pos, entry in as_present:
+                present_adj[pos].append(entry)
             terms[fi] = 1.0 - w[fi] * tail
         else:
-            for p, omq in lf:
-                absent_adj[pos_of[p]].append((fi, omq))
+            for pos, omq in plinks:
+                absent_adj[pos].append((fi, omq))
 
-    # per position, the factors whose last free variable it decides: a free
-    # parent whose unassigned parents are all free, or an assigned node off
-    # the findings with that property, as (leak complement, links, position,
-    # state): links in link order as (position, 1-q), -1 for a fixed-present
-    # parent (a fixed-absent one changes nothing); position the node's own,
-    # or -1 for an assigned node with its fixed state
+    # per position, the factors it completes as (leak complement, links,
+    # position, state): links as (position, 1-q), -1 for a fixed-present
+    # parent (a fixed-absent one changes nothing)
     completes: list[list[tuple[float, tuple, int, bool]]] = [[] for _ in range(nfree)]
+    for depth, wc, clinks, at, c in plan.completes:
+        clinks = tuple([(q, omq) for q, omq, g in clinks if q >= 0 or values[g]])
+        completes[depth].append((wc, clinks, at, values[c]))
+
     # when charged, the open absent factors (see _open_absent): the product
     # of their bounds before any decision, per position the bound a free
     # parent with a parent outside the subproblem opens once decided absent
@@ -430,85 +557,66 @@ def _tables(net, findings, values, w, links, pairs, epsilon, guard, charged):
     # (position, 1-q) of each open factor that deciding q present shrinks,
     # position -1 for an assigned node
     absent0 = 1.0
-    opens: list[tuple[float, list] | None] = [None] * nfree
+    opens: list[tuple[float, tuple] | None] = [None] * nfree
     reopens: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
-    seen = {nid for nid, _ in findings}  # their factors are the terms
-    completed_at = set()
-    leak_c = net._leak_c
-    links_omq = net._links_omq
-    for p in free:
-        for c in net.children[p]:
-            if c in seen:
-                continue
-            seen.add(c)
-            at = pos_of.get(c, -1)
-            if at < 0 and values[c] is None:
-                continue  # free, but no finding's parent
-            depth = at
-            clinks = []
-            for g, omq in links_omq[c]:
-                fixed = values[g]
-                if fixed is None:
-                    q = pos_of.get(g)
-                    if q is None:
-                        break  # a parent outside the subproblem
-                    clinks.append((q, omq))
-                    if q > depth:
-                        depth = q
-                elif fixed:
-                    clinks.append((-1, omq))
-            else:
-                completes[depth].append((leak_c[c], tuple(clinks), at, values[c]))
-                completed_at.add(at)
-                continue
-            if charged and values[c] is False:
-                absent0 *= _open_absent(net, values, pos_of, c, -1, reopens)[0]
     # the charged positions' h' records (see _explanation), priced when the
     # search first sets the parent present, and per position the earlier
     # positions whose records deciding this one absent shrinks
     explain = paths = watchers = None
-    if charged:
-        # a free parent neither priced (a root or pseudo-root) nor completed
-        # here has a parent outside the subproblem
-        for pos, p in enumerate(free):
-            if p not in pairs and pos not in completed_at:
-                opens[pos] = _open_absent(net, values, pos_of, p, pos, reopens)
+    # nor can a charge prune at guard 0, so none is priced (see Extension)
+    if charged and guard > 0:
+        for pos, n, fixed, earlier, later in plan.opens:
+            if pos < 0 and values[n] is not False:
+                continue  # an assigned node's factor is open only if absent
+            wc = leak_c[n]
+            for g, omq in fixed:
+                if values[g]:
+                    wc *= omq
+            for q, entry in later:
+                reopens[q].append(entry)
+            if pos < 0:
+                absent0 *= wc
+            else:
+                opens[pos] = (wc, earlier)
         if any(opens):
             paths = [None] * nfree
             watchers = [()] * nfree
-            explain = partial(_explanation, net, values, pos_of, {}, watchers)
+            explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
     return (
-        free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
+        free, plan.branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
         explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     )
 
 
-def _open_absent(net, values, pos_of, n, pos, reopens):
-    """Table the charged search's bound on the factor of node ``n`` absent,
+def _open_absent(net, values, pos_of, n, pos):
+    """Plan the charged search's bound on the factor of node ``n`` absent,
     for the free parent at position ``pos`` or, at -1, an assigned node.
 
     An absent node's factor is its leak complement times the 1-q of every
     present parent, so it is at most that product over the parents present
-    so far: any other parent may end up absent and count as 1.  Returns the
-    product over the fixed-present parents and the (position, 1-q) links of
-    the free parents before ``pos``, which the search folds in when it
-    decides the parent absent; each later free parent q gets ``(pos, 1-q)``
-    in ``reopens[q]``, for the search to fold in when it decides q present."""
-    wc = net._leak_c[n]
+    so far: any other parent may end up absent and count as 1.  Returns
+    ``(pos, n, fixed, earlier, later)``: n's links to assigned parents in
+    link order, whose present ones :func:`_bind` folds in; the (position,
+    1-q) links of the free parents before ``pos``, which the search folds in
+    when it decides the parent absent; and for each later free parent q the
+    entry ``(q, (pos, 1-q))`` of ``reopens[q]``, for the search to fold in
+    when it decides q present."""
+    fixed = []
     earlier = []
-    for g, omq in net._links_omq[n]:
-        fixed = values[g]
-        if fixed:
-            wc *= omq
-        elif fixed is None:
+    later = []
+    for link in net._links_omq[n]:
+        g, omq = link
+        if values[g] is not None:
+            fixed.append(link)
+        else:
             q = pos_of.get(g)
             if q is None:
                 continue
             if q < pos:
                 earlier.append((q, omq))
             else:
-                reopens[q].append((pos, omq))
-    return wc, earlier
+                later.append((q, (pos, omq)))
+    return pos, n, tuple(fixed), tuple(earlier), tuple(later)
 
 
 def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
@@ -542,42 +650,61 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
     :func:`_path_charge` to shrink by the siblings decided absent on the
     path, and lists pos in ``watchers[s]`` for each such sibling s after
     it; an outside n's explainers count their free children as 1.
-    ``memo`` holds the outside nodes' terms within one subproblem.
+    ``memo`` holds the outside nodes' terms within one subproblem.  An
+    outside explainer not in it yet is priced first, on an explicit stack
+    of the nodes waiting for it, so a long outside ancestry costs no call
+    depth.
     """
-    links = net._links_omq[n]
-    best = 0.0
-    terms = []
-    for g, _ in links:
-        fixed = values[g]
-        if fixed is False:
-            continue  # an absent parent explains nothing
-        if fixed or g in pos_of:
-            best = 1.0
-            break
-        term = memo.get(g)
-        if term is None:
-            t = net._priors[g]
-            if t is None:
-                t = _path_charge(_explanation(net, values, pos_of, memo, None, g), None, 0)
-            term = memo[g] = _conflicts(net, values, pos_of, g, t)
-        if pos >= 0 and len(term[1]) > 1:  # g feeds a free parent besides n
-            terms.append(term)
-        elif term[0] > best:
-            best = term[0]
-    w = leak_c = net._leak_c[n]
-    for _, omq in links:
-        w *= omq
-    leak = 1.0 - leak_c
-    plain = 1.0 - w
-    # a term at most the best static one, or whose h' is the leak, never wins
-    shrinking = []
-    for term in terms:
-        if term[0] > best and plain * term[0] > leak:
-            shrinking.append(term)
-            for s, _ in term[1]:
-                if s > pos and pos not in watchers[s]:
-                    watchers[s] += (pos,)
-    return leak, plain, best, shrinking
+    links_omq = net._links_omq
+    priors = net._priors
+    stack = [n]
+    while True:
+        m = stack[-1]
+        top = len(stack) == 1
+        links = links_omq[m]
+        best = 0.0
+        terms = []
+        waiting = None
+        for g, _ in links:
+            fixed = values[g]
+            if fixed is False:
+                continue  # an absent parent explains nothing
+            if fixed or g in pos_of:
+                best = 1.0
+                break
+            term = memo.get(g)
+            if term is None:
+                t = priors[g]
+                if t is None:
+                    waiting = g
+                    break
+                term = memo[g] = _conflicts(net, values, pos_of, g, t)
+            if top and pos >= 0 and len(term[1]) > 1:  # g feeds a free parent besides n
+                terms.append(term)
+            elif term[0] > best:
+                best = term[0]
+        if waiting is not None:
+            stack.append(waiting)  # then scan m again
+            continue
+        w = leak_c = net._leak_c[m]
+        for _, omq in links:
+            w *= omq
+        leak = 1.0 - leak_c
+        plain = 1.0 - w
+        if not top:
+            stack.pop()
+            t = _path_charge((leak, plain, best, terms), None, 0)
+            memo[m] = _conflicts(net, values, pos_of, m, t)
+            continue
+        # a term at most the best static one, or whose h' is the leak, never wins
+        shrinking = []
+        for term in terms:
+            if term[0] > best and plain * term[0] > leak:
+                shrinking.append(term)
+                for s, _ in term[1]:
+                    if s > pos and pos not in watchers[s]:
+                        watchers[s] += (pos,)
+        return leak, plain, best, shrinking
 
 
 def _conflicts(net, values, pos_of, g, t):
@@ -621,7 +748,7 @@ def _path_charge(path, decided, depth):
 
 def _completed(rp, factors, decided):
     """``rp`` times each factor of ``factors`` (one position's entries in
-    :func:`_tables`' ``completes``) under the decisions ``decided``, by
+    :func:`_bind`'s ``completes``) under the decisions ``decided``, by
     position; the absent probability folds in link order, as
     :func:`~nobn.model.noisy_or_absent` does, so each factor is the one
     ``Assignment.assign`` folds in, bit for bit."""
@@ -634,7 +761,7 @@ def _completed(rp, factors, decided):
 
 
 def _dfs(tables, stats) -> Iterator[Extension]:
-    """Depth-first search over the tables of :func:`_tables`; None tables
+    """Depth-first search over the tables of :func:`_bind`; None tables
     (rejected at entry) yield nothing."""
     track = stats is not None
     if track:
@@ -756,11 +883,12 @@ def upper_bound(
     """Admissible bound: at least the new factor product of every completion
     of a prefix decision over ``free_parents``.
 
-    This is the per-node bound the search prunes with, folded from the
-    tables the search builds from the same snapshot, in the order of the
-    leaf product, so on a complete decision it equals the extension product
-    exactly.  Present findings are bounded by treating every undecided
-    parent as present, absent findings by treating them as absent.  Roots
+    This is the per-node bound the search prunes with, folded in the order
+    of the leaf product from the tables that the search's plan and value
+    pass (``_plan``, ``_bind``) fill from the same snapshot, so on a
+    complete decision it equals the extension product exactly.  Present
+    findings are bounded by treating every undecided parent as present,
+    absent findings by treating them as absent.  Roots
     and pseudo-roots contribute their factor pair (the larger factor while
     undecided); every other factor the extension completes contributes its
     value once the decision covers its last free variable, and 1 before.
@@ -769,14 +897,14 @@ def upper_bound(
     expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _setup(
-        net, sub.findings, sub.values, 0.0, sub.pending
+    free, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _bind(
+        net, _snapshot_plan(net, sub), sub.values, 0.0
     )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
     by_pos = [decided[p] for p in free[:k]]
-    # _setup folded the fixed parents into w; the free ones follow in search
+    # _bind folded the fixed parents into w; the free ones follow in search
     # order, a present one into every finding it feeds, an undecided one into
     # the present findings only
     roots = 1.0

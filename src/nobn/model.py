@@ -93,7 +93,10 @@ class Network:
 
     Node ids are indices into ``nodes`` (declaration order).  Construction
     validates the whole structure; instances are safe to share read-only
-    across threads.
+    across threads.  So are the subproblem plans the level search keeps for
+    the network it searched last, as long as that network lives
+    (``epsilonml._plans``): each slot is an immutable tuple replaced whole,
+    so threads searching at once at worst build a plan again.
     """
 
     __slots__ = (
@@ -107,6 +110,7 @@ class Network:
         "_priors",
         "_leak_c",
         "_links_omq",
+        "__weakref__",
     )
 
     def __init__(self, nodes: Sequence[NodeSpec]):
@@ -436,7 +440,9 @@ class Assignment:
     node's new factors multiply to ``2**-510`` or more, so a batch matches
     its pairs assigned one by one.  Every instance is the empty one
     changed only by :meth:`assign` and :meth:`undo`, so the lift holds
-    throughout.  One search worker at a time.
+    throughout.  ``_assigned`` holds a 1 for each assigned node and a 0
+    for each free one, the key under which the level search keeps a
+    subproblem's plan.  One search worker at a time.
     """
 
     __slots__ = (
@@ -447,6 +453,7 @@ class Assignment:
         "_unassigned_parents",
         "_level_active",
         "_n_unassigned",
+        "_assigned",
     )
 
     def __init__(self, net: Network):
@@ -458,6 +465,7 @@ class Assignment:
         self._unassigned_parents = [len(spec.links) for spec in net.nodes]
         self._level_active = [0] * (net.max_level + 1)
         self._n_unassigned = n
+        self._assigned = bytearray(n)
 
     # -- constructors ------------------------------------------------------
 
@@ -527,6 +535,7 @@ class Assignment:
         active = self._level_active
         prod = self.known_factor_product
         exponent = self.known_exponent
+        assigned = self._assigned
         token = (pairs, prod, exponent)
         for done, (nid, state) in enumerate(pairs):
             if values[nid] is not None:
@@ -534,6 +543,7 @@ class Assignment:
                 self.undo((pairs[:done], *token[1:]))
                 raise NetworkError(f"node {net.nodes[nid].name!r} is already assigned")
             values[nid] = state
+            assigned[nid] = 1
             if counts[nid] == 0:
                 prod *= node_factor(net, nid, values)
             else:
@@ -561,7 +571,9 @@ class Assignment:
         values = self._values
         counts = self._unassigned_parents
         active = self._level_active
+        assigned = self._assigned
         for nid, _ in pairs:
+            assigned[nid] = 0
             if counts[nid] > 0:
                 active[net.levels[nid]] -= 1
             for c in net.children[nid]:

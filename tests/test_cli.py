@@ -281,6 +281,21 @@ class TestInfer:
         capsys.readouterr()
         assert code == 1
 
+    def test_chain_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # 1,200 nodes N0 -> ... -> N1199: the level search prices each free
+        # parent's outside ancestry, up to 1,198 nodes deep; no instantiation
+        # reaches 1e-3
+        net = tmp_path / "chain.net"
+        net.write_text("node N0 prior 0.1\n" + "".join(
+            f"node N{i} leak 0.01 parents N{i - 1}:0.9\n" for i in range(1, 1200)
+        ))
+        ev = tmp_path / "chain.ev"
+        ev.write_text("N1199 present\n")
+        code, out, err = run_cli(capsys, "infer", str(net), str(ev), "--epsilon", "1e-3")
+        assert code == 0, err
+        [row] = parse_csv(out)
+        assert row[:4] == ["chain", "1e-03", "2657", "0"]
+
     def test_gold_cap_exceeded_warns_but_runs(self, capsys, chain3_files):
         code, out, err = run_cli(
             capsys, "infer", *chain3_files, "--epsilon", "0.1", "--gold",

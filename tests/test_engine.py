@@ -5,6 +5,8 @@ networks whose joints underflow."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from nobn import (
 )
 import nobn.cli
 import nobn.engine
+import nobn.epsilonml
 import reference
 from nobn.cli import _schedule_rows
 from nobn.engine import DEFAULT_SCHEDULE
@@ -558,6 +561,84 @@ class TestContextMemo:
         searched = top_epsilon(net, [(5, True)], 1e-3)
         assert _fingerprint(res) == _fingerprint(searched)
         assert (res.states_explored, res.accepted_count) == (26, 8)
+
+
+class TestSubproblemPlans:
+    def test_kept_plans_change_no_result(self):
+        # The level search keeps each level's subproblem plan, keyed by the
+        # assigned nodes, for the network searched last.  Two networks, each
+        # with three evidence sets: the case's, the same nodes with one
+        # finding flipped (the plans match, the states differ), and the
+        # case's without its first finding (other plans at some levels).
+        # Searched in an interleaved order, they must give every result of
+        # a run that starts with no plan kept, bit for bit.
+        problems = []
+        for index in (0, 1):
+            net, evidence = bn3_case(26, index)
+            flipped = ((evidence[0][0], not evidence[0][1]),) + evidence[1:]
+            problems += [(net, e) for e in (evidence, flipped, evidence[1:])]
+
+        def run(problem):
+            res = top_epsilon(*problem, 1e-14, keep_accepted=True)
+            accepted = sorted((values, joint.hex()) for values, joint in res.accepted)
+            return _fingerprint(res), accepted
+
+        want = []
+        for problem in problems:
+            nobn.epsilonml._plans = (None, [])
+            want.append(run(problem))
+        assert len({fingerprint[2] for fingerprint, _ in want}) == len(problems)
+        for i in (0, 1, 2, 0, 3, 1, 4, 2, 5, 5, 3, 0, 2):
+            assert run(problems[i]) == want[i]
+
+    def test_plans_go_with_their_network(self):
+        net, evidence = bn3_case(26, 0)
+        top_epsilon(net, evidence, 1e-6)
+        assert nobn.epsilonml._plans[0]() is net
+        del net
+        assert nobn.epsilonml._plans == (None, [])
+
+    def test_threads_sharing_the_kept_plans_get_the_same_results(self):
+        # four threads search two networks and two evidence sets over the
+        # same nodes at once, with thread switches every microsecond, so
+        # each replaces the kept plans under the others
+        problems = []
+        for index in (0, 1):
+            net, evidence = bn3_case(26, index)
+            flipped = ((evidence[0][0], not evidence[0][1]),) + evidence[1:]
+            problems += [(net, evidence, 1e-12), (net, flipped, 1e-12)]
+        want = [_fingerprint(top_epsilon(*problem)) for problem in problems]
+        got = [[] for _ in problems]
+
+        def worker(i):
+            for _ in range(3):
+                got[i].append(_fingerprint(top_epsilon(*problems[i])))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[fingerprint] * 3 for fingerprint in want]
+
+
+class TestLongChain:
+    def test_outside_ancestry_longer_than_the_recursion_limit(self):
+        # At each level the free parent's explanation prices its whole
+        # outside ancestry, here up to 1,198 nodes; the one completion above
+        # 1e-3 is every node present
+        net = _deep_chain(1200, q=0.9999, leak=0.0001)
+        res = top_epsilon(net, [(1199, True)], 1e-3, keep_accepted=True)
+        assert (res.states_explored, res.accepted_count) == (1200, 1)
+        [(values, joint)] = res.accepted
+        assert all(values)
+        assert joint == pytest.approx(reference.joint(net, values), rel=1e-12)
 
 
 class TestAcceptedDump:

@@ -30,6 +30,11 @@ from nobn.epsilonml import iter_level_extensions
 import reference
 from conftest import bn3_case, pruned_with_evidence, random_evidence, small_random_net
 
+def _forget_plans():
+    """Drop the subproblem plans the engine's search keeps between calls."""
+    nobn.epsilonml._plans = (None, [])
+
+
 # The smallest positive double: the engine's search charges every extension
 # at any positive threshold, and at this one drops only those whose charged
 # product is 0.  At 0 it prices no charge.
@@ -284,7 +289,10 @@ class TestIterLevelExtensions:
                 if level is None or a.known_factor_product < target:
                     continue
                 eps = target / a.known_factor_product if target else 0.0
+                # once with no plan kept, once reusing the plan just built
+                _forget_plans()
                 fused = list(iter_level_extensions(pruned, a, level, eps))
+                assert list(iter_level_extensions(pruned, a, level, eps)) == fused
                 sub = build_subproblem(pruned, a, level)
                 assert fused == _charged(
                     pruned, a, level, iter_extensions(pruned, sub, eps), eps
@@ -297,6 +305,18 @@ class TestIterLevelExtensions:
         a = Assignment.from_evidence(chain3, [(2, True)])
         with pytest.raises(NoFindingsError):
             iter_level_extensions(chain3, a, 1, 0.0)
+
+    def test_level_out_of_range_raises_with_plans_kept_or_not(self, chain3):
+        # the plan slots are indexed by level, and -1 would read the deepest
+        # level's slot, kept here under the very same assigned nodes
+        a = Assignment.from_evidence(chain3, [(2, True)])
+        for warm in (False, True):
+            _forget_plans()
+            if warm:
+                assert len(list(iter_level_extensions(chain3, a, 2, 0.0))) == 2
+            for level in (-1, chain3.max_level + 1):
+                with pytest.raises(NetworkError, match="out of range"):
+                    iter_level_extensions(chain3, a, level, 0.0)
 
     def test_charge_drops_an_extension_the_two_step_form_keeps(self):
         # R -> A -> B -> F with F observed present.  At level 3 the one free

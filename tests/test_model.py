@@ -365,7 +365,8 @@ class TestAssignmentCache:
     def test_coherence_over_random_walks(self):
         # the cached product must track the from-scratch recomputation
         # through arbitrary interleavings of assign and undo, and a batch of
-        # 1-4 pairs must match the same pairs assigned one call each
+        # 1-4 pairs must match the same pairs assigned one call each; the
+        # flags of the assigned nodes track them too, through rejected batches
         for seed in range(15):
             net = small_random_net(seed)
             r = SplitMix64(derive_seed(seed, 0xE0))
@@ -382,7 +383,18 @@ class TestAssignmentCache:
                     free = [i for i in range(len(net)) if a.state(i) is None]
                     r.shuffle(free)
                     batch = [(nid, r.random() < 0.5) for nid in free[: 1 + r.below(4)]]
-                    tokens.append((a.assign(batch), [b.assign([pair]) for pair in batch]))
+                    if len(batch) > 1 and r.random() < 0.3:
+                        # an assigned node in the batch: rejected, nothing changes
+                        taken = [i for i in range(len(net)) if a.state(i) is not None]
+                        clash = taken[r.below(len(taken))] if taken else batch[0][0]
+                        batch.insert(r.below(len(batch) + 1), (clash, True))
+                        with pytest.raises(NetworkError, match="already assigned"):
+                            a.assign(batch)
+                    else:
+                        tokens.append((a.assign(batch), [b.assign([pair]) for pair in batch]))
+                assert a._assigned == b._assigned == bytes(
+                    a.state(i) is not None for i in range(len(net))
+                )
                 assert (a.known_factor_product, a.known_exponent, a.frontier_level()) == (
                     b.known_factor_product,
                     b.known_exponent,
