@@ -6,10 +6,29 @@ with no arcs among them, and the parents still free (in a multi-level net
 these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
-while storing only the current decision path.  :func:`upper_bound` folds
-that bound from the search's own tables in the order of the leaf product;
-the search keeps it incrementally, groups the products differently, and so
-prunes only with a margin (``_PRUNE_MARGIN``).
+while storing only the current decision path and, when its two orders
+differ (below), a compact record of each passing leaf.  :func:`upper_bound`
+folds that bound from the search's own tables in the order of the leaf
+product; the search keeps it incrementally, groups the products
+differently, and so prunes only with a margin (``_PRUNE_MARGIN``).
+
+Two orders of the free parents are kept apart.  The *emission order*,
+descending best activation probability over the findings a parent feeds,
+ties by id, is the order of the output: each extension lists its parents
+in it, and the extensions come in its lexicographic branch order.  The
+*search order* is the order the search decides them in: most children in
+the subproblem first, counting the children that are assigned or free
+parents too, ties in emission order.  A parent with many children completes
+or tightens many factors once decided, so the bounds prune near the top of
+the tree (the fail-first idea of Haralick and Elliott, AIJ 1980).  Both
+orders read only which nodes are assigned, so the plan holds them.  When
+they differ, the search keeps each leaf that passes as a compact (key,
+product, charge), the key holding its branch ranks as bits in emission
+order, and once it is done yields the extensions by key; when they agree it
+yields each as it finds it.  Either way the engine applies the same batches
+in the same order, so the joints and sums it folds keep their bits; only an
+extension's own product, folded in search order, may differ in the last
+bits, which can decide an extension within them of the threshold.
 
 Every subproblem is set up in two parts.  Its plan (``_plan``) is the
 structure that depends only on which nodes are assigned: the findings' links
@@ -115,9 +134,10 @@ __all__ = [
 # stays because it is cheaper: pruning with the exact left-to-right fold
 # (each term refolded over the later parents, the roots over the undecided
 # maxima) took a median 12% longer (per-pair IQR 9-18%, 19 of 20 pairs) over
-# the 25,335 iter_level_extensions calls of a seed-0 bn3-f26 benchmark round,
-# set-up plus search, with the same extensions and inner nodes (in-process
-# A/B, 2-core VM, Python 3.11.7).
+# the 25,335 iter_level_extensions calls of a seed-0 bn3-f26 benchmark round
+# at commit 6d96bbe, set-up plus search, with the same extensions and inner
+# nodes (in-process A/B, 2-core VM, Python 3.11.7).  A round now poses 4,919
+# subproblems in another search order; the 12% has not been measured since.
 _PRUNE_MARGIN = 1e-9
 
 
@@ -136,8 +156,9 @@ class Subproblem:
     ``findings`` are the assigned nodes at the level whose factor is not
     yet known (they still have unassigned parents); nodes whose parents are
     all assigned already contributed their factor to the driving state's
-    product.  ``free_parents`` is the deterministic search order, for
-    inspection.
+    product.  ``free_parents`` lists the free parents in search order (see
+    the module notes), the order :func:`upper_bound`'s prefixes follow; an
+    extension lists them in emission order.
     """
 
     findings: tuple[tuple[int, bool], ...]
@@ -148,6 +169,9 @@ class Subproblem:
 
 class Extension(NamedTuple):
     """One admissible assignment of the free parents.
+
+    ``parent_states`` holds (id, state) pairs in emission order (see the
+    module notes), the batch the engine applies.
 
     ``new_factor_product`` multiplies every factor this assignment
     completes: the findings', the free roots' and pseudo-roots', and that
@@ -191,10 +215,12 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     ``level``: the expandable findings and their free parents in search
     order.
 
-    Parents are searched most-relevant first: descending maximum activation
-    probability over the findings they feed, ties by node id.  Raises
-    :class:`NoFindingsError` when the level has nothing to expand, which
-    tells a driver to look at a shallower level.
+    Parents are searched with the most children in the subproblem first,
+    ties by descending maximum activation probability over the findings they
+    feed, then by node id; extensions list them in that tie order, the
+    emission order (see the module notes).  Raises :class:`NoFindingsError`
+    when the level has nothing to expand, which tells a driver to look at a
+    shallower level.
     """
     findings = _findings(net, a, level)
     values = tuple(a.raw_values())
@@ -211,7 +237,8 @@ def iter_extensions(
     epsilon: float,
     stats: dict | None = None,
 ) -> Iterator[Extension]:
-    """Yield every qualifying extension in depth-first discovery order.
+    """Yield every qualifying extension in the emission order's
+    lexicographic branch order (see the module notes).
 
     Branch order: non-root parents, pseudo-roots included, try present
     first; roots try their more probable state first.  ``stats``, when
@@ -298,6 +325,7 @@ class _Plan(NamedTuple):
     free: tuple[int, ...]
     pos_of: dict[int, int]
     branch: tuple[tuple[bool, bool], ...]
+    emission: tuple | None  # (key weights, emitted parents); None if the orders agree
     root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
     pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
     priced: tuple[int, ...]  # positions of the roots and pseudo-roots, first seen first
@@ -316,8 +344,12 @@ def _plan(net, findings, values, pending):
     product of the latter, and its search table entries as a present
     finding, ``(position, (finding, 1-q, tail))`` by descending position,
     tail the product of the 1-q of its later parents, and the final tail.
-    Free parents are ordered by descending best activation probability,
-    ties by id.  ``completes`` holds the factors an extension completes
+    Positions follow the search order (:func:`_search_order`); the emission
+    order is descending best activation probability, ties by id.  When the
+    two differ, ``emission`` holds per position the (absent, present) weight
+    a decision adds to a leaf's key, and per emitted parent its id, branch
+    pair and key bit, to read the key back; else it is None.  ``completes``
+    holds the factors an extension completes
     besides the findings', the roots' and the pseudo-roots' (see
     :func:`_completed`), and ``opens`` the open absent factors of the
     charged search."""
@@ -339,7 +371,8 @@ def _plan(net, findings, values, pending):
             else:
                 fixed.append(link)
         split.append((nid, tuple(fixed), lf))
-    free = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
+    emit = sorted(low, key=lambda p: (low[p] - 1.0, p))
+    free = tuple(_search_order(net, emit, values))
     pos_of = {p: i for i, p in enumerate(free)}
 
     records = []
@@ -368,6 +401,17 @@ def _plan(net, findings, values, pending):
         for pair in root_fac
     )
     pseudo = tuple((pos, p) for pos, p in enumerate(free) if root_fac[pos] is None)
+    # a leaf's key holds its branch ranks as bits in emission order, the
+    # first emitted parent the most significant, so keys sort as the
+    # emission order's branch order
+    emission = None
+    if list(free) != emit:
+        top = len(free) - 1
+        weight = [1 << (top - emit.index(p)) for p in free]
+        emission = (
+            tuple((wt, 0) if first else (0, wt) for wt, (first, _) in zip(weight, branch)),
+            tuple((p, branch[pos_of[p]], top - i) for i, p in enumerate(emit)),
+        )
     priced = tuple(pos_of[p] for p in low if not pending[p])
 
     # the factors whose last free variable a position decides: a free parent
@@ -416,8 +460,20 @@ def _plan(net, findings, values, pending):
         if pending[p] and pos not in completed_at
     ]
     return _Plan(
-        tuple(records), free, pos_of, branch, tuple(root_fac), pseudo, priced,
+        tuple(records), free, pos_of, branch, emission, tuple(root_fac), pseudo, priced,
         tuple(completes), tuple(opens),
+    )
+
+
+def _search_order(net, emit, values):
+    """The free parents ``emit``, given in emission order, in search order:
+    most children in the subproblem first, counting the children that are
+    assigned or are free parents too, ties in emission order.  It reads
+    ``values`` only for which nodes are assigned, as a plan may."""
+    here = set(emit)
+    return sorted(
+        emit,
+        key=lambda p: -sum(values[c] is not None or c in here for c in net.children[p]),
     )
 
 
@@ -583,8 +639,9 @@ def _bind(net, plan, values, epsilon, charged=False):
             watchers = [()] * nfree
             explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
     return (
-        free, plan.branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        free, plan.branch, plan.emission, root_fac, rsm, completes, w, absent_adj,
+        present_adj, terms, explain, paths, watchers, absent0, opens, reopens, epsilon,
+        guard,
     )
 
 
@@ -761,16 +818,17 @@ def _completed(rp, factors, decided):
 
 
 def _dfs(tables, stats) -> Iterator[Extension]:
-    """Depth-first search over the tables of :func:`_bind`; None tables
-    (rejected at entry) yield nothing."""
+    """Depth-first search over the tables of :func:`_bind`, in search
+    order, yielding in emission order; None tables (rejected at entry)
+    yield nothing."""
     track = stats is not None
     if track:
         stats.setdefault("nodes", 0)
     if tables is None:
         return
     (
-        free, branch, root_fac, rsm, completes, w, absent_adj, present_adj, terms,
-        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        free, branch, emission, root_fac, rsm, completes, w, absent_adj, present_adj,
+        terms, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -787,6 +845,13 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     least = [1.0] * (nfree + 1)
     absent = [absent0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
+    # when the search order is not the emission order, the passing leaves
+    # as (key, product, charge), emitted by key once the search is done
+    leaves = None
+    if emission is not None:
+        weights, emitted = emission
+        keys = [0] * (nfree + 1)
+        leaves = []
     iters = [iter(branch[0])]
     while iters:
         d = len(iters) - 1
@@ -868,13 +933,23 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 if bound * c < guard:
                     continue
         least[d] = c
+        if leaves is not None:
+            keys[d] = keys[d - 1] + weights[d - 1][state]
         if d == nfree:
             # Extension.clears, before the tuple is built
             c *= ab
             if e * c >= epsilon:
-                yield new(Extension, (tuple(zip(free, decided)), e, c))
+                if leaves is None:
+                    yield new(Extension, (tuple(zip(free, decided)), e, c))
+                else:
+                    leaves.append((keys[d], e, c))
             continue
         iters.append(iter(branch[d]))
+    if leaves:
+        leaves.sort()
+        for key, e, c in leaves:
+            states = tuple([(p, pair[key >> shift & 1]) for p, pair, shift in emitted])
+            yield new(Extension, (states, e, c))
 
 
 def upper_bound(
@@ -897,7 +972,7 @@ def upper_bound(
     expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _bind(
+    free, _, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _bind(
         net, _snapshot_plan(net, sub), sub.values, 0.0
     )
     k = len(decided)

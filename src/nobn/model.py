@@ -620,7 +620,8 @@ class Tally:
         for i in chain(compress(self._ids, values), self._mass_slot):
             s = sums[i]
             t = s + joint
-            if abs(s) >= joint:
+            # no sum is negative (joints are not, and _align only rescales)
+            if s >= joint:
                 comps[i] += (s - t) + joint
             else:
                 comps[i] += (joint - t) + s

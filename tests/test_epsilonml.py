@@ -254,7 +254,9 @@ class TestBuildSubproblem:
         assert checked >= 100
 
     def test_parent_order_by_relevance(self):
-        # strongest activation first, ties by id
+        # extensions list their parents strongest activation first, ties by
+        # id (the emission order); the search decides the parents with the
+        # most children in the subproblem first, ties in emission order
         net = parse_network(
             "node A prior 0.2\nnode B prior 0.2\nnode C prior 0.2\n"
             "node F leak 0.05 parents A:0.3 B:0.9 C:0.6\n"
@@ -262,7 +264,13 @@ class TestBuildSubproblem:
         )
         a = Assignment.from_evidence(net, [(3, True), (4, False)])
         sub = build_subproblem(net, a, 1)
-        assert sub.free_parents == (1, 2, 0)  # q: B=0.9, C=0.6, A=0.5
+        exts = list(iter_extensions(net, sub, 0.0))
+        assert len(exts) == 8
+        for ext in exts:
+            # q: B=0.9, C=0.6, A=0.5
+            assert [p for p, _ in ext.parent_states] == [1, 2, 0]
+        # children: A and C feed F and G, B feeds F only
+        assert sub.free_parents == (2, 0, 1)
 
 
 class TestIterLevelExtensions:
@@ -715,7 +723,8 @@ class TestEpsilonMl:
         )
         a = Assignment.from_evidence(net, [(2, True), (3, True)])
         sub = build_subproblem(net, a, 2)
-        assert sub.free_parents == (1, 0)
+        # R feeds P, E and F, P only F: R is searched first, P listed first
+        assert sub.free_parents == (0, 1)
 
         def hand(p, r):
             w_p = 0.9 * (0.2 if r else 1.0)
@@ -729,17 +738,57 @@ class TestEpsilonMl:
         exts = list(iter_extensions(net, sub, 0.0))
         assert len(exts) == 4
         for ext in exts:
+            assert [p for p, _ in ext.parent_states] == [1, 0]
             states = dict(ext.parent_states)
             assert ext.new_factor_product == pytest.approx(hand(states[1], states[0]), rel=1e-12)
             assert upper_bound(net, sub, states) == ext.new_factor_product
             token = a.assign(ext.parent_states)
             assert a.known_factor_product == pytest.approx(ext.new_factor_product, rel=1e-15)
             a.undo(token)
-        # before R is decided both completed factors count as 1, R brings its
-        # larger factor 0.7, and P, whose parent is free, no factor pair
-        bound = upper_bound(net, sub, {1: True})
-        assert bound == pytest.approx((1.0 - 0.95 * 0.1 * 0.6) * 0.7, rel=1e-15)
-        assert bound >= max(hand(True, r) for r in (False, True))
+        # once R is decided present it brings its prior 0.3 and completes E's
+        # factor; P's counts as 1 until P is decided, and F treats P as
+        # present
+        bound = upper_bound(net, sub, {0: True})
+        assert bound == pytest.approx(
+            (1.0 - 0.95 * 0.1 * 0.6) * 0.3 * (1.0 - 0.8 * 0.5), rel=1e-15
+        )
+        assert bound >= max(hand(p, True) for p in (False, True))
+
+    def test_search_order_apart_from_emission_order(self):
+        # B, then C, then A by activation (q 0.9, 0.6, 0.5); C and A feed F
+        # and G, B only F, so the search decides C, A, then B.  The
+        # extensions still come in the emission order's branch order (B, a
+        # likely root, tries present first; C and A absent first), list
+        # their parents in emission order, and are the brute-force filter.
+        net = parse_network(
+            "node A prior 0.2\nnode B prior 0.7\nnode C prior 0.3\n"
+            "node F leak 0.05 parents A:0.3 B:0.9 C:0.6\n"
+            "node G leak 0.05 parents A:0.5 C:0.2\n"
+        )
+        a = Assignment.from_evidence(net, [(3, True), (4, False)])
+        sub = build_subproblem(net, a, 1)
+        assert sub.free_parents == (2, 0, 1)
+        emitted = (1, 2, 0)
+        branches = ((True, False), (False, True), (False, True))
+        order = list(itertools.product(*branches))
+        brute = {
+            tuple(dict(zip(sub.free_parents, bits))[p] for p in emitted): prod
+            for bits, prod in _brute_extensions(net, sub).items()
+        }
+        products = sorted(set(brute.values()))
+        assert len(products) == 8
+        mids = [(lo + hi) / 2 for lo, hi in zip(products, products[1:])]
+        for eps in [0.0] + mids[::2]:
+            exts = list(iter_extensions(net, sub, eps))
+            for ext in exts:
+                assert [p for p, _ in ext.parent_states] == list(emitted)
+            got = [tuple(state for _, state in ext.parent_states) for ext in exts]
+            assert got == [bits for bits in order if brute[bits] >= eps]
+            for ext, bits in zip(exts, got):
+                assert ext.new_factor_product == pytest.approx(brute[bits], rel=1e-12)
+            # the engine's form keeps the same order
+            charged = list(iter_level_extensions(net, a, 1, eps))
+            assert [e.parent_states for e in charged] == [e.parent_states for e in exts]
 
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
@@ -826,8 +875,8 @@ class TestSearchCounters:
         assert expansions == 49
         # the engine's search drops 238 of the uncharged form's extensions,
         # and visits fewer inner nodes than the uncharged search
-        assert counts == {"searches": 48, "nodes": 3478, "charged": 238}
-        assert engine_stats == {"nodes": 1846}
+        assert counts == {"searches": 48, "nodes": 2410, "charged": 238}
+        assert engine_stats == {"nodes": 1380}
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored

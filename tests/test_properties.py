@@ -37,6 +37,7 @@ from nobn import (  # noqa: E402
     print_network,
     top_epsilon,
 )
+import nobn.epsilonml  # noqa: E402
 from nobn.engine import _context_keys  # noqa: E402
 from nobn.epsilonml import iter_level_extensions  # noqa: E402
 from nobn.oracle import enumerate_consistent  # noqa: E402
@@ -423,3 +424,42 @@ def test_states_sharing_a_context_key_have_the_same_extensions(problem):
 
     walk()
 
+
+@st.composite
+def problems_at_joints(draw):
+    """A problem or a deep problem whose threshold is, half the time,
+    exactly the joint of an instantiation the engine accepts at the drawn
+    threshold."""
+    net, evidence, epsilon = draw(st.one_of(problems(), deep_problems()))
+    if draw(st.booleans()):
+        accepted = top_epsilon(net, evidence, epsilon, keep_accepted=True).accepted
+        joints = sorted({j for _, j in accepted if j > 0})
+        if joints:
+            epsilon = draw(st.sampled_from(joints))
+    return net, evidence, epsilon
+
+
+def _result_bits(res):
+    return (
+        res.states_explored,
+        [(values, joint.hex()) for values, joint in res.accepted],
+        res.mass_accumulated.hex(),
+        None if res.posteriors is None else [p.hex() for p in res.posteriors],
+    )
+
+
+@_SETTINGS
+@given(problems_at_joints())
+def test_search_order_changes_no_result(problem):
+    # the level search decides its free parents in its own order and emits
+    # the extensions in the emission order; searching in the emission order
+    # itself must leave every state, accepted joint, mass and posterior bit
+    # as it is
+    net, evidence, epsilon = problem
+    default = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nobn.epsilonml, "_search_order", lambda net, emit, values: emit)
+        # plans built in the other order must not be reused
+        mp.setattr(nobn.epsilonml, "_plans", (None, []))
+        emitted = top_epsilon(net, evidence, epsilon, keep_accepted=True)
+    assert _result_bits(emitted) == _result_bits(default)
