@@ -6,11 +6,11 @@ with no arcs among them, and the parents still free (in a multi-level net
 these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
-while storing only the current decision path and, when its two orders
-differ (below), a compact record of each passing leaf.  :func:`upper_bound`
-folds that bound from the search's own tables in the order of the leaf
-product; the search keeps it incrementally, groups the products
-differently, and so prunes only with a margin (``_PRUNE_MARGIN``).
+while storing the current decision path and a compact record of each
+passing leaf (below).  :func:`upper_bound` folds that bound from the
+search's own tables in the order of the leaf product; the search keeps it
+incrementally, groups the products differently, and so prunes only with a
+margin (``_PRUNE_MARGIN``).
 
 Two orders of the free parents are kept apart.  The *emission order*,
 descending best activation probability over the findings a parent feeds,
@@ -21,14 +21,17 @@ the subproblem first, counting the children that are assigned or free
 parents too, ties in emission order.  A parent with many children completes
 or tightens many factors once decided, so the bounds prune near the top of
 the tree (the fail-first idea of Haralick and Elliott, AIJ 1980).  Both
-orders read only which nodes are assigned, so the plan holds them.  When
-they differ, the search keeps each leaf that passes as a compact (key,
-product, charge), the key holding its branch ranks as bits in emission
-order, and once it is done yields the extensions by key; when they agree it
-yields each as it finds it.  Either way the engine applies the same batches
-in the same order, so the joints and sums it folds keep their bits; only an
-extension's own product, folded in search order, may differ in the last
-bits, which can decide an extension within them of the threshold.
+orders read only which nodes are assigned, so the plan holds them.  The
+search keeps each leaf that passes as a compact (key, product, charge), the
+key holding its branch ranks as bits in emission order, and once it is done
+yields the extensions by key.  So its memory grows with the number of
+qualifying extensions: at epsilon 0, every assignment of the free parents
+(about 150 bytes each, 10 MB for 16 free parents).  An extension's product
+is folded in search order, so it may differ from the emission order's fold
+in the last bits.  Unless such a product lies within those bits of the
+threshold, the same extensions qualify whichever order the search takes,
+and the engine applies the same batches in the same order, so the joints
+and sums it folds keep their bits.
 
 Every subproblem is set up in two parts.  Its plan (``_plan``) is the
 structure that depends only on which nodes are assigned: the findings' links
@@ -241,8 +244,11 @@ def iter_extensions(
     lexicographic branch order (see the module notes).
 
     Branch order: non-root parents, pseudo-roots included, try present
-    first; roots try their more probable state first.  ``stats``, when
-    given, receives ``nodes`` (partial decisions expanded).
+    first; roots try their more probable state first.  The first extension
+    comes once the search ends, which holds one (key, product, charge)
+    record per qualifying extension: O(2^n) memory at epsilon 0 over n free
+    parents.  ``stats``, when given, receives ``nodes`` (partial decisions
+    expanded).
     """
     check_threshold(epsilon)
     return _dfs(_bind(net, _snapshot_plan(net, sub), sub.values, epsilon), stats)
@@ -278,7 +284,9 @@ def iter_level_extensions(
     the module notes); the engine's per-state hot path.  It yields the
     two-step form's extensions whose charged product clears ``epsilon``,
     each with its charge, in the same order; a subproblem rejected at entry
-    costs this one call and no generator.
+    costs this one call and no generator.  As there, the first extension
+    comes once the search ends, which holds one record per qualifying
+    extension.
 
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
@@ -325,7 +333,7 @@ class _Plan(NamedTuple):
     free: tuple[int, ...]
     pos_of: dict[int, int]
     branch: tuple[tuple[bool, bool], ...]
-    emission: tuple | None  # (key weights, emitted parents); None if the orders agree
+    emission: tuple  # (key weights, emitted parents)
     root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
     pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
     priced: tuple[int, ...]  # positions of the roots and pseudo-roots, first seen first
@@ -345,12 +353,11 @@ def _plan(net, findings, values, pending):
     finding, ``(position, (finding, 1-q, tail))`` by descending position,
     tail the product of the 1-q of its later parents, and the final tail.
     Positions follow the search order (:func:`_search_order`); the emission
-    order is descending best activation probability, ties by id.  When the
-    two differ, ``emission`` holds per position the (absent, present) weight
-    a decision adds to a leaf's key, and per emitted parent its id, branch
-    pair and key bit, to read the key back; else it is None.  ``completes``
-    holds the factors an extension completes
-    besides the findings', the roots' and the pseudo-roots' (see
+    order is descending best activation probability, ties by id.
+    ``emission`` holds per position the (absent, present) weight a decision
+    adds to a leaf's key, and per emitted parent its id, branch pair and key
+    bit, to read the key back.  ``completes`` holds the factors an extension
+    completes besides the findings', the roots' and the pseudo-roots' (see
     :func:`_completed`), and ``opens`` the open absent factors of the
     charged search."""
     links_omq = net._links_omq
@@ -404,14 +411,12 @@ def _plan(net, findings, values, pending):
     # a leaf's key holds its branch ranks as bits in emission order, the
     # first emitted parent the most significant, so keys sort as the
     # emission order's branch order
-    emission = None
-    if list(free) != emit:
-        top = len(free) - 1
-        weight = [1 << (top - emit.index(p)) for p in free]
-        emission = (
-            tuple((wt, 0) if first else (0, wt) for wt, (first, _) in zip(weight, branch)),
-            tuple((p, branch[pos_of[p]], top - i) for i, p in enumerate(emit)),
-        )
+    top = len(free) - 1
+    weight = [1 << (top - emit.index(p)) for p in free]
+    emission = (
+        tuple((wt, 0) if first else (0, wt) for wt, (first, _) in zip(weight, branch)),
+        tuple((p, branch[pos_of[p]], top - i) for i, p in enumerate(emit)),
+    )
     priced = tuple(pos_of[p] for p in low if not pending[p])
 
     # the factors whose last free variable a position decides: a free parent
@@ -845,13 +850,11 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     least = [1.0] * (nfree + 1)
     absent = [absent0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
-    # when the search order is not the emission order, the passing leaves
-    # as (key, product, charge), emitted by key once the search is done
-    leaves = None
-    if emission is not None:
-        weights, emitted = emission
-        keys = [0] * (nfree + 1)
-        leaves = []
+    # the passing leaves as (key, product, charge), emitted by key once the
+    # search is done
+    weights, emitted = emission
+    keys = [0] * (nfree + 1)
+    leaves = []
     iters = [iter(branch[0])]
     while iters:
         d = len(iters) - 1
@@ -933,23 +936,18 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 if bound * c < guard:
                     continue
         least[d] = c
-        if leaves is not None:
-            keys[d] = keys[d - 1] + weights[d - 1][state]
+        keys[d] = keys[d - 1] + weights[d - 1][state]
         if d == nfree:
             # Extension.clears, before the tuple is built
             c *= ab
             if e * c >= epsilon:
-                if leaves is None:
-                    yield new(Extension, (tuple(zip(free, decided)), e, c))
-                else:
-                    leaves.append((keys[d], e, c))
+                leaves.append((keys[d], e, c))
             continue
         iters.append(iter(branch[d]))
-    if leaves:
-        leaves.sort()
-        for key, e, c in leaves:
-            states = tuple([(p, pair[key >> shift & 1]) for p, pair, shift in emitted])
-            yield new(Extension, (states, e, c))
+    leaves.sort()
+    for key, e, c in leaves:
+        states = tuple([(p, pair[key >> shift & 1]) for p, pair, shift in emitted])
+        yield new(Extension, (states, e, c))
 
 
 def upper_bound(
