@@ -272,14 +272,13 @@ def _cmd_eml(args) -> int:
         # no finding has a free parent: the one extension is the empty one,
         # and it completes no factor
         exts = [Extension((), 1.0)] if args.epsilon <= 1.0 else []
-    count = 0
-    for ext in exts:
-        count += 1
-        print(" ".join([_fmt(ext.new_factor_product)] + [
-            f"{net.nodes[nid].name}={'p' if state else 'a'}"
-            for nid, state in sorted(ext.parent_states)
+    # the answer, not the search's order: descending product, then states
+    found = sorted((-ext.new_factor_product, sorted(ext.parent_states)) for ext in exts)
+    for product, states in found:
+        print(" ".join([_fmt(-product)] + [
+            f"{net.nodes[nid].name}={'p' if state else 'a'}" for nid, state in states
         ]))
-    print(f"{count} extensions at epsilon {_fmt_eps(args.epsilon)}", file=sys.stderr)
+    print(f"{len(found)} extensions at epsilon {_fmt_eps(args.epsilon)}", file=sys.stderr)
     return 0
 
 

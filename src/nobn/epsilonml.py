@@ -6,32 +6,30 @@ with no arcs among them, and the parents still free (in a multi-level net
 these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
-while storing the current decision path and a compact record of each
-passing leaf (below).  :func:`upper_bound` folds that bound from the
-search's own tables in the order of the leaf product; the search keeps it
-incrementally, groups the products differently, and so prunes only with a
-margin (``_PRUNE_MARGIN``).
+while storing only the current decision path.  :func:`upper_bound` folds
+that bound from the search's own tables in the order of the leaf product;
+the search keeps it incrementally, groups the products differently, and so
+prunes only with a margin (``_PRUNE_MARGIN``).
 
 Two orders of the free parents are kept apart.  The *emission order*,
 descending best activation probability over the findings a parent feeds,
-ties by id, is the order of the output: each extension lists its parents
-in it, and the extensions come in its lexicographic branch order.  The
-*search order* is the order the search decides them in: most children in
-the subproblem first, counting the children that are assigned or free
-parents too, ties in emission order.  A parent with many children completes
-or tightens many factors once decided, so the bounds prune near the top of
-the tree (the fail-first idea of Haralick and Elliott, AIJ 1980).  Both
-orders read only which nodes are assigned, so the plan holds them.  The
-search keeps each leaf that passes as a compact (key, product, charge), the
-key holding its branch ranks as bits in emission order, and once it is done
-yields the extensions by key.  So its memory grows with the number of
-qualifying extensions: at epsilon 0, every assignment of the free parents
-(about 150 bytes each, 10 MB for 16 free parents).  An extension's product
-is folded in search order, so it may differ from the emission order's fold
-in the last bits.  Unless such a product lies within those bits of the
-threshold, the same extensions qualify whichever order the search takes,
-and the engine applies the same batches in the same order, so the joints
-and sums it folds keep their bits.
+ties by id, is the order in which each extension lists its parents, so the
+order in which the engine assigns them.  The *search order* is the order the
+search decides them in: most children in the subproblem first, counting the
+children that are assigned or free parents too, ties in emission order.  A
+parent with many children completes or tightens many factors once decided,
+so the bounds prune near the top of the tree (the fail-first idea of
+Haralick and Elliott, AIJ 1980).  Both orders read only which nodes are
+assigned, so the plan holds them.  The search yields each leaf that passes
+as soon as it reaches it, so the extensions come in the search order's
+lexicographic branch order, and when nothing is pruned the first one comes
+after one decision per free parent.  An extension's product is folded in
+search order, so it may differ from the emission order's fold in the last
+bits.  Unless such a product lies within those bits of the threshold, the
+same extensions qualify whichever order the search takes, each with the
+same batch, so every joint the engine folds keeps its bits.  Only the order
+in which the joints arrive depends on the search order, and the engine's
+sums are exact (:class:`~nobn.model.Tally`), so they do not.
 
 Every subproblem is set up in two parts.  Its plan (``_plan``) is the
 structure that depends only on which nodes are assigned: the findings' links
@@ -135,12 +133,12 @@ __all__ = [
 # the last bits, so prune only with this much margin.  Leaves are tested
 # exactly; the margin can only retain extra branches.  This regrouped copy
 # stays because it is cheaper: pruning with the exact left-to-right fold
-# (each term refolded over the later parents, the roots over the undecided
-# maxima) took a median 12% longer (per-pair IQR 9-18%, 19 of 20 pairs) over
-# the 25,335 iter_level_extensions calls of a seed-0 bn3-f26 benchmark round
-# at commit 6d96bbe, set-up plus search, with the same extensions and inner
-# nodes (in-process A/B, 2-core VM, Python 3.11.7).  A round now poses 4,919
-# subproblems in another search order; the 12% has not been measured since.
+# (each present finding's term refolded over its later parents, the roots
+# over the undecided maxima) took a median 42% longer (per-pair IQR 34-49%,
+# 19 of 20 pairs) over the 4,762 iter_level_extensions calls of a seed-0
+# bn3-f26 benchmark round, set-up plus search, with the same 5,840
+# extensions and 107,628 inner nodes (in-process A/B replaying the recorded
+# calls, 2-core VM, Python 3.11.7).
 _PRUNE_MARGIN = 1e-9
 
 
@@ -174,7 +172,8 @@ class Extension(NamedTuple):
     """One admissible assignment of the free parents.
 
     ``parent_states`` holds (id, state) pairs in emission order (see the
-    module notes), the batch the engine applies.
+    module notes), the batch the engine applies; the extensions themselves
+    come in the order the search finds them.
 
     ``new_factor_product`` multiplies every factor this assignment
     completes: the findings', the free roots' and pseudo-roots', and that
@@ -240,14 +239,13 @@ def iter_extensions(
     epsilon: float,
     stats: dict | None = None,
 ) -> Iterator[Extension]:
-    """Yield every qualifying extension in the emission order's
-    lexicographic branch order (see the module notes).
+    """Yield every qualifying extension as soon as the search reaches it,
+    in the search order's lexicographic branch order (see the module notes).
 
     Branch order: non-root parents, pseudo-roots included, try present
-    first; roots try their more probable state first.  The first extension
-    comes once the search ends, which holds one (key, product, charge)
-    record per qualifying extension: O(2^n) memory at epsilon 0 over n free
-    parents.  ``stats``, when given, receives ``nodes`` (partial decisions
+    first; roots try their more probable state first.  The generator holds
+    the decision path and the search tables, never the extensions found so
+    far.  ``stats``, when given, receives ``nodes`` (partial decisions
     expanded).
     """
     check_threshold(epsilon)
@@ -283,10 +281,8 @@ def iter_level_extensions(
     the snapshot, charged for the factors an extension leaves open (see
     the module notes); the engine's per-state hot path.  It yields the
     two-step form's extensions whose charged product clears ``epsilon``,
-    each with its charge, in the same order; a subproblem rejected at entry
-    costs this one call and no generator.  As there, the first extension
-    comes once the search ends, which holds one record per qualifying
-    extension.
+    each with its charge, in the same order and as soon as found; a
+    subproblem rejected at entry costs this one call and no generator.
 
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
@@ -333,7 +329,7 @@ class _Plan(NamedTuple):
     free: tuple[int, ...]
     pos_of: dict[int, int]
     branch: tuple[tuple[bool, bool], ...]
-    emission: tuple  # (key weights, emitted parents)
+    emission: tuple[tuple[int, int], ...]  # (id, position) in emission order
     root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
     pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
     priced: tuple[int, ...]  # positions of the roots and pseudo-roots, first seen first
@@ -354,12 +350,11 @@ def _plan(net, findings, values, pending):
     tail the product of the 1-q of its later parents, and the final tail.
     Positions follow the search order (:func:`_search_order`); the emission
     order is descending best activation probability, ties by id.
-    ``emission`` holds per position the (absent, present) weight a decision
-    adds to a leaf's key, and per emitted parent its id, branch pair and key
-    bit, to read the key back.  ``completes`` holds the factors an extension
-    completes besides the findings', the roots' and the pseudo-roots' (see
-    :func:`_completed`), and ``opens`` the open absent factors of the
-    charged search."""
+    ``emission`` holds the (id, position) of each free parent in emission
+    order, the order an extension lists them in.  ``completes`` holds the
+    factors an extension completes besides the findings', the roots' and
+    the pseudo-roots' (see :func:`_completed`), and ``opens`` the open
+    absent factors of the charged search."""
     links_omq = net._links_omq
     priors = net._priors
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
@@ -408,15 +403,7 @@ def _plan(net, findings, values, pending):
         for pair in root_fac
     )
     pseudo = tuple((pos, p) for pos, p in enumerate(free) if root_fac[pos] is None)
-    # a leaf's key holds its branch ranks as bits in emission order, the
-    # first emitted parent the most significant, so keys sort as the
-    # emission order's branch order
-    top = len(free) - 1
-    weight = [1 << (top - emit.index(p)) for p in free]
-    emission = (
-        tuple((wt, 0) if first else (0, wt) for wt, (first, _) in zip(weight, branch)),
-        tuple((p, branch[pos_of[p]], top - i) for i, p in enumerate(emit)),
-    )
+    emission = tuple((p, pos_of[p]) for p in emit)
     priced = tuple(pos_of[p] for p in low if not pending[p])
 
     # the factors whose last free variable a position decides: a free parent
@@ -824,8 +811,8 @@ def _completed(rp, factors, decided):
 
 def _dfs(tables, stats) -> Iterator[Extension]:
     """Depth-first search over the tables of :func:`_bind`, in search
-    order, yielding in emission order; None tables (rejected at entry)
-    yield nothing."""
+    order, yielding each passing leaf as soon as it is reached, its parents
+    in emission order; None tables (rejected at entry) yield nothing."""
     track = stats is not None
     if track:
         stats.setdefault("nodes", 0)
@@ -850,11 +837,6 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     least = [1.0] * (nfree + 1)
     absent = [absent0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
-    # the passing leaves as (key, product, charge), emitted by key once the
-    # search is done
-    weights, emitted = emission
-    keys = [0] * (nfree + 1)
-    leaves = []
     iters = [iter(branch[0])]
     while iters:
         d = len(iters) - 1
@@ -936,18 +918,14 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 if bound * c < guard:
                     continue
         least[d] = c
-        keys[d] = keys[d - 1] + weights[d - 1][state]
         if d == nfree:
             # Extension.clears, before the tuple is built
             c *= ab
             if e * c >= epsilon:
-                leaves.append((keys[d], e, c))
+                states = tuple([(p, decided[q]) for p, q in emission])
+                yield new(Extension, (states, e, c))
             continue
         iters.append(iter(branch[d]))
-    leaves.sort()
-    for key, e, c in leaves:
-        states = tuple([(p, pair[key >> shift & 1]) for p, pair, shift in emitted])
-        yield new(Extension, (states, e, c))
 
 
 def upper_bound(

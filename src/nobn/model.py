@@ -12,8 +12,9 @@ which is what lets the search modules expand assignments level by level.
 
 The building blocks every inference module shares live here, once each:
 :func:`noisy_or_absent` is the only place the noisy-OR product over present
-parents is written out, and :class:`Tally` is the only compensated
-(Neumaier) accumulator of probability mass and per-node present-score.
+parents is written out, and :class:`Tally` is the only accumulator of
+probability mass and per-node present-score; its sums are exact, so they do
+not depend on the order in which the joints arrive.
 
 Probabilities are doubles multiplied in linear space.  An assignment keeps
 its product scaled by a power of two, so deep joints never underflow, and
@@ -587,74 +588,68 @@ class Assignment:
 
 
 # ---------------------------------------------------------------------------
-# Compensated accumulation
+# Exact accumulation
 # ---------------------------------------------------------------------------
 
 
 class Tally:
-    """Neumaier-compensated sums of the joints of complete instantiations:
-    the total mass, and per node the mass of the instantiations where it is
-    present.  :meth:`posteriors` is the only ``score / mass`` division.
+    """Exact sums of the joints of complete instantiations: the total mass,
+    and per node the mass of the instantiations where it is present, each
+    rounded once when read.  :meth:`posteriors` is the only ``score / mass``
+    division.
 
-    The mass is kept in the extra slot after the ``n`` node slots, so one
-    compensated step serves both.  Joints are never negative.  A joint comes
-    scaled, as ``joint * 2**exponent`` like an :class:`Assignment`'s product;
-    the sums share the largest exponent of the nonzero joints so far.
+    A joint comes scaled, as ``joint * 2**exponent`` like an
+    :class:`Assignment`'s product, and is never negative.  Each sum is an
+    int counting units of ``2**-_bits``, the finest ulp of the nonzero
+    joints so far, so no addition rounds and no sum depends on the order of
+    the joints (exact summation, as in Shewchuk, DCG 1997, with Python ints
+    in place of float expansions).  Reading a sum divides it by the unit, an
+    int true division, which rounds once.  The mass is kept in the extra
+    slot after the ``n`` node slots, so one loop serves both.
     """
 
-    __slots__ = ("_sums", "_comps", "_ids", "_mass_slot", "_exponent")
+    __slots__ = ("_sums", "_ids", "_mass_slot", "_bits")
 
     def __init__(self, n: int):
-        self._sums = [0.0] * (n + 1)
-        self._comps = [0.0] * (n + 1)
+        self._sums = [0] * (n + 1)
         self._ids = range(n)
         self._mass_slot = (n,)
-        self._exponent = 0
+        self._bits = 0
 
     def add(self, values: Sequence[bool | None], joint: float, exponent: int = 0) -> None:
         """Count one complete instantiation (``values`` in node-id order)."""
-        if exponent != self._exponent and joint:
-            joint = self._align(joint, exponent)
+        if not joint:
+            return
+        num, den = joint.as_integer_ratio()
+        # den is a power of two, so the joint is num units of 2**-bits
+        bits = den.bit_length() - 1 - exponent
+        if bits > self._bits:
+            # a finer unit: every sum so far counts units of it from now on
+            self._sums = [s << bits - self._bits for s in self._sums]
+            self._bits = bits
+        else:
+            num <<= self._bits - bits
         sums = self._sums
-        comps = self._comps
         for i in chain(compress(self._ids, values), self._mass_slot):
-            s = sums[i]
-            t = s + joint
-            # no sum is negative (joints are not, and _align only rescales)
-            if s >= joint:
-                comps[i] += (s - t) + joint
-            else:
-                comps[i] += (joint - t) + s
-            sums[i] = t
-
-    def _align(self, joint: float, exponent: int) -> float:
-        # Scale the side with the smaller exponent down to the other's; what
-        # underflows there is below the other side's rounding error.
-        if self._sums[-1]:
-            shift = exponent - self._exponent
-            if shift < 0:
-                return math.ldexp(joint, shift)
-            self._sums = [math.ldexp(s, -shift) for s in self._sums]
-            self._comps = [math.ldexp(c, -shift) for c in self._comps]
-        self._exponent = exponent
-        return joint
+            sums[i] += num
 
     @property
     def mass(self) -> float:
-        return math.ldexp(self._sums[-1] + self._comps[-1], self._exponent)
+        return self._sums[-1] / (1 << self._bits)
 
     def scores(self) -> tuple[float, ...]:
-        e = self._exponent
-        return tuple(
-            math.ldexp(s + c, e) for s, c in zip(self._sums[:-1], self._comps[:-1])
-        )
+        unit = 1 << self._bits
+        return tuple(s / unit for s in self._sums[:-1])
 
     def posteriors(self) -> tuple[float, ...] | None:
-        """Per node, score over mass (scaled); None when no mass was counted."""
-        m = self._sums[-1] + self._comps[-1]
-        if m <= 0.0:
+        """Per node, score over mass, both rounded at the power-of-two scale
+        that puts the mass in [0.5, 1); None when no mass was counted."""
+        m = self._sums[-1]
+        if not m:
             return None
-        return tuple((s + c) / m for s, c in zip(self._sums[:-1], self._comps[:-1]))
+        unit = 1 << m.bit_length()
+        mass = m / unit
+        return tuple(s / unit / mass for s in self._sums[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Deliberately unsophisticated: this is the gold standard every search result
 is checked against, so simplicity beats speed.  The only concessions are a
-free-node cap (2^free instantiations is real money), compensated summation
+free-node cap (2^free instantiations is real money), exact summation
 through the same :class:`~nobn.model.Tally` the search engine uses (posteriors
 here back tolerances down to 1e-9), and a counting loop instead of recursion,
 so the depth of the network never limits the enumeration.  Factors come from

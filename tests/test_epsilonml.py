@@ -756,10 +756,11 @@ class TestEpsilonMl:
 
     def test_search_order_apart_from_emission_order(self):
         # B, then C, then A by activation (q 0.9, 0.6, 0.5); C and A feed F
-        # and G, B only F, so the search decides C, A, then B.  The
-        # extensions still come in the emission order's branch order (B, a
-        # likely root, tries present first; C and A absent first), list
-        # their parents in emission order, and are the brute-force filter.
+        # and G, B only F, so the search decides C, A, then B.  Each
+        # extension lists its parents in the emission order (B, C, A); the
+        # extensions are the brute-force filter and come as the search finds
+        # them, in its order's branch order (C and A, unlikely roots, try
+        # absent first; B, a likely one, present first).
         net = parse_network(
             "node A prior 0.2\nnode B prior 0.7\nnode C prior 0.3\n"
             "node F leak 0.05 parents A:0.3 B:0.9 C:0.6\n"
@@ -768,21 +769,18 @@ class TestEpsilonMl:
         a = Assignment.from_evidence(net, [(3, True), (4, False)])
         sub = build_subproblem(net, a, 1)
         assert sub.free_parents == (2, 0, 1)
-        emitted = (1, 2, 0)
-        branches = ((True, False), (False, True), (False, True))
+        branches = ((False, True), (False, True), (True, False))
         order = list(itertools.product(*branches))
-        brute = {
-            tuple(dict(zip(sub.free_parents, bits))[p] for p in emitted): prod
-            for bits, prod in _brute_extensions(net, sub).items()
-        }
+        brute = _brute_extensions(net, sub)
         products = sorted(set(brute.values()))
         assert len(products) == 8
         mids = [(lo + hi) / 2 for lo, hi in zip(products, products[1:])]
         for eps in [0.0] + mids[::2]:
             exts = list(iter_extensions(net, sub, eps))
             for ext in exts:
-                assert [p for p, _ in ext.parent_states] == list(emitted)
-            got = [tuple(state for _, state in ext.parent_states) for ext in exts]
+                assert [p for p, _ in ext.parent_states] == [1, 2, 0]
+            got = [_ext_key(sub, ext) for ext in exts]
+            assert set(got) == {bits for bits, prod in brute.items() if prod >= eps}
             assert got == [bits for bits in order if brute[bits] >= eps]
             for ext, bits in zip(exts, got):
                 assert ext.new_factor_product == pytest.approx(brute[bits], rel=1e-12)
@@ -814,6 +812,22 @@ class TestEpsilonMl:
         for _ in it:
             pass
         assert stats["nodes"] <= 2 ** (len(sub.free_parents) + 1)
+
+    def test_first_extension_comes_at_the_first_leaf(self):
+        # at 0 nothing is pruned, so the first extension comes once the
+        # search has decided each of the 15 free parents, not after all
+        # 2**16 - 2 inner nodes
+        text = "".join(f"node R{i} prior 0.5\n" for i in range(15))
+        text += "node F leak 0.1 parents " + " ".join(f"R{i}:0.5" for i in range(15))
+        net = parse_network(text)
+        sub = build_subproblem(net, Assignment.from_evidence(net, [(15, True)]), 1)
+        assert len(sub.free_parents) == 15
+        stats = {}
+        it = iter_extensions(net, sub, 0.0, stats)
+        next(it)
+        assert stats["nodes"] == 15
+        assert sum(1 for _ in it) == 2**15 - 1
+        assert stats["nodes"] == 2**16 - 2
 
 
 class TestSearchCounters:

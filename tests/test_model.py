@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -251,6 +253,42 @@ class TestTally:
         a, b = tallies
         assert a.posteriors() == b.posteriors() == pytest.approx((0.75, 0.25), abs=1e-15)
         assert a.mass == b.mass == math.ldexp(0.6 + 0.2, -1024)
+
+    def test_sum_rounds_once_in_every_order(self):
+        # 1 + 2**-53 is a tie that 2**-106 breaks upward
+        joints = [1.0, 2.0**-53, 2.0**-106]
+        for order in itertools.permutations(joints):
+            t = Tally(1)
+            for joint in order:
+                t.add((True,), joint)
+            assert t.mass.hex() == t.scores()[0].hex() == math.fsum(joints).hex()
+        assert math.fsum(joints).hex() == "0x1.0000000000001p+0"
+
+    def test_one_mass_in_every_order(self):
+        joints = [
+            1.0, 6.162975822039162e-33, 6.16297582203916e-33,
+            1.1102230246251565e-16, 6.162975822039163e-33,
+        ]
+        masses = set()
+        for order in itertools.permutations(joints):
+            t = Tally(0)
+            for joint in order:
+                t.add((), joint)
+            masses.add(t.mass.hex())
+        assert masses == {math.fsum(joints).hex()}
+
+    def test_joints_far_apart_sum_exactly(self):
+        # the second joint is half an ulp of the first, a tie that only the
+        # third, 2**-1025 once scaled, breaks upward
+        joints = [(2.0**-460, 0), (0.5, -512), (0.5, -1024)]
+        exact = sum(Fraction(joint) * Fraction(2) ** exponent for joint, exponent in joints)
+        assert float(exact) == 2.0**-460 + 2.0**-512
+        for order in itertools.permutations(joints):
+            t = Tally(1)
+            for joint, exponent in order:
+                t.add((True,), joint, exponent)
+            assert t.mass == t.scores()[0] == float(exact)
+            assert t.posteriors() == (1.0,)
 
 
 class TestNps:

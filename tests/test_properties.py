@@ -442,7 +442,7 @@ def problems_at_joints(draw):
 def _result_bits(res):
     return (
         res.states_explored,
-        [(values, joint.hex()) for values, joint in res.accepted],
+        sorted((values, joint.hex()) for values, joint in res.accepted),
         res.mass_accumulated.hex(),
         None if res.posteriors is None else [p.hex() for p in res.posteriors],
     )
@@ -451,10 +451,11 @@ def _result_bits(res):
 @_SETTINGS
 @given(problems_at_joints())
 def test_search_order_changes_no_result(problem):
-    # the level search decides its free parents in its own order and emits
-    # the extensions in the emission order; searching in the emission order
-    # itself must leave every state, accepted joint, mass and posterior bit
-    # as it is
+    # the level search decides its free parents in its own order, and the
+    # engine accepts instantiations in the order the search yields them;
+    # searching in the emission order instead must leave the count of
+    # states, the set of accepted joints and every mass and posterior bit as
+    # they are
     net, evidence, epsilon = problem
     default = top_epsilon(net, evidence, epsilon, keep_accepted=True)
     with pytest.MonkeyPatch.context() as mp:
