@@ -107,7 +107,13 @@ _DONE = object()
 # level-1 search a hit saves and a twentieth of the level-2 one (a seventh
 # and a 28th before the level search kept its subproblem plans; in-process
 # timing, 2-core VM), and the level-2 contexts hit 5% of the time (60 of
-# 1,156 lookups): about break-even, so the ratio stays.
+# 1,156 lookups): about break-even, so the ratio stays.  Both rules pay
+# (alternating pairs, medians, 2-core VM).  With the memo off, exhaustive
+# wall_s went from 1.61 to 2.20 s (+37%, 3 benchmark pairs), the three
+# 26-finding bn3 cases at 1e-30 from 5.05 to 5.38 s together (+6%, slower
+# in 7 of 8 pairs) and bn3-f26 wall_s by 1.3%, while bn3-f83 moved +0.1%
+# and wide-log -1.4%.  Without the give-up rule, bn3-f83 wall_s rose 5%
+# and bn3-f26 3% (3 benchmark pairs each, slower in every pair).
 _MEMO_CAP = 256
 _MEMO_TRIAL = 64
 _MEMO_HIT_RATIO = 8

@@ -54,19 +54,21 @@ extension: every finding's conditional factor; the factor of every free
 parent whose own parents are all assigned, a root's prior or a
 *pseudo-root*'s noisy-OR conditional given its assigned parents; and the
 noisy-OR conditional of every other node, free parent or assigned node off
-the level, whose unassigned parents are all free here, priced at the depth
-where its last free variable is decided and counted as 1 before it, which
-keeps the bound admissible.  A free parent with a parent outside the
-subproblem contributes 1: its conditional factor is unknown until its level
-is expanded, and 1 is its only safe bound.  That keeps the threshold a
+the level, whose unassigned parents are all free here.  The bounds take
+each of these factors by one rule: it is priced at the depth where its last
+free variable is decided and counts as 1 before it, which keeps them
+admissible, since no factor exceeds 1.  A free parent with a parent outside
+the subproblem contributes 1: its conditional factor is unknown until its
+level is expanded, and 1 is its only safe bound.  That keeps the threshold a
 necessary condition for any completion of the joint, which is what the
 driving engine relies on, and no extension leaves the engine a child whose
 known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
 ``_plan`` -> ``_bind`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots the
-assignment into a :class:`Subproblem` that :func:`iter_extensions` and
-:func:`upper_bound` search later, with the exact set semantics above.
+assignment's states and its plan into a :class:`Subproblem`, whose plan
+:func:`iter_extensions` and :func:`upper_bound` bind later, with the exact
+set semantics above.
 :func:`iter_level_extensions`, the engine's one-call form, reads the live
 assignment and adds one prune for the engine alone: it charges each
 extension a bound on factors the extension leaves open, which the product
@@ -111,7 +113,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple
 
@@ -128,17 +130,17 @@ __all__ = [
 
 # Pruning slack.  _dfs keeps upper_bound's per-node bound incrementally, as
 # 1 - w * tail per present finding (tail the product of its later parents'
-# 1-q) and rp * rsm for the root factors, where upper_bound folds every
-# product left to right in the leaf's order.  The groupings can differ in
-# the last bits, so prune only with this much margin.  Leaves are tested
+# 1-q) and rp for the factors completed so far, where upper_bound folds
+# every product left to right in the leaf's order.  The groupings can differ
+# in the last bits, so prune only with this much margin.  Leaves are tested
 # exactly; the margin can only retain extra branches.  This regrouped copy
 # stays because it is cheaper: pruning with the exact left-to-right fold
-# (each present finding's term refolded over its later parents, the roots
-# over the undecided maxima) took a median 42% longer (per-pair IQR 34-49%,
-# 19 of 20 pairs) over the 4,762 iter_level_extensions calls of a seed-0
-# bn3-f26 benchmark round, set-up plus search, with the same 5,840
-# extensions and 107,628 inner nodes (in-process A/B replaying the recorded
-# calls, 2-core VM, Python 3.11.7).
+# (each present finding's term refolded over its later parents) took a
+# median 42% longer (per-pair IQR 34-49%, 19 of 20 pairs) over the 4,762
+# iter_level_extensions calls of a seed-0 bn3-f26 benchmark round, set-up
+# plus search, with the same 5,840 extensions and 107,628 inner nodes
+# (in-process A/B replaying the recorded calls, 2-core VM, Python 3.11.7;
+# measured while the bound still took each undecided root's larger factor).
 _PRUNE_MARGIN = 1e-9
 
 
@@ -150,9 +152,10 @@ class NoFindingsError(NetworkError):
 class Subproblem:
     """One branching instance, a snapshot of the assignment it was posed from.
 
-    ``values`` and ``pending`` copy the assignment's state list and its
-    per-node counts of unassigned parents; the search reads only these and
-    ``findings``, so later changes to the assignment do not reach it.
+    ``values`` copies the assignment's state list and ``plan`` holds the
+    structure that depends only on which nodes it had assigned (see the
+    module notes); the search reads only these and ``findings``, so later
+    changes to the assignment do not reach it.
 
     ``findings`` are the assigned nodes at the level whose factor is not
     yet known (they still have unassigned parents); nodes whose parents are
@@ -165,7 +168,7 @@ class Subproblem:
     findings: tuple[tuple[int, bool], ...]
     free_parents: tuple[int, ...]
     values: tuple[bool | None, ...]
-    pending: tuple[int, ...]
+    plan: _Plan = field(compare=False, repr=False)
 
 
 class Extension(NamedTuple):
@@ -226,10 +229,9 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     """
     findings = _findings(net, a, level)
     values = tuple(a.raw_values())
-    pending = tuple(a.raw_unassigned_parent_counts())
-    plan = _plan(net, findings, values, pending)
+    plan = _plan(net, findings, values, a.raw_unassigned_parent_counts())
     return Subproblem(
-        tuple((nid, values[nid]) for nid in findings), plan.free, values, pending
+        tuple((nid, values[nid]) for nid in findings), plan.free, values, plan
     )
 
 
@@ -249,21 +251,25 @@ def iter_extensions(
     expanded).
     """
     check_threshold(epsilon)
-    return _dfs(_bind(net, _snapshot_plan(net, sub), sub.values, epsilon), stats)
+    return _dfs(_bind(net, sub.plan, sub.values, epsilon), stats)
 
 
 # The plans of the network searched last: a weak reference to it and one
 # (assigned-node flags, plan) slot per level.  Within one top_epsilon call
 # every state whose frontier is level L has the same assigned nodes, and so
-# has every call on the same evidence, so a seed-0 benchmark round builds 10
-# plans for the 4,919 bn3-f26 subproblems it poses.  Keyed to the last
-# network only: a slot on each Network would keep the plans of every live
-# case net (twelve in a wide-log round), and a cache per call would build
-# again the plans of every later call on the same evidence.  The plans go
-# with their network: keeping the network alive after its caller dropped it
-# slowed the benchmark's set-up between rounds by 5-9% (setup_s, bn3-f26 and
-# bn3-f83).  A slot is an immutable tuple replaced whole, so threads sharing
-# it at worst rebuild a plan.
+# has every call on the same evidence (a property test walks the search tree
+# to check it), so a seed-0 benchmark round builds 10 plans for the 4,919
+# bn3-f26 subproblems it poses.  Keyed to the last network only: a slot on
+# each Network would keep the plans of every live case net (twelve in a
+# wide-log round) and took its peak_rss_mb from 24.8 to 26.6 MB (+7.5%,
+# over the benchmark's 5% bound), and a cache per call (a slot on the
+# Assignment) would build again the plans of every later call on the same
+# evidence: wide-log wall_s 0.339 -> 0.438 s (+29%) and search_ms_p50 +67%,
+# bn3-f83 wall_s +4% (3 alternating benchmark pairs each, medians, 2-core
+# VM).  The plans go with their network: keeping the network alive after
+# its caller dropped it slowed the benchmark's set-up between rounds by 5-9%
+# (setup_s, bn3-f26 and bn3-f83).  A slot is an immutable tuple replaced
+# whole, so threads sharing it at worst rebuild a plan.
 _plans: tuple[weakref.ref | None, list] = (None, [])
 
 
@@ -325,14 +331,13 @@ class _Plan(NamedTuple):
     """What a subproblem's search tables need that depends only on which
     nodes are assigned (see :func:`_plan`); never changed once built."""
 
-    findings: tuple  # (id, fixed links, free links, free_omq, present entries, tail)
+    findings: tuple  # (id, fixed links, free links, present entries, tail)
     free: tuple[int, ...]
     pos_of: dict[int, int]
     branch: tuple[tuple[bool, bool], ...]
     emission: tuple[tuple[int, int], ...]  # (id, position) in emission order
     root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
     pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
-    priced: tuple[int, ...]  # positions of the roots and pseudo-roots, first seen first
     completes: tuple  # (depth, leak complement, links, position, id)
     opens: tuple  # records of _open_absent
 
@@ -344,10 +349,11 @@ def _plan(net, findings, values, pending):
     nodes.
 
     A finding's record holds its links to assigned parents ("fixed") and
-    its (position, 1-q) links to free parents, both in link order, the
-    product of the latter, and its search table entries as a present
-    finding, ``(position, (finding, 1-q, tail))`` by descending position,
-    tail the product of the 1-q of its later parents, and the final tail.
+    its (position, 1-q) links to free parents, both in link order, and its
+    search table entries as a present finding,
+    ``(position, (finding, 1-q, tail))`` by descending position,
+    tail the product of the 1-q of its later parents, and the final tail,
+    that product over every free link.
     Positions follow the search order (:func:`_search_order`); the emission
     order is descending best activation probability, ties by id.
     ``emission`` holds the (id, position) of each free parent in emission
@@ -380,15 +386,12 @@ def _plan(net, findings, values, pending):
     records = []
     for fi, (nid, fixed, lf) in enumerate(split):
         plinks = tuple((pos_of[p], omq) for p, omq in lf)
-        free_omq = 1.0
-        for _, omq in plinks:
-            free_omq *= omq
         present = []
         tail = 1.0
         for pos, omq in sorted(plinks, reverse=True):
             present.append((pos, (fi, omq, tail)))
             tail *= omq
-        records.append((nid, fixed, plinks, free_omq, tuple(present), tail))
+        records.append((nid, fixed, plinks, tuple(present), tail))
 
     # only a root may try absent first (prior < 0.5 exactly when absent >
     # present)
@@ -404,7 +407,6 @@ def _plan(net, findings, values, pending):
     )
     pseudo = tuple((pos, p) for pos, p in enumerate(free) if root_fac[pos] is None)
     emission = tuple((p, pos_of[p]) for p in emit)
-    priced = tuple(pos_of[p] for p in low if not pending[p])
 
     # the factors whose last free variable a position decides: a free parent
     # whose unassigned parents are all free, or an assigned node off the
@@ -452,7 +454,7 @@ def _plan(net, findings, values, pending):
         if pending[p] and pos not in completed_at
     ]
     return _Plan(
-        tuple(records), free, pos_of, branch, emission, tuple(root_fac), pseudo, priced,
+        tuple(records), free, pos_of, branch, emission, tuple(root_fac), pseudo,
         tuple(completes), tuple(opens),
     )
 
@@ -469,11 +471,6 @@ def _search_order(net, emit, values):
     )
 
 
-def _snapshot_plan(net, sub):
-    """The plan of a :class:`Subproblem`, built afresh from its snapshot."""
-    return _plan(net, [nid for nid, _ in sub.findings], sub.values, sub.pending)
-
-
 def _bind(net, plan, values, epsilon, charged=False):
     """The entry check and, when it passes, the search tables of ``plan``
     under the states ``values``; None when the subproblem is provably empty.
@@ -485,21 +482,22 @@ def _bind(net, plan, values, epsilon, charged=False):
     (absent, present) factor pair, a pseudo-root's ``(w, 1 - w)`` with ``w``
     its noisy-OR absent probability given ``values``.
 
-    The entry check is a cheapest-explanation bound on the findings' factor
-    product over every assignment of the free parents, times the larger
-    factor of every free root or pseudo-root (after Henrion, UAI 1991, and
-    Poole, IJCAI 1993).  ``cost[p]`` is what setting free parent p present
-    costs against the per-node bound: the 1-q of every absent finding it
-    feeds, times present / max(absent, present) for a root or pseudo-root.
+    The entry check is a cheapest-explanation bound on the product of the
+    findings' factors and the free roots' and pseudo-roots' over every
+    assignment of the free parents (after Henrion, UAI 1991, and Poole,
+    IJCAI 1993).  A root's or pseudo-root's factor counts as 1, its bound
+    when absent, unless it explains a finding.  ``cost[p]`` is what setting
+    free parent p present costs against that bound: the 1-q of every absent
+    finding it feeds, times its present factor for a root or pseudo-root.
     A present finding f is either unexplained by the free parents, factor
     1-w, or has a present free parent p, factor at most plain (every free
-    parent present) while p pays cost[p]; so h = max(1-w, plain * max cost)
-    bounds f with its explainer's cost charged to it.  Findings picked with
-    pairwise disjoint free-parent sets have distinct explainers, so their
-    costs multiply and every picked finding may take h at once; the rest
-    keep plain.  Greedy order: largest
-    saving (h/plain ascending) first, ties by finding index; a finding with
-    h == plain saves nothing and is left out of the picking.
+    parent present, f's first search term) while p pays cost[p]; so h =
+    max(1-w, plain * max cost) bounds f with its explainer's cost charged
+    to it.  Findings picked with pairwise disjoint free-parent sets have
+    distinct explainers, so their costs multiply and every picked finding
+    may take h at once; the rest keep plain.  Greedy order: largest saving
+    (h/plain ascending) first, ties by finding index; a finding with h ==
+    plain saves nothing and is left out of the picking.
 
     When ``charged``, also table the open absent factors the engine's
     search bounds (see :func:`_open_absent`) and mark the free parents whose
@@ -512,7 +510,7 @@ def _bind(net, plan, values, epsilon, charged=False):
     bound = 1.0
     present = []
     # level labeling forbids arcs inside a level, so no finding feeds another
-    for fi, (nid, fixed, _, _, _, _) in enumerate(records):
+    for fi, (nid, fixed, _, _, _) in enumerate(records):
         base = leak_c[nid]
         for p, omq in fixed:
             if values[p]:
@@ -533,25 +531,19 @@ def _bind(net, plan, values, epsilon, charged=False):
     guard = epsilon - epsilon * _PRUNE_MARGIN
     # at guard 0 nothing can be pruned, so the bound is not worth finishing
     if guard > 0:
-        cost = [1.0] * nfree
-        roots = 1.0  # larger factor of every free root and pseudo-root
-        for pos in plan.priced:
-            off, on = root_fac[pos]
-            larger = off if off > on else on
-            roots *= larger
-            cost[pos] = on / larger
-        for nid, _, plinks, _, _, _ in records:
+        cost = [on for _, on in root_fac]
+        for nid, _, plinks, _, _ in records:
             if not values[nid]:
                 for pos, omq in plinks:
                     cost[pos] *= omq
         ranked = []
         for fi in present:  # every cost is final now
-            _, _, plinks, free_omq, _, _ = records[fi]
+            _, _, plinks, _, tail = records[fi]
             max_cost = 0.0
             for pos, _ in plinks:
                 if cost[pos] > max_cost:
                     max_cost = cost[pos]
-            plain = 1.0 - w[fi] * free_omq
+            plain = 1.0 - w[fi] * tail
             h = max(1.0 - w[fi], plain * max_cost)
             if h < plain:
                 ranked.append((h / plain, fi, h, plain))
@@ -566,14 +558,8 @@ def _bind(net, plan, values, epsilon, charged=False):
                 bound *= h
             else:
                 bound *= plain
-        if bound * roots < guard:
+        if bound < guard:
             return None
-
-    # suffix products of the best root or pseudo-root factor; the factors
-    # in completes below are at most 1, so they count as 1 until decided
-    rsm = [1.0] * (nfree + 1)
-    for d in range(nfree - 1, -1, -1):
-        rsm[d] = max(root_fac[d]) * rsm[d + 1]
 
     # per position, the findings it feeds: absent ones as (finding, 1-q),
     # present ones as (finding, 1-q, tail); a present finding's term treats
@@ -581,7 +567,7 @@ def _bind(net, plan, values, epsilon, charged=False):
     absent_adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     present_adj: list[list[tuple[int, float, float]]] = [[] for _ in range(nfree)]
     terms = w.copy()
-    for fi, (nid, _, plinks, _, as_present, tail) in enumerate(records):
+    for fi, (nid, _, plinks, as_present, tail) in enumerate(records):
         if values[nid]:
             for pos, entry in as_present:
                 present_adj[pos].append(entry)
@@ -631,9 +617,8 @@ def _bind(net, plan, values, epsilon, charged=False):
             watchers = [()] * nfree
             explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
     return (
-        free, plan.branch, plan.emission, root_fac, rsm, completes, w, absent_adj,
-        present_adj, terms, explain, paths, watchers, absent0, opens, reopens, epsilon,
-        guard,
+        free, plan.branch, plan.emission, root_fac, completes, w, absent_adj, present_adj,
+        terms, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     )
 
 
@@ -819,8 +804,8 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     if tables is None:
         return
     (
-        free, branch, emission, root_fac, rsm, completes, w, absent_adj, present_adj,
-        terms, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        free, branch, emission, root_fac, completes, w, absent_adj, present_adj, terms,
+        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -890,9 +875,10 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         absent[d] = ab
         if track:
             stats["nodes"] += 1
-        # at a leaf rsm[nfree] == 1.0, so e is the extension product itself
+        # every factor not yet complete counts as 1, so at a leaf e is the
+        # extension product itself
         e = prod(terms) * rp
-        bound = e * rsm[d] * ab
+        bound = e * ab
         if bound * c < guard:
             continue
         if explain is not None:
@@ -939,17 +925,16 @@ def upper_bound(
     pass (``_plan``, ``_bind``) fill from the same snapshot, so on a
     complete decision it equals the extension product exactly.  Present
     findings are bounded by treating every undecided parent as present,
-    absent findings by treating them as absent.  Roots
-    and pseudo-roots contribute their factor pair (the larger factor while
-    undecided); every other factor the extension completes contributes its
+    absent findings by treating them as absent.  Every other factor the
+    extension completes, a root's or pseudo-root's included, contributes its
     value once the decision covers its last free variable, and 1 before.
     At entry (the empty decision) the search also applies the tighter
     cheapest-explanation bound, so a subproblem can end with no node
     expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, _, root_fac, _, completes, w, absent_adj, present_adj, *_ = _bind(
-        net, _snapshot_plan(net, sub), sub.values, 0.0
+    free, _, _, root_fac, completes, w, absent_adj, present_adj, *_ = _bind(
+        net, sub.plan, sub.values, 0.0
     )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
@@ -958,18 +943,16 @@ def upper_bound(
     # _bind folded the fixed parents into w; the free ones follow in search
     # order, a present one into every finding it feeds, an undecided one into
     # the present findings only
-    roots = 1.0
+    rp = 1.0
     for pos, pair in enumerate(root_fac):
         state = by_pos[pos] if pos < k else None
-        if state is None:
-            roots *= max(pair)
-        else:
-            roots = _completed(roots * pair[state], completes[pos], by_pos)
+        if state is not None:
+            rp = _completed(rp * pair[state], completes[pos], by_pos)
         if state:
             for fi, omq in absent_adj[pos]:
                 w[fi] *= omq
-        if state is None or state:
+        if state is not False:
             for fi, omq, _ in present_adj[pos]:
                 w[fi] *= omq
     terms = [1.0 - wf if present else wf for wf, (_, present) in zip(w, sub.findings)]
-    return math.prod(terms) * roots
+    return math.prod(terms) * rp

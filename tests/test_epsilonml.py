@@ -930,6 +930,14 @@ class TestUpperBound:
         sub = build_subproblem(net, a, 2)
         assert upper_bound(net, sub, {}) == pytest.approx(0.9, abs=1e-15)
 
+    def test_undecided_root_counts_as_1(self):
+        # a root's factor counts as 1 until it is decided, as every factor
+        # does before its last free variable is
+        net = parse_network("node R prior 0.2\nnode F leak 0.1 parents R:0.9\n")
+        sub = build_subproblem(net, Assignment.from_evidence(net, [(1, True)]), 1)
+        assert upper_bound(net, sub, {}) == pytest.approx(0.91, abs=1e-15)
+        assert upper_bound(net, sub, {0: True}) == pytest.approx(0.91 * 0.2, abs=1e-15)
+
     def test_chain3_empty_decision_dominates(self, chain3):
         a = Assignment.from_evidence(chain3, [(1, True), (2, True)])
         sub = build_subproblem(chain3, a, 1)

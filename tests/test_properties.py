@@ -5,7 +5,9 @@ the target once), invariance of the result under evidence order and
 under renumbering of the nodes, the NET text round trip, the two rules the
 engine's context memo relies on (states that share a context key have the
 same extensions, and filtering a level's extensions by a higher threshold
-is exact), that an extension's product is the factor
+is exact), the rule the level search's kept plans rely on (states with the
+same frontier level have the same assigned nodes), that an extension's
+product is the factor
 applying it folds into the known product, that the engine's charged
 product bounds the joint of every completion of the extension, and that
 every joint the oracle and the engine report equals the test-side noisy-OR
@@ -417,6 +419,33 @@ def test_states_sharing_a_context_key_have_the_same_extensions(problem):
         if keys[level] is not None:
             got = _bits(iter_level_extensions(net, a, level, epsilon))
             assert first.setdefault((level, keys[level](a.raw_values())), got) == got
+        for ext in list(iter_level_extensions(net, a, level, 0.0)):
+            token = a.assign(ext.parent_states)
+            walk()
+            a.undo(token)
+
+    walk()
+
+
+@_SETTINGS
+@given(deep_problems())
+def test_states_with_one_frontier_level_have_the_same_assigned_nodes(problem):
+    # Walk the search tree at threshold 0 from the evidence: every state
+    # whose frontier is level L has the same assigned nodes, so one plan per
+    # level serves every search of the walk (epsilonml._plans).
+    net, evidence, _ = problem
+    a = Assignment.from_evidence(net, evidence)
+    first = {}
+    visited = 0
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        if level is None or visited >= 300:
+            return
+        visited += 1
+        assigned = bytes(a._assigned)
+        assert first.setdefault(level, assigned) == assigned
         for ext in list(iter_level_extensions(net, a, level, 0.0)):
             token = a.assign(ext.parent_states)
             walk()
