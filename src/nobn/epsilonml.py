@@ -6,7 +6,8 @@ with no arcs among them, and the parents still free (in a multi-level net
 these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
-while storing only the current decision path.  :func:`upper_bound` folds
+while storing only its tables and one copy of the assignment's state list,
+which carries its current decision path.  :func:`upper_bound` folds
 that bound from the search's own tables in the order of the leaf product;
 the search keeps it incrementally, groups the products differently, and so
 prunes only with a margin (``_PRUNE_MARGIN``).
@@ -32,16 +33,17 @@ in which the joints arrive depends on the search order, and the engine's
 sums are exact (:class:`~nobn.model.Tally`), so they do not.
 
 Every subproblem is set up in two parts.  Its plan (``_plan``) is the
-structure that depends only on which nodes are assigned: the findings' links
-split into assigned and free, the free parents in search order, which of
-them are roots or pseudo-roots, each finding's search table entries and the
-factors an extension completes.  Its value pass (``_bind``) does the
-arithmetic that depends on the states: it folds the assigned-present parents
-into each finding's factor, prices each pseudo-root and each free parent as
-the explanation of a present finding, and checks a cheapest-explanation
-bound on the whole subproblem.  Most subproblems that yield nothing fail
-that bound and end there, before any search table is filled; the rest fill
-the tables from the plan for the depth-first search (``_dfs``).  Within one
+structure that depends only on which nodes are assigned: the findings'
+links to free parents, the free parents in search order, which of them are
+roots or pseudo-roots, each finding's search table entries and, per search
+position, the nodes whose factor deciding it completes.  Its value pass
+(``_bind``) does the arithmetic that depends on the states: it starts each
+finding's factor from its noisy-OR given the assigned parents, prices each
+free parent as the explanation of a present finding, and checks a
+cheapest-explanation bound on the whole subproblem.  Most subproblems that
+yield nothing fail that bound and end there, before any search table is
+filled; the rest copy the states into the search's state list and fill the
+tables from the plan for the depth-first search (``_dfs``).  Within one
 engine call every state whose frontier is level L has the same assigned
 nodes, and so do the engine's calls on the same evidence, so the engine's
 search keeps one plan per level for the network it searched last
@@ -54,10 +56,12 @@ extension: every finding's conditional factor; the factor of every free
 parent whose own parents are all assigned, a root's prior or a
 *pseudo-root*'s noisy-OR conditional given its assigned parents; and the
 noisy-OR conditional of every other node, free parent or assigned node off
-the level, whose unassigned parents are all free here.  The bounds take
-each of these factors by one rule: it is priced at the depth where its last
-free variable is decided and counts as 1 before it, which keeps them
-admissible, since no factor exceeds 1.  A free parent with a parent outside
+the level, whose unassigned parents are all free here.  Every such
+completed factor follows one rule: it is :func:`~nobn.model.node_factor`
+over the search's states, taken at the depth where its last free variable
+is decided, and counts as 1 before it, which keeps the bounds admissible,
+since no factor exceeds 1; it is the factor ``Assignment.assign`` folds in,
+bit for bit.  A free parent with a parent outside
 the subproblem contributes 1: its conditional factor is unknown until its
 level is expanded, and 1 is its only safe bound.  That keeps the threshold a
 necessary condition for any completion of the joint, which is what the
@@ -85,7 +89,8 @@ other candidate the explanation is the leak.  The search takes the
 smallest such explanation among the present parents, never two of them,
 since two parents may share an ancestor.  An absent node whose factor
 stays open is at most its leak complement times the 1-q of
-every parent already present (:func:`_open_absent`).  The search bounds two
+every parent already present, its noisy-OR absent probability over the
+search's states (:func:`_open_absent`).  The search bounds two
 kinds of such node: a free parent with a parent outside the subproblem,
 once decided absent, and an assigned-absent node off the level that a free
 parent feeds and that has a parent outside the subproblem.  These bounds
@@ -117,7 +122,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Assignment, Network, NetworkError, check_threshold, noisy_or_absent
+from .model import Assignment, Network, NetworkError, check_threshold, node_factor, noisy_or_absent
 
 __all__ = [
     "NoFindingsError",
@@ -246,9 +251,9 @@ def iter_extensions(
 
     Branch order: non-root parents, pseudo-roots included, try present
     first; roots try their more probable state first.  The generator holds
-    the decision path and the search tables, never the extensions found so
-    far.  ``stats``, when given, receives ``nodes`` (partial decisions
-    expanded).
+    the search tables and one copy of the state list, which carries the
+    decision path, never the extensions found so far.  ``stats``, when
+    given, receives ``nodes`` (partial decisions expanded).
     """
     check_threshold(epsilon)
     return _dfs(_bind(net, sub.plan, sub.values, epsilon), stats)
@@ -329,16 +334,17 @@ def _findings(net: Network, a: Assignment, level: int) -> list[int]:
 
 class _Plan(NamedTuple):
     """What a subproblem's search tables need that depends only on which
-    nodes are assigned (see :func:`_plan`); never changed once built."""
+    nodes are assigned (see :func:`_plan`); never changed once built.
+    Every completed factor is :func:`~nobn.model.node_factor` over the
+    search's states, taken at its last free variable's position."""
 
-    findings: tuple  # (id, fixed links, free links, present entries, tail)
+    findings: tuple  # (id, free links, present entries, tail)
     free: tuple[int, ...]
     pos_of: dict[int, int]
     branch: tuple[tuple[bool, bool], ...]
-    emission: tuple[tuple[int, int], ...]  # (id, position) in emission order
-    root_fac: tuple  # a root's pair, (1.0, 1.0) unpriced, None for a pseudo-root
-    pseudo: tuple[tuple[int, int], ...]  # (position, id) of each pseudo-root
-    completes: tuple  # (depth, leak complement, links, position, id)
+    emission: tuple[int, ...]
+    priced: tuple[int, ...]  # positions of the free roots and pseudo-roots
+    done: tuple[tuple[int, ...], ...]  # per position, the nodes it completes
     opens: tuple  # records of _open_absent
 
 
@@ -348,19 +354,19 @@ def _plan(net, findings, values, pending):
     which nodes are assigned, so it holds for every assignment of the same
     nodes.
 
-    A finding's record holds its links to assigned parents ("fixed") and
-    its (position, 1-q) links to free parents, both in link order, and its
-    search table entries as a present finding,
+    A finding's record holds its (position, 1-q) links to free parents, in
+    link order, and its search table entries as a present finding,
     ``(position, (finding, 1-q, tail))`` by descending position,
     tail the product of the 1-q of its later parents, and the final tail,
     that product over every free link.
     Positions follow the search order (:func:`_search_order`); the emission
-    order is descending best activation probability, ties by id.
-    ``emission`` holds the (id, position) of each free parent in emission
-    order, the order an extension lists them in.  ``completes`` holds the
-    factors an extension completes besides the findings', the roots' and
-    the pseudo-roots' (see :func:`_completed`), and ``opens`` the open
-    absent factors of the charged search."""
+    order is descending best activation probability, ties by id, and
+    ``emission`` lists the free parents in it, the order an extension lists
+    them in.  ``done[pos]`` holds the nodes whose factor, besides the
+    findings', is complete once position pos is decided: a free root's or
+    pseudo-root's own first, then every free parent or assigned node off the
+    findings whose unassigned parents are all free and last decided at pos.
+    ``opens`` holds the open absent factors of the charged search."""
     links_omq = net._links_omq
     priors = net._priors
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
@@ -368,7 +374,6 @@ def _plan(net, findings, values, pending):
     low: dict[int, float] = {}  # first seen first
     split = []
     for nid in findings:
-        fixed = []
         lf = []
         for link in links_omq[nid]:
             p, omq = link
@@ -376,50 +381,38 @@ def _plan(net, findings, values, pending):
                 lf.append(link)
                 if omq < low.get(p, 2.0):
                     low[p] = omq
-            else:
-                fixed.append(link)
-        split.append((nid, tuple(fixed), lf))
-    emit = sorted(low, key=lambda p: (low[p] - 1.0, p))
-    free = tuple(_search_order(net, emit, values))
+        split.append((nid, lf))
+    emission = tuple(sorted(low, key=lambda p: (low[p] - 1.0, p)))
+    free = tuple(_search_order(net, emission, values))
     pos_of = {p: i for i, p in enumerate(free)}
 
     records = []
-    for fi, (nid, fixed, lf) in enumerate(split):
+    for fi, (nid, lf) in enumerate(split):
         plinks = tuple((pos_of[p], omq) for p, omq in lf)
         present = []
         tail = 1.0
         for pos, omq in sorted(plinks, reverse=True):
             present.append((pos, (fi, omq, tail)))
             tail *= omq
-        records.append((nid, fixed, plinks, tuple(present), tail))
+        records.append((nid, plinks, tuple(present), tail))
 
     # only a root may try absent first (prior < 0.5 exactly when absent >
     # present)
-    root_fac = [
-        (1.0, 1.0) if pending[p]
-        else None if priors[p] is None
-        else (1.0 - priors[p], priors[p])
-        for p in free
-    ]
     branch = tuple(
-        (False, True) if pair is not None and pair[0] > pair[1] else (True, False)
-        for pair in root_fac
+        (False, True) if priors[p] is not None and 1.0 - priors[p] > priors[p]
+        else (True, False)
+        for p in free
     )
-    pseudo = tuple((pos, p) for pos, p in enumerate(free) if root_fac[pos] is None)
-    emission = tuple((p, pos_of[p]) for p in emit)
+    priced = tuple(pos for pos, p in enumerate(free) if not pending[p])
+    done = [[p] if not pending[p] else [] for p in free]
 
     # the factors whose last free variable a position decides: a free parent
     # whose unassigned parents are all free, or an assigned node off the
-    # findings with that property, as (depth, leak complement, links,
-    # position, id): links in link order as (position, 1-q, parent), position
-    # -1 for an assigned parent; position the node's own, or -1 for an
-    # assigned node.  An assigned node with a parent outside the subproblem
-    # is an open absent factor if it is absent.
-    completes = []
+    # findings with that property.  An assigned node with a parent outside
+    # the subproblem is an open absent factor if it is absent.
     opens = []
     seen = set(findings)  # their factors are the terms
     completed_at = set()
-    leak_c = net._leak_c
     for p in free:
         for c in net.children[p]:
             if c in seen:
@@ -429,33 +422,29 @@ def _plan(net, findings, values, pending):
             if at < 0 and values[c] is None:
                 continue  # free, but no finding's parent
             depth = at
-            clinks = []
-            for g, omq in links_omq[c]:
+            for g, _ in links_omq[c]:
                 if values[g] is None:
                     q = pos_of.get(g)
                     if q is None:
                         break  # a parent outside the subproblem
-                    clinks.append((q, omq, g))
                     if q > depth:
                         depth = q
-                else:
-                    clinks.append((-1, omq, g))
             else:
-                completes.append((depth, leak_c[c], tuple(clinks), at, c))
+                done[depth].append(c)
                 completed_at.add(at)
                 continue
             if at < 0:
-                opens.append(_open_absent(net, values, pos_of, c, -1))
+                opens.append(_open_absent(net, pos_of, c, -1))
     # a free parent neither priced (a root or pseudo-root) nor completed
     # here has a parent outside the subproblem
     opens += [
-        _open_absent(net, values, pos_of, p, pos)
+        _open_absent(net, pos_of, p, pos)
         for pos, p in enumerate(free)
         if pending[p] and pos not in completed_at
     ]
     return _Plan(
-        tuple(records), free, pos_of, branch, emission, tuple(root_fac), pseudo,
-        tuple(completes), tuple(opens),
+        tuple(records), free, pos_of, branch, emission, priced,
+        tuple(map(tuple, done)), tuple(opens),
     )
 
 
@@ -477,10 +466,9 @@ def _bind(net, plan, values, epsilon, charged=False):
     The state-dependent arithmetic only, in a fixed order, so every product
     keeps its bits whichever search built the plan.
 
-    Each finding's factor folds its fixed-present parents into ``w``, (1 -
-    leak) * prod(1-q) over them.  Each free root or pseudo-root gets its
-    (absent, present) factor pair, a pseudo-root's ``(w, 1 - w)`` with ``w``
-    its noisy-OR absent probability given ``values``.
+    Each finding's ``w`` starts as its noisy-OR absent probability given
+    ``values``.  The search's state list is a copy of ``values`` that
+    :func:`_dfs` writes its decisions into.
 
     The entry check is a cheapest-explanation bound on the product of the
     findings' factors and the free roots' and pseudo-roots' over every
@@ -502,7 +490,6 @@ def _bind(net, plan, values, epsilon, charged=False):
     When ``charged``, also table the open absent factors the engine's
     search bounds (see :func:`_open_absent`) and mark the free parents whose
     explanation it charges (see :func:`_explanation`)."""
-    leak_c = net._leak_c
     records = plan.findings
     free = plan.free
     nfree = len(free)
@@ -510,35 +497,31 @@ def _bind(net, plan, values, epsilon, charged=False):
     bound = 1.0
     present = []
     # level labeling forbids arcs inside a level, so no finding feeds another
-    for fi, (nid, fixed, _, _, _) in enumerate(records):
-        base = leak_c[nid]
-        for p, omq in fixed:
-            if values[p]:
-                base *= omq
+    for fi, (nid, _, _, _) in enumerate(records):
+        base = noisy_or_absent(net, nid, values)
         w.append(base)
         if values[nid]:
             present.append(fi)
         else:
             bound *= base
-    # per position the (absent, present) factor pair; an unpriced parent
-    # gets (1.0, 1.0), and x * 1.0 == x exactly
-    root_fac = list(plan.root_fac)
-    for pos, p in plan.pseudo:
-        # the factor Assignment.assign folds in, bit for bit
-        a_p = noisy_or_absent(net, p, values)
-        root_fac[pos] = (a_p, 1.0 - a_p)
+    states = list(values)
 
     guard = epsilon - epsilon * _PRUNE_MARGIN
     # at guard 0 nothing can be pruned, so the bound is not worth finishing
     if guard > 0:
-        cost = [on for _, on in root_fac]
-        for nid, _, plinks, _, _ in records:
+        cost = [1.0] * nfree
+        for pos in plan.priced:
+            p = free[pos]
+            states[p] = True
+            cost[pos] = node_factor(net, p, states)
+            states[p] = None
+        for nid, plinks, _, _ in records:
             if not values[nid]:
                 for pos, omq in plinks:
                     cost[pos] *= omq
         ranked = []
         for fi in present:  # every cost is final now
-            _, _, plinks, _, tail = records[fi]
+            _, plinks, _, tail = records[fi]
             max_cost = 0.0
             for pos, _ in plinks:
                 if cost[pos] > max_cost:
@@ -552,7 +535,7 @@ def _bind(net, plan, values, epsilon, charged=False):
         ranked.sort()
         taken: set[int] = set()
         for _, fi, h, plain in ranked:
-            parents = [pos for pos, _ in records[fi][2]]
+            parents = [pos for pos, _ in records[fi][1]]
             if taken.isdisjoint(parents):
                 taken.update(parents)
                 bound *= h
@@ -567,7 +550,7 @@ def _bind(net, plan, values, epsilon, charged=False):
     absent_adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     present_adj: list[list[tuple[int, float, float]]] = [[] for _ in range(nfree)]
     terms = w.copy()
-    for fi, (nid, _, plinks, as_present, tail) in enumerate(records):
+    for fi, (nid, plinks, as_present, tail) in enumerate(records):
         if values[nid]:
             for pos, entry in as_present:
                 present_adj[pos].append(entry)
@@ -576,22 +559,13 @@ def _bind(net, plan, values, epsilon, charged=False):
             for pos, omq in plinks:
                 absent_adj[pos].append((fi, omq))
 
-    # per position, the factors it completes as (leak complement, links,
-    # position, state): links as (position, 1-q), -1 for a fixed-present
-    # parent (a fixed-absent one changes nothing)
-    completes: list[list[tuple[float, tuple, int, bool]]] = [[] for _ in range(nfree)]
-    for depth, wc, clinks, at, c in plan.completes:
-        clinks = tuple([(q, omq) for q, omq, g in clinks if q >= 0 or values[g]])
-        completes[depth].append((wc, clinks, at, values[c]))
-
     # when charged, the open absent factors (see _open_absent): the product
-    # of their bounds before any decision, per position the bound a free
-    # parent with a parent outside the subproblem opens once decided absent
-    # (None for the rest, whose charge is 1), and per position q the
-    # (position, 1-q) of each open factor that deciding q present shrinks,
-    # position -1 for an assigned node
+    # of their bounds before any decision, per position whether a free
+    # parent with a parent outside the subproblem opens its own once decided
+    # absent, and per position q the (node, 1-q) of each open factor that
+    # deciding q present shrinks
     absent0 = 1.0
-    opens: list[tuple[float, tuple] | None] = [None] * nfree
+    opens = [False] * nfree
     reopens: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
     # the charged positions' h' records (see _explanation), priced when the
     # search first sets the parent present, and per position the earlier
@@ -599,67 +573,51 @@ def _bind(net, plan, values, epsilon, charged=False):
     explain = paths = watchers = None
     # nor can a charge prune at guard 0, so none is priced (see Extension)
     if charged and guard > 0:
-        for pos, n, fixed, earlier, later in plan.opens:
-            if pos < 0 and values[n] is not False:
-                continue  # an assigned node's factor is open only if absent
-            wc = leak_c[n]
-            for g, omq in fixed:
-                if values[g]:
-                    wc *= omq
+        for pos, n, later in plan.opens:
+            if pos < 0:
+                if values[n] is not False:
+                    continue  # an assigned node's factor is open only if absent
+                absent0 *= noisy_or_absent(net, n, values)
+            else:
+                opens[pos] = True
             for q, entry in later:
                 reopens[q].append(entry)
-            if pos < 0:
-                absent0 *= wc
-            else:
-                opens[pos] = (wc, earlier)
         if any(opens):
             paths = [None] * nfree
             watchers = [()] * nfree
             explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
     return (
-        free, plan.branch, plan.emission, root_fac, completes, w, absent_adj, present_adj,
-        terms, explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        free, plan.branch, plan.emission, plan.done, states, w, absent_adj, present_adj,
+        terms, explain, paths, watchers, absent0, opens, reopens, net, epsilon, guard,
     )
 
 
-def _open_absent(net, values, pos_of, n, pos):
+def _open_absent(net, pos_of, n, pos):
     """Plan the charged search's bound on the factor of node ``n`` absent,
     for the free parent at position ``pos`` or, at -1, an assigned node.
 
     An absent node's factor is its leak complement times the 1-q of every
     present parent, so it is at most that product over the parents present
-    so far: any other parent may end up absent and count as 1.  Returns
-    ``(pos, n, fixed, earlier, later)``: n's links to assigned parents in
-    link order, whose present ones :func:`_bind` folds in; the (position,
-    1-q) links of the free parents before ``pos``, which the search folds in
-    when it decides the parent absent; and for each later free parent q the
-    entry ``(q, (pos, 1-q))`` of ``reopens[q]``, for the search to fold in
-    when it decides q present."""
-    fixed = []
-    earlier = []
+    so far: any other parent may end up absent and count as 1.  That is
+    :func:`~nobn.model.noisy_or_absent` over the search's states, which
+    :func:`_bind` takes for an assigned node and :func:`_dfs` for a free
+    parent when it decides it absent.  Returns ``(pos, n, later)``, with
+    for each later free parent q the entry ``(q, (n, 1-q))`` of
+    ``reopens[q]``, for the search to fold in when it decides q present."""
     later = []
-    for link in net._links_omq[n]:
-        g, omq = link
-        if values[g] is not None:
-            fixed.append(link)
-        else:
-            q = pos_of.get(g)
-            if q is None:
-                continue
-            if q < pos:
-                earlier.append((q, omq))
-            else:
-                later.append((q, (pos, omq)))
-    return pos, n, tuple(fixed), tuple(earlier), tuple(later)
+    for g, omq in net._links_omq[n]:
+        q = pos_of.get(g)
+        if q is not None and q > pos:
+            later.append((q, (n, omq)))
+    return pos, n, tuple(later)
 
 
-def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
-    """Bound h'(n), the charge for setting node ``n`` present: the free
-    parent at position ``pos``, or an outside node at -1.  It is at least
-    the product of n's conditional factor, the factors of its unassigned
-    ancestors outside the subproblem, and the factors their presence takes
-    from absent nodes, over every completion with n present and the free
-    parents as decided.
+def _explanation(net, values, pos_of, memo, watchers, n, pos):
+    """Bound h'(n), the charge for setting the free parent ``n`` at position
+    ``pos`` present.  It is at least the product of n's conditional factor,
+    the factors of its unassigned ancestors outside the subproblem, and the
+    factors their presence takes from absent nodes, over every completion
+    with n present and the free parents as decided.
 
     Either no parent of n is present, and its factor is its leak, 1 -
     leak_c; or some parent g is, and n's factor is at most ``plain``, its
@@ -668,26 +626,27 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
     factor is known or priced by the search).  An outside g brings its
     term from :func:`_conflicts`: its prior if it is a root and this same
     bound if not, for itself and its ancestry, times the 1-q of its link
-    to every absent node a that it feeds, assigned absent or, for a free
-    n, a free sibling decided absent; a's factor is its leak complement
-    times the 1-q of every present parent.  The absent bounds of
-    :func:`_open_absent` count only parents fixed or decided present,
-    never an outside g, and no finding or completed factor has an outside
-    parent, so no factor is bounded twice:
+    to every absent node a that it feeds, assigned absent or, for n, a free
+    sibling decided absent; a's factor is its leak complement times the 1-q
+    of every present parent.  The absent bounds of :func:`_open_absent`
+    count only parents fixed or decided present, never an outside g, and no
+    finding or completed factor has an outside parent, so no factor is
+    bounded twice:
 
         h'(n) = max(leak_n, plain_n * max over g of h'(g) * prod(1-q_{g,a}))
 
     Returns the record ``(leak, plain, best, terms)`` that
     :func:`_path_charge` prices: the leak, ``plain``, the best term that no
     sibling changes, and the terms of the gs that feed another free parent
-    and may still win the max.  Only a free n keeps such terms, for
+    and may still win the max.  Only n keeps such terms, for
     :func:`_path_charge` to shrink by the siblings decided absent on the
-    path, and lists pos in ``watchers[s]`` for each such sibling s after
-    it; an outside n's explainers count their free children as 1.
-    ``memo`` holds the outside nodes' terms within one subproblem.  An
-    outside explainer not in it yet is priced first, on an explicit stack
-    of the nodes waiting for it, so a long outside ancestry costs no call
-    depth.
+    path, and lists pos in ``watchers[s]`` for the position s of each such
+    sibling after it; an outside node's explainers count their free
+    children as 1.  ``memo`` holds the outside nodes' terms within one
+    subproblem.  An outside explainer not in it yet is priced first, on an
+    explicit stack of the nodes waiting for it, so a long outside ancestry
+    costs no call depth.  ``values`` are the assignment's states, never the
+    search's, so the memo holds for the whole subproblem.
     """
     links_omq = net._links_omq
     priors = net._priors
@@ -713,7 +672,7 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
                     waiting = g
                     break
                 term = memo[g] = _conflicts(net, values, pos_of, g, t)
-            if top and pos >= 0 and len(term[1]) > 1:  # g feeds a free parent besides n
+            if top and len(term[1]) > 1:  # g feeds a free parent besides n
                 terms.append(term)
             elif term[0] > best:
                 best = term[0]
@@ -727,7 +686,7 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
         plain = 1.0 - w
         if not top:
             stack.pop()
-            t = _path_charge((leak, plain, best, terms), None, 0)
+            t = _path_charge((leak, plain, best, terms), values)
             memo[m] = _conflicts(net, values, pos_of, m, t)
             continue
         # a term at most the best static one, or whose h' is the leak, never wins
@@ -735,7 +694,8 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
         for term in terms:
             if term[0] > best and plain * term[0] > leak:
                 shrinking.append(term)
-                for s, _ in term[1]:
+                for a, _ in term[1]:
+                    s = pos_of[a]
                     if s > pos and pos not in watchers[s]:
                         watchers[s] += (pos,)
         return leak, plain, best, shrinking
@@ -744,14 +704,13 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos=-1):
 def _conflicts(net, values, pos_of, g, t):
     """For an outside node g priced ``t`` (see :func:`_explanation`): t
     times the 1-q of g's link to every assigned-absent child, and the
-    (position, 1-q) of g's link to every free child."""
+    (id, 1-q) of g's link to every free child."""
     kids = []
     links_omq = net._links_omq
     for a in net.children[g]:
         state = values[a]
         if state is None:
-            s = pos_of.get(a)
-            if s is None:
+            if a not in pos_of:
                 continue
         elif state:
             continue
@@ -759,20 +718,20 @@ def _conflicts(net, values, pos_of, g, t):
             if parent == g:
                 break
         if state is None:
-            kids.append((s, omq))
+            kids.append((a, omq))
         else:
             t *= omq
     return t, kids
 
 
-def _path_charge(path, decided, depth):
+def _path_charge(path, states):
     """h' from a record of :func:`_explanation`, each term shrunk by the
-    free parents among the first ``depth`` decisions that are absent; the
-    parent itself is present."""
+    free parents that ``states`` has decided absent; the parent itself is
+    present."""
     leak, plain, best, terms = path
     for t, kids in terms:
-        for s, omq in kids:
-            if s < depth and not decided[s]:
+        for a, omq in kids:
+            if states[a] is False:
                 t *= omq
         if t > best:
             best = t
@@ -780,32 +739,21 @@ def _path_charge(path, decided, depth):
     return h if h > leak else leak
 
 
-def _completed(rp, factors, decided):
-    """``rp`` times each factor of ``factors`` (one position's entries in
-    :func:`_bind`'s ``completes``) under the decisions ``decided``, by
-    position; the absent probability folds in link order, as
-    :func:`~nobn.model.noisy_or_absent` does, so each factor is the one
-    ``Assignment.assign`` folds in, bit for bit."""
-    for wc, clinks, at, fixed in factors:
-        for q, omq in clinks:
-            if q < 0 or decided[q]:
-                wc *= omq
-        rp *= 1.0 - wc if (decided[at] if at >= 0 else fixed) else wc
-    return rp
-
-
 def _dfs(tables, stats) -> Iterator[Extension]:
     """Depth-first search over the tables of :func:`_bind`, in search
     order, yielding each passing leaf as soon as it is reached, its parents
-    in emission order; None tables (rejected at entry) yield nothing."""
+    in emission order; None tables (rejected at entry) yield nothing.
+
+    Each decision is written into the tables' state list and set back to
+    None once its branches are used up; every factor is priced from it."""
     track = stats is not None
     if track:
         stats.setdefault("nodes", 0)
     if tables is None:
         return
     (
-        free, branch, emission, root_fac, completes, w, absent_adj, present_adj, terms,
-        explain, paths, watchers, absent0, opens, reopens, epsilon, guard,
+        free, branch, emission, done, states, w, absent_adj, present_adj, terms,
+        explain, paths, watchers, absent0, opens, reopens, net, epsilon, guard,
     ) = tables
     # every finding has a free parent (see _findings), so nfree >= 1
     nfree = len(free)
@@ -813,12 +761,10 @@ def _dfs(tables, stats) -> Iterator[Extension]:
     new = tuple.__new__
 
     # w[f] also folds in the decided-present parents; an absent finding's
-    # term is its w
-    decided = [False] * nfree
-    # the root, pseudo-root and completed factors of the first d decisions,
-    # the smallest charge of a present parent among them, and the product
-    # of the open absent factors' bounds after them
-    root_prod = [1.0] * (nfree + 1)
+    # term is its w.  Per depth, the completed factors of the first d
+    # decisions, the smallest charge of a present parent among them, and the
+    # product of the open absent factors' bounds after them
+    done_prod = [1.0] * (nfree + 1)
     least = [1.0] * (nfree + 1)
     absent = [absent0] * (nfree + 1)
     undo: list[list | None] = [None] * nfree
@@ -833,7 +779,9 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 w[fi] = ow
                 terms[fi] = ot
             undo[d] = None
+        p = free[d]
         if state is None:
+            states[p] = None
             iters.pop()
             continue
         saved = []
@@ -851,27 +799,23 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 w[fi] = ow
             terms[fi] = 1.0 - ow * tail
         undo[d] = saved
-        decided[d] = state
-        rp = root_prod[d] * root_fac[d][state]
-        if completes[d]:
-            rp = _completed(rp, completes[d], decided)
+        states[p] = state
+        rp = done_prod[d]
+        for n in done[d]:
+            rp *= node_factor(net, n, states)
         c = least[d]
         # a parent decided present shrinks each open factor it feeds whose
-        # node is assigned (-1) or was decided absent earlier on the path; a
-        # parent decided absent opens its own, over its earlier present parents
+        # node is assigned or was decided absent earlier on the path; a
+        # parent decided absent opens its own, over its parents present so far
         ab = absent[d]
         if state:
-            for at, omq in reopens[d]:
-                if at < 0 or not decided[at]:
+            for n, omq in reopens[d]:
+                if not states[n]:
                     ab *= omq
-        elif opens[d] is not None:
-            wc, flinks = opens[d]
-            for q, omq in flinks:
-                if decided[q]:
-                    wc *= omq
-            ab *= wc
+        elif opens[d]:
+            ab *= noisy_or_absent(net, p, states)
         d += 1
-        root_prod[d] = rp
+        done_prod[d] = rp
         absent[d] = ab
         if track:
             stats["nodes"] += 1
@@ -887,16 +831,16 @@ def _dfs(tables, stats) -> Iterator[Extension]:
             # present parents whose explainers feed it
             k = c
             if state:
-                if opens[d - 1] is not None:
+                if opens[d - 1]:
                     path = paths[d - 1]
                     if path is None:
                         # priced once a node that sets it present survives
-                        path = paths[d - 1] = explain(free[d - 1], d - 1)
-                    k = _path_charge(path, decided, d)
+                        path = paths[d - 1] = explain(p, d - 1)
+                    k = _path_charge(path, states)
             else:
                 for at in watchers[d - 1]:
-                    if decided[at]:
-                        h = _path_charge(paths[at], decided, d)
+                    if states[free[at]]:
+                        h = _path_charge(paths[at], states)
                         if h < k:
                             k = h
             if k < c:
@@ -908,8 +852,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
             # Extension.clears, before the tuple is built
             c *= ab
             if e * c >= epsilon:
-                states = tuple([(p, decided[q]) for p, q in emission])
-                yield new(Extension, (states, e, c))
+                yield new(Extension, (tuple([(q, states[q]) for q in emission]), e, c))
             continue
         iters.append(iter(branch[d]))
 
@@ -926,28 +869,31 @@ def upper_bound(
     complete decision it equals the extension product exactly.  Present
     findings are bounded by treating every undecided parent as present,
     absent findings by treating them as absent.  Every other factor the
-    extension completes, a root's or pseudo-root's included, contributes its
-    value once the decision covers its last free variable, and 1 before.
+    extension completes, a root's or pseudo-root's included, is
+    :func:`~nobn.model.node_factor` over the decided states once the
+    decision covers its last free variable, and 1 before.
     At entry (the empty decision) the search also applies the tighter
     cheapest-explanation bound, so a subproblem can end with no node
     expanded even though this bound clears epsilon.
     """
     # at epsilon 0 the entry check never rejects
-    free, _, _, root_fac, completes, w, absent_adj, present_adj, *_ = _bind(
+    free, _, _, done, states, w, absent_adj, present_adj, *_ = _bind(
         net, sub.plan, sub.values, 0.0
     )
     k = len(decided)
     if k > len(free) or any(p not in decided for p in free[:k]):
         raise NetworkError("decided states must cover a prefix of free_parents")
-    by_pos = [decided[p] for p in free[:k]]
+    for p in free[:k]:
+        states[p] = decided[p]
     # _bind folded the fixed parents into w; the free ones follow in search
     # order, a present one into every finding it feeds, an undecided one into
     # the present findings only
     rp = 1.0
-    for pos, pair in enumerate(root_fac):
-        state = by_pos[pos] if pos < k else None
+    for pos, p in enumerate(free):
+        state = states[p]
         if state is not None:
-            rp = _completed(rp * pair[state], completes[pos], by_pos)
+            for n in done[pos]:
+                rp *= node_factor(net, n, states)
         if state:
             for fi, omq in absent_adj[pos]:
                 w[fi] *= omq

@@ -11,8 +11,13 @@ directed path from a root to it.  Arcs therefore always go strictly level-up,
 which is what lets the search modules expand assignments level by level.
 
 The building blocks every inference module shares live here, once each:
-:func:`noisy_or_absent` is the only place the noisy-OR product over present
-parents is written out, and :class:`Tally` is the only accumulator of
+every fold of a node's factor from its parents' states goes through
+:func:`noisy_or_absent` and :func:`node_factor`.  Two kinds of fold stay
+elsewhere on purpose, in the level search (:mod:`nobn.epsilonml`): its
+incremental finding terms (``w`` and ``tail``) and ``reopens``, which
+fold in one parent's 1-q at a time as the search decides it, and
+``_explanation``'s ``plain``, a bound with every parent present rather than
+a fold over states.  :class:`Tally` is the only accumulator of
 probability mass and per-node present-score; its sums are exact, so they do
 not depend on the order in which the joints arrive.
 
