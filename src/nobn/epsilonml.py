@@ -35,20 +35,21 @@ sums are exact (:class:`~nobn.model.Tally`), so they do not.
 Every subproblem is set up in two parts.  Its plan (``_plan``) is the
 structure that depends only on which nodes are assigned: the findings'
 links to free parents, the free parents in search order, which of them are
-roots or pseudo-roots, each finding's search table entries and, per search
-position, the nodes whose factor deciding it completes.  Its value pass
-(``_bind``) does the arithmetic that depends on the states: it starts each
-finding's factor from its noisy-OR given the assigned parents, prices each
-free parent as the explanation of a present finding, and checks a
-cheapest-explanation bound on the whole subproblem.  Most subproblems that
-yield nothing fail that bound and end there, before any search table is
-filled; the rest copy the states into the search's state list and fill the
-tables from the plan for the depth-first search (``_dfs``).  Within one
-engine call every state whose frontier is level L has the same assigned
-nodes, and so do the engine's calls on the same evidence, so the engine's
-search keeps one plan per level for the network it searched last
-(``_plans``).  The value pass runs in the same order whichever search built
-the plan, so every product keeps its bits.
+roots or pseudo-roots, each finding's search table entries, per search
+position the nodes whose factor deciding it completes, and the charged
+search's open-factor tables (below).  Its value pass (``_bind``) does the
+arithmetic that depends on the states: it starts each finding's factor
+from its noisy-OR given the assigned parents, prices each free parent as
+the explanation of a present finding, and checks a cheapest-explanation
+bound on the whole subproblem.  Most subproblems that yield nothing fail
+that bound and end there, before any search table is filled; the rest copy
+the states into the search's state list and fill the tables from the plan
+for the depth-first search (``_dfs``).  Within one engine call every state
+whose frontier is level L has the same assigned nodes, and so do the
+engine's calls on the same evidence, so both forms below take their plan
+from ``_pose``, which keeps one per level for the network searched last
+(``_plans``).  The value pass runs in the same order whichever search
+built the plan, so every product keeps its bits.
 
 The thresholded product multiplies every factor the extension completes,
 which are the very factors the engine folds in when it applies the
@@ -69,10 +70,10 @@ driving engine relies on, and no extension leaves the engine a child whose
 known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
-``_plan`` -> ``_bind`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots the
-assignment's states and its plan into a :class:`Subproblem`, whose plan
-:func:`iter_extensions` and :func:`upper_bound` bind later, with the exact
-set semantics above.
+``_pose`` -> ``_bind`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots
+the assignment's states and its kept plan into a :class:`Subproblem`, whose
+plan :func:`iter_extensions` and :func:`upper_bound` bind later, with the
+exact set semantics above.
 :func:`iter_level_extensions`, the engine's one-call form, reads the live
 assignment and adds one prune for the engine alone: it charges each
 extension a bound on factors the extension leaves open, which the product
@@ -90,7 +91,7 @@ smallest such explanation among the present parents, never two of them,
 since two parents may share an ancestor.  An absent node whose factor
 stays open is at most its leak complement times the 1-q of
 every parent already present, its noisy-OR absent probability over the
-search's states (:func:`_open_absent`).  The search bounds two
+search's states (the plan's open-factor tables).  The search bounds two
 kinds of such node: a free parent with a parent outside the subproblem,
 once decided absent, and an assigned-absent node off the level that a free
 parent feeds and that has a parent outside the subproblem.  These bounds
@@ -157,10 +158,10 @@ class NoFindingsError(NetworkError):
 class Subproblem:
     """One branching instance, a snapshot of the assignment it was posed from.
 
-    ``values`` copies the assignment's state list and ``plan`` holds the
-    structure that depends only on which nodes it had assigned (see the
-    module notes); the search reads only these and ``findings``, so later
-    changes to the assignment do not reach it.
+    ``values`` copies the assignment's state list and ``plan`` is the kept
+    plan of its assigned nodes (see the module notes), never changed once
+    built; the search reads only these and ``findings``, so later changes
+    to the assignment do not reach it.
 
     ``findings`` are the assigned nodes at the level whose factor is not
     yet known (they still have unassigned parents); nodes whose parents are
@@ -195,7 +196,7 @@ class Extension(NamedTuple):
     of a present free parent with a parent outside the subproblem, priced
     with the free parents absent in this extension and each outside
     explainer priced by the same bound, 1.0 when there is none, times the
-    bound (:func:`_open_absent`) of every absent free parent with such a
+    bound (see :func:`_plan`) of every absent free parent with such a
     parent and of every assigned-absent node off the level that a free
     parent feeds and that has one.  The explanation takes from an absent
     node only the 1-q of its links from outside explainers, which no
@@ -232,11 +233,10 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     when the level has nothing to expand, which tells a driver to look at a
     shallower level.
     """
-    findings = _findings(net, a, level)
+    plan = _pose(net, a, level)
     values = tuple(a.raw_values())
-    plan = _plan(net, findings, values, a.raw_unassigned_parent_counts())
     return Subproblem(
-        tuple((nid, values[nid]) for nid in findings), plan.free, values, plan
+        tuple((rec[0], values[rec[0]]) for rec in plan.findings), plan.free, values, plan
     )
 
 
@@ -298,6 +298,16 @@ def iter_level_extensions(
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
     leaves it (it undoes each extension before taking the next)."""
+    tables = _bind(net, _pose(net, a, level), a.raw_values(), epsilon, charged=True)
+    return iter(()) if tables is None else _dfs(tables, None)
+
+
+def _pose(net, a, level):
+    """The plan of the subproblem at ``level`` of ``a``: the kept one when
+    ``a`` has the nodes assigned that it was built for, else a new one,
+    kept in its place.  The findings are the assigned nodes at the level
+    that still have unassigned parents; raises :class:`NoFindingsError`
+    when there are none."""
     global _plans
     # ahead of the slots, where a negative level would wrap
     if not 0 <= level <= net.max_level:
@@ -306,22 +316,9 @@ def iter_level_extensions(
     if owner is None or owner() is not net:
         slots = [None] * (net.max_level + 1)
         _plans = (weakref.ref(net, _drop_plans), slots)
-    values = a.raw_values()
     slot = slots[level]
     if slot is not None and slot[0] == a._assigned:
-        plan = slot[1]
-    else:
-        pending = a.raw_unassigned_parent_counts()
-        plan = _plan(net, _findings(net, a, level), values, pending)
-        slots[level] = (bytes(a._assigned), plan)
-    tables = _bind(net, plan, values, epsilon, charged=True)
-    return iter(()) if tables is None else _dfs(tables, None)
-
-
-def _findings(net: Network, a: Assignment, level: int) -> list[int]:
-    """The assigned nodes at ``level`` that still have unassigned parents."""
-    if not 0 <= level <= net.max_level:
-        raise NetworkError(f"level {level} out of range")
+        return slot[1]
     values = a.raw_values()
     pending = a.raw_unassigned_parent_counts()
     findings = [
@@ -329,7 +326,9 @@ def _findings(net: Network, a: Assignment, level: int) -> list[int]:
     ]
     if not findings:
         raise NoFindingsError(f"no assigned node at level {level} has unassigned parents")
-    return findings
+    plan = _plan(net, findings, values, pending)
+    slots[level] = (bytes(a._assigned), plan)
+    return plan
 
 
 class _Plan(NamedTuple):
@@ -345,12 +344,14 @@ class _Plan(NamedTuple):
     emission: tuple[int, ...]
     priced: tuple[int, ...]  # positions of the free roots and pseudo-roots
     done: tuple[tuple[int, ...], ...]  # per position, the nodes it completes
-    opens: tuple  # records of _open_absent
+    opens: tuple[bool, ...]  # per position, whether absent opens a factor
+    reopens: tuple[tuple[tuple[int, float], ...], ...]  # per position, (id, 1-q)
+    open_assigned: tuple[int, ...]  # assigned nodes off the findings, factor open
 
 
 def _plan(net, findings, values, pending):
     """The :class:`_Plan` of the subproblem posed by ``findings`` (node ids,
-    from :func:`_findings`).  It reads ``values`` and ``pending`` only for
+    from :func:`_pose`).  It reads ``values`` and ``pending`` only for
     which nodes are assigned, so it holds for every assignment of the same
     nodes.
 
@@ -366,7 +367,16 @@ def _plan(net, findings, values, pending):
     findings', is complete once position pos is decided: a free root's or
     pseudo-root's own first, then every free parent or assigned node off the
     findings whose unassigned parents are all free and last decided at pos.
-    ``opens`` holds the open absent factors of the charged search."""
+
+    The last three table the open absent factors the charged search bounds
+    (see the module notes): ``open_assigned`` the assigned nodes off the
+    findings that a free parent feeds and that have a parent outside the
+    subproblem, open when absent; ``opens[pos]`` whether the free parent at
+    pos has such a parent and no factor completed here, open once decided
+    absent; ``reopens[q]`` the (id, 1-q) of each of these nodes that the
+    free parent at q feeds, assigned ones first as found, then free parents
+    by position, for the search to fold in when it decides q present and
+    the node is absent."""
     links_omq = net._links_omq
     priors = net._priors
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
@@ -410,7 +420,7 @@ def _plan(net, findings, values, pending):
     # whose unassigned parents are all free, or an assigned node off the
     # findings with that property.  An assigned node with a parent outside
     # the subproblem is an open absent factor if it is absent.
-    opens = []
+    open_assigned = []
     seen = set(findings)  # their factors are the terms
     completed_at = set()
     for p in free:
@@ -434,17 +444,20 @@ def _plan(net, findings, values, pending):
                 completed_at.add(at)
                 continue
             if at < 0:
-                opens.append(_open_absent(net, pos_of, c, -1))
+                open_assigned.append(c)
     # a free parent neither priced (a root or pseudo-root) nor completed
     # here has a parent outside the subproblem
-    opens += [
-        _open_absent(net, pos_of, p, pos)
-        for pos, p in enumerate(free)
-        if pending[p] and pos not in completed_at
-    ]
+    opens = tuple(pending[p] > 0 and pos not in completed_at for pos, p in enumerate(free))
+    reopens = [[] for _ in free]
+    for n in open_assigned + [p for pos, p in enumerate(free) if opens[pos]]:
+        at = pos_of.get(n, -1)
+        for g, omq in links_omq[n]:
+            q = pos_of.get(g, -1)
+            if q > at:
+                reopens[q].append((n, omq))
     return _Plan(
         tuple(records), free, pos_of, branch, emission, priced,
-        tuple(map(tuple, done)), tuple(opens),
+        tuple(map(tuple, done)), opens, tuple(map(tuple, reopens)), tuple(open_assigned),
     )
 
 
@@ -487,9 +500,10 @@ def _bind(net, plan, values, epsilon, charged=False):
     (h/plain ascending) first, ties by finding index; a finding with h ==
     plain saves nothing and is left out of the picking.
 
-    When ``charged``, also table the open absent factors the engine's
-    search bounds (see :func:`_open_absent`) and mark the free parents whose
-    explanation it charges (see :func:`_explanation`)."""
+    When ``charged`` at a positive threshold, also take the plan's
+    open-factor tables (see :func:`_plan`), start their bound from the
+    absent assigned nodes and mark the free parents whose explanation it
+    charges (see :func:`_explanation`); otherwise every charge is 1.0."""
     records = plan.findings
     free = plan.free
     nfree = len(free)
@@ -559,57 +573,30 @@ def _bind(net, plan, values, epsilon, charged=False):
             for pos, omq in plinks:
                 absent_adj[pos].append((fi, omq))
 
-    # when charged, the open absent factors (see _open_absent): the product
-    # of their bounds before any decision, per position whether a free
-    # parent with a parent outside the subproblem opens its own once decided
-    # absent, and per position q the (node, 1-q) of each open factor that
-    # deciding q present shrinks
+    # when charged, the product of the open factors' bounds before any
+    # decision (see _plan); the charged positions' h' records (see
+    # _explanation), priced when the search first sets the parent present,
+    # and per position the earlier positions whose records deciding this one
+    # absent shrinks
     absent0 = 1.0
-    opens = [False] * nfree
-    reopens: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
-    # the charged positions' h' records (see _explanation), priced when the
-    # search first sets the parent present, and per position the earlier
-    # positions whose records deciding this one absent shrinks
     explain = paths = watchers = None
     # nor can a charge prune at guard 0, so none is priced (see Extension)
     if charged and guard > 0:
-        for pos, n, later in plan.opens:
-            if pos < 0:
-                if values[n] is not False:
-                    continue  # an assigned node's factor is open only if absent
+        opens, reopens = plan.opens, plan.reopens
+        for n in plan.open_assigned:
+            if values[n] is False:  # an assigned node's factor is open only if absent
                 absent0 *= noisy_or_absent(net, n, values)
-            else:
-                opens[pos] = True
-            for q, entry in later:
-                reopens[q].append(entry)
         if any(opens):
             paths = [None] * nfree
             watchers = [()] * nfree
             explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
+    else:
+        opens = (False,) * nfree
+        reopens = ((),) * nfree
     return (
         free, plan.branch, plan.emission, plan.done, states, w, absent_adj, present_adj,
         terms, explain, paths, watchers, absent0, opens, reopens, net, epsilon, guard,
     )
-
-
-def _open_absent(net, pos_of, n, pos):
-    """Plan the charged search's bound on the factor of node ``n`` absent,
-    for the free parent at position ``pos`` or, at -1, an assigned node.
-
-    An absent node's factor is its leak complement times the 1-q of every
-    present parent, so it is at most that product over the parents present
-    so far: any other parent may end up absent and count as 1.  That is
-    :func:`~nobn.model.noisy_or_absent` over the search's states, which
-    :func:`_bind` takes for an assigned node and :func:`_dfs` for a free
-    parent when it decides it absent.  Returns ``(pos, n, later)``, with
-    for each later free parent q the entry ``(q, (n, 1-q))`` of
-    ``reopens[q]``, for the search to fold in when it decides q present."""
-    later = []
-    for g, omq in net._links_omq[n]:
-        q = pos_of.get(g)
-        if q is not None and q > pos:
-            later.append((q, (n, omq)))
-    return pos, n, tuple(later)
 
 
 def _explanation(net, values, pos_of, memo, watchers, n, pos):
@@ -628,7 +615,7 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos):
     bound if not, for itself and its ancestry, times the 1-q of its link
     to every absent node a that it feeds, assigned absent or, for n, a free
     sibling decided absent; a's factor is its leak complement times the 1-q
-    of every present parent.  The absent bounds of :func:`_open_absent`
+    of every present parent.  The open absent bounds (see :func:`_plan`)
     count only parents fixed or decided present, never an outside g, and no
     finding or completed factor has an outside parent, so no factor is
     bounded twice:
@@ -755,7 +742,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
         free, branch, emission, done, states, w, absent_adj, present_adj, terms,
         explain, paths, watchers, absent0, opens, reopens, net, epsilon, guard,
     ) = tables
-    # every finding has a free parent (see _findings), so nfree >= 1
+    # every finding has a free parent (see _pose), so nfree >= 1
     nfree = len(free)
     prod = math.prod
     new = tuple.__new__
@@ -805,7 +792,7 @@ def _dfs(tables, stats) -> Iterator[Extension]:
             rp *= node_factor(net, n, states)
         c = least[d]
         # a parent decided present shrinks each open factor it feeds whose
-        # node is assigned or was decided absent earlier on the path; a
+        # node is absent, assigned so or decided so earlier on the path; a
         # parent decided absent opens its own, over its parents present so far
         ab = absent[d]
         if state:

@@ -99,10 +99,11 @@ class Network:
 
     Node ids are indices into ``nodes`` (declaration order).  Construction
     validates the whole structure; instances are safe to share read-only
-    across threads.  So are the subproblem plans the level search keeps for
-    the network it searched last, as long as that network lives
-    (``epsilonml._plans``): each slot is an immutable tuple replaced whole,
-    so threads searching at once at worst build a plan again.
+    across threads.  So are the subproblem plans that both forms of the
+    level search take from one kept slot per level for the network searched
+    last, as long as that network lives (``epsilonml._plans``): each slot is
+    an immutable tuple replaced whole, so threads searching at once at worst
+    build a plan again.
     """
 
     __slots__ = (

@@ -272,6 +272,41 @@ class TestBuildSubproblem:
         # children: A and C feed F and G, B feeds F only
         assert sub.free_parents == (2, 0, 1)
 
+    def test_both_forms_share_one_kept_plan(self, monkeypatch):
+        net = parse_network(
+            "node A prior 0.2\nnode B prior 0.4\n"
+            "node F leak 0.05 parents A:0.7 B:0.6\n"
+        )
+        a = Assignment.from_evidence(net, [(2, True)])
+        # the engine's form first: the snapshot takes the plan it kept
+        _forget_plans()
+        assert len(list(iter_level_extensions(net, a, 1, 0.0))) == 4
+        kept = nobn.epsilonml._plans[1][1][1]
+        assert build_subproblem(net, a, 1).plan is kept
+        # the snapshot first: the engine's form builds no second plan
+        built = []
+        plan = nobn.epsilonml._plan
+
+        def spy(*args):
+            built.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(nobn.epsilonml, "_plan", spy)
+        _forget_plans()
+        sub = build_subproblem(net, a, 1)
+        assert len(list(iter_level_extensions(net, a, 1, 0.0))) == 4
+        assert len(built) == 1
+        # a snapshot keeps its plan and its extensions once a pose on other
+        # assigned nodes replaces the kept plan
+        exts = list(iter_extensions(net, sub, 0.0))
+        token = a.assign([(0, True)])
+        assert build_subproblem(net, a, 1).free_parents == (1,)
+        assert len(built) == 2
+        assert nobn.epsilonml._plans[1][1][1] is not sub.plan
+        assert list(iter_extensions(net, sub, 0.0)) == exts
+        a.undo(token)
+        assert list(iter_extensions(net, sub, 0.0)) == exts
+
 
 class TestIterLevelExtensions:
     def test_matches_two_step_form_on_every_frontier_state(self):
@@ -383,7 +418,7 @@ class TestIterLevelExtensions:
         assert dropped not in [e.parent_states for e in iter_level_extensions(net, a, 2, 0.01)]
         _assert_oracle_at_every_gap(net, evidence)
 
-    def test_assigned_absent_node_charged_its_open_factor(self):
+    def test_assigned_absent_node_charged_its_open_factor(self, monkeypatch):
         # Q, S -> E and R -> P, with P, Q -> F; R and F observed present, E
         # absent.  At level 2 the free parents are P (a pseudo-root) and Q.
         # E lies off the level, Q feeds it and E's parent S lies outside the
@@ -396,9 +431,27 @@ class TestIterLevelExtensions:
         )
         evidence = [(1, True), (4, False), (5, True)]
         a = Assignment.from_evidence(net, evidence)
-        for ext in iter_level_extensions(net, a, 2, _TINY):
-            q_present = dict(ext.parent_states)[0]
-            assert ext.charge == pytest.approx(0.99 * (0.01 if q_present else 1.0), rel=1e-15)
+
+        def assert_charges():
+            exts = list(iter_level_extensions(net, a, 2, _TINY))
+            assert len(exts) == 4
+            for ext in exts:
+                q_present = dict(ext.parent_states)[0]
+                want = 0.99 * (0.01 if q_present else 1.0)
+                assert ext.charge == pytest.approx(want, rel=1e-15)
+
+        assert_charges()
+        # E present leaves no factor open; the assigned nodes are the same,
+        # so the kept plan serves, and its open-factor tables still list E
+        built = []
+        monkeypatch.setattr(nobn.epsilonml, "_plan", lambda *args: built.append(args))
+        e_present = Assignment.from_evidence(net, [(1, True), (4, True), (5, True)])
+        exts = list(iter_level_extensions(net, e_present, 2, _TINY))
+        assert len(exts) == 4
+        assert all(ext.charge == 1.0 for ext in exts)
+        assert_charges()
+        assert built == []
+        monkeypatch.undo()
         # P and Q present: 0.9802 * 0.505 * 0.5 = 0.2475, at most 0.00245
         # once E's factor is in; the engine's search drops it at 0.01
         dropped = ((3, True), (0, True))
