@@ -442,14 +442,18 @@ class Assignment:
     ``known_factor_product * 2**known_exponent`` is the product of every
     factor whose node and parents are all assigned.  :meth:`assign` sets a
     batch of nodes and :meth:`undo` reverts it; batches nest in strict LIFO
-    order.  The lift is checked after each node: a scaled product below
-    ``2**-512`` is multiplied by ``2**512``, which keeps every bit while one
-    node's new factors multiply to ``2**-510`` or more, so a batch matches
-    its pairs assigned one by one.  Every instance is the empty one
-    changed only by :meth:`assign` and :meth:`undo`, so the lift holds
-    throughout.  ``_assigned`` holds a 1 for each assigned node and a 0
-    for each free one, the key under which the level search keeps a
-    subproblem's plan.  One search worker at a time.
+    order.  The undo token holds copies of the counters the batch
+    overwrites, the per-node counts of unassigned parents and the per-level
+    counts of assigned nodes with unassigned parents: each :meth:`assign`
+    pays one O(n) list copy, and :meth:`undo` touches only the batch's own
+    nodes and restores the copies.  The lift is checked after each node: a
+    scaled product below ``2**-512`` is multiplied by ``2**512``, which
+    keeps every bit while one node's new factors multiply to ``2**-510`` or
+    more, so a batch matches its pairs assigned one by one.  Every instance
+    is the empty one changed only by :meth:`assign` and :meth:`undo`, so
+    the lift holds throughout.  ``_assigned`` holds a 1 for each assigned
+    node and a 0 for each free one, the key under which the level search
+    keeps a subproblem's plan.  One search worker at a time.
     """
 
     __slots__ = (
@@ -533,8 +537,10 @@ class Assignment:
 
     def assign(self, pairs: Iterable[tuple[int, bool]]):
         """Set each ``(node id, state)`` pair in order, folding in every factor
-        that becomes known, and return one undo token for the batch.  A pair
-        naming an assigned node raises :class:`NetworkError` and changes nothing."""
+        that becomes known, and return one undo token for the batch.  The
+        token holds copies of the counters the batch overwrites, taken before
+        it: one O(n) list copy per call.  A pair naming an assigned node
+        raises :class:`NetworkError` and changes nothing."""
         pairs = tuple(pairs)
         net = self.net
         values = self._values
@@ -543,11 +549,15 @@ class Assignment:
         prod = self.known_factor_product
         exponent = self.known_exponent
         assigned = self._assigned
-        token = (pairs, prod, exponent)
+        old_counts, old_active = counts[:], active[:]
+        token = (pairs, prod, exponent, old_counts, old_active)
         for done, (nid, state) in enumerate(pairs):
             if values[nid] is not None:
-                self._n_unassigned -= done
-                self.undo((pairs[:done], *token[1:]))
+                for prev, _ in pairs[:done]:
+                    values[prev] = None
+                    assigned[prev] = 0
+                counts[:] = old_counts
+                active[:] = old_active
                 raise NetworkError(f"node {net.nodes[nid].name!r} is already assigned")
             values[nid] = state
             assigned[nid] = 1
@@ -572,22 +582,17 @@ class Assignment:
         return token
 
     def undo(self, token) -> None:
-        """Reverse the matching :meth:`assign` batch; calls must nest LIFO."""
-        pairs, old_prod, old_exponent = token
-        net = self.net
+        """Reverse the matching :meth:`assign` batch; calls must nest LIFO.
+        Frees the batch's own nodes and restores the counters from the
+        token's copies, so no child of a batch node is visited."""
+        pairs, old_prod, old_exponent, old_counts, old_active = token
         values = self._values
-        counts = self._unassigned_parents
-        active = self._level_active
         assigned = self._assigned
         for nid, _ in pairs:
-            assigned[nid] = 0
-            if counts[nid] > 0:
-                active[net.levels[nid]] -= 1
-            for c in net.children[nid]:
-                if counts[c] == 0 and values[c] is not None:
-                    active[net.levels[c]] += 1
-                counts[c] += 1
             values[nid] = None
+            assigned[nid] = 0
+        self._unassigned_parents[:] = old_counts
+        self._level_active[:] = old_active
         self._n_unassigned += len(pairs)
         self.known_factor_product = old_prod
         self.known_exponent = old_exponent

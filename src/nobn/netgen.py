@@ -222,15 +222,19 @@ def gen_network(shape: NetShape) -> Network:
 
 def forward_sample(net: Network, seed: int) -> Assignment:
     """Ancestral sample: one uniform draw per node in (level, id) order,
-    roots by prior, children by their noisy-OR conditional."""
+    roots by prior, children by their noisy-OR conditional, assigned in one
+    batch in that order."""
     rng = SplitMix64(derive_seed(seed, _TAG_SAMPLE))
-    a = Assignment(net)
-    values = a.raw_values()
+    states: list[bool | None] = [None] * len(net.nodes)
+    pairs = []
     for nid in chain.from_iterable(net.level_nodes):
         p = net.nodes[nid].prior
         if p is None:
-            p = 1.0 - noisy_or_absent(net, nid, values)
-        a.assign(((nid, rng.random() < p),))
+            p = 1.0 - noisy_or_absent(net, nid, states)
+        state = states[nid] = rng.random() < p
+        pairs.append((nid, state))
+    a = Assignment(net)
+    a.assign(pairs)
     return a
 
 

@@ -379,6 +379,8 @@ class TestFactorProducts:
                 a.known_exponent,
                 a.unassigned_count,
                 a.frontier_level(),
+                list(a.raw_unassigned_parent_counts()),
+                bytes(a._assigned),
             )
 
         before = snapshot()
@@ -404,7 +406,8 @@ class TestAssignmentCache:
         # the cached product must track the from-scratch recomputation
         # through arbitrary interleavings of assign and undo, and a batch of
         # 1-4 pairs must match the same pairs assigned one call each; the
-        # flags of the assigned nodes track them too, through rejected batches
+        # flags of the assigned nodes, the counts of unassigned parents and
+        # the frontier track them too, through rejected batches
         for seed in range(15):
             net = small_random_net(seed)
             r = SplitMix64(derive_seed(seed, 0xE0))
@@ -439,6 +442,18 @@ class TestAssignmentCache:
                     b.frontier_level(),
                 )
                 assert a.values == b.values
+                assert a.unassigned_count == b.unassigned_count == a.values.count(None)
+                pending = [
+                    sum(a.state(p) is None for p, _ in spec.links) for spec in net.nodes
+                ]
+                assert a.raw_unassigned_parent_counts() == b.raw_unassigned_parent_counts()
+                assert a.raw_unassigned_parent_counts() == pending
+                expandable = [
+                    net.levels[i]
+                    for i in range(len(net))
+                    if a.state(i) is not None and pending[i]
+                ]
+                assert a.frontier_level() == max(expandable, default=None)
                 recomputed = reference.known_product(net, a.values)
                 assert a.known_factor_product == pytest.approx(
                     recomputed, rel=1e-12, abs=1e-300

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from nobn import (
+    Assignment,
     NetShape,
     NetworkError,
     SplitMix64,
@@ -157,6 +158,21 @@ class TestForwardSample:
         assert a.known_factor_product == pytest.approx(
             reference.joint(chain3, a.values), rel=1e-12
         )
+
+    def test_one_batch_matches_one_pair_per_call(self):
+        # the sample is assigned in one batch; the same states assigned one
+        # pair per call in (level, id) order give the same values and the
+        # same product bits
+        net = gen_network(bn3_shape(0))
+        order = sorted(range(len(net)), key=lambda i: (net.levels[i], i))
+        for seed in range(5):
+            a = forward_sample(net, seed)
+            b = Assignment(net)
+            for nid in order:
+                b.assign([(nid, a.state(nid))])
+            assert a.values == b.values
+            assert a.known_factor_product.hex() == b.known_factor_product.hex()
+            assert a.known_exponent == b.known_exponent
 
     def test_deterministic_per_seed(self, chain3):
         assert forward_sample(chain3, 5).values == forward_sample(chain3, 5).values
