@@ -442,18 +442,30 @@ class Assignment:
     ``known_factor_product * 2**known_exponent`` is the product of every
     factor whose node and parents are all assigned.  :meth:`assign` sets a
     batch of nodes and :meth:`undo` reverts it; batches nest in strict LIFO
-    order.  The undo token holds copies of the counters the batch
-    overwrites, the per-node counts of unassigned parents and the per-level
-    counts of assigned nodes with unassigned parents: each :meth:`assign`
-    pays one O(n) list copy, and :meth:`undo` touches only the batch's own
-    nodes and restores the copies.  The lift is checked after each node: a
-    scaled product below ``2**-512`` is multiplied by ``2**512``, which
-    keeps every bit while one node's new factors multiply to ``2**-510`` or
-    more, so a batch matches its pairs assigned one by one.  Every instance
-    is the empty one changed only by :meth:`assign` and :meth:`undo`, so
-    the lift holds throughout.  ``_assigned`` holds a 1 for each assigned
-    node and a 0 for each free one, the key under which the level search
-    keeps a subproblem's plan.  One search worker at a time.
+    order.  Which factors a batch completes, and the counters it leaves
+    (the per-node counts of unassigned parents and the per-level counts of
+    assigned nodes with unassigned parents), depend only on which nodes are
+    assigned and on the batch's node order, not on any state.  So an
+    instance keeps one *schedule* per (assigned nodes, batch order) pair it
+    has met: the factors each pair completes, and the counter lists after
+    the batch as read-only snapshots, shared by every later batch of that
+    shape.  The first such batch walks its nodes' children and copies the
+    counter lists; the others fold the scheduled factors and swap the
+    snapshots in, and :meth:`undo` swaps the previous ones back.  A
+    ``top_epsilon`` call makes one instance, which keeps at most one
+    schedule per expanded level (every state whose frontier is level L has
+    the same assigned nodes and applies the same batch order), plus one per
+    node outside the evidence ancestry, plus one for the evidence.
+
+    The lift is checked after each node's new factors: a scaled product
+    below ``2**-512`` is multiplied by ``2**512``, which keeps every bit
+    while one node's new factors multiply to ``2**-510`` or more, so a batch
+    matches its pairs assigned one by one.  Every instance is the empty one
+    changed only by :meth:`assign` and :meth:`undo`, so the lift holds
+    throughout.
+    ``_assigned`` holds a 1 for each assigned node and a 0 for each free
+    one, the key under which the level search keeps a subproblem's plan.
+    One search worker at a time.
     """
 
     __slots__ = (
@@ -465,6 +477,7 @@ class Assignment:
         "_level_active",
         "_n_unassigned",
         "_assigned",
+        "_schedules",
     )
 
     def __init__(self, net: Network):
@@ -473,10 +486,13 @@ class Assignment:
         self._values: list[bool | None] = [None] * n
         self.known_factor_product = 1.0
         self.known_exponent = 0
+        # shared snapshots, replaced whole and never changed in place
         self._unassigned_parents = [len(spec.links) for spec in net.nodes]
         self._level_active = [0] * (net.max_level + 1)
         self._n_unassigned = n
         self._assigned = bytearray(n)
+        # (bytes(_assigned), batch node ids) -> (steps, counts, active)
+        self._schedules: dict[tuple[bytes, tuple[int, ...]], tuple] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -507,8 +523,10 @@ class Assignment:
         return self._n_unassigned
 
     def raw_unassigned_parent_counts(self) -> list[int]:
-        """The live per-node counts of unassigned parents; callers must not
-        mutate it."""
+        """The per-node counts of unassigned parents, a read-only snapshot
+        shared with the kept schedules; callers must not mutate it.  It
+        does not follow later changes to the assignment: each batch and
+        each undo puts another snapshot in its place."""
         return self._unassigned_parents
 
     def frontier_level(self) -> int | None:
@@ -538,40 +556,33 @@ class Assignment:
     def assign(self, pairs: Iterable[tuple[int, bool]]):
         """Set each ``(node id, state)`` pair in order, folding in every factor
         that becomes known, and return one undo token for the batch.  The
-        token holds copies of the counters the batch overwrites, taken before
-        it: one O(n) list copy per call.  A pair naming an assigned node
-        raises :class:`NetworkError` and changes nothing."""
+        factors come from the schedule of the assigned nodes and the
+        batch's node order, built on the first batch of that shape; the
+        token holds the counter snapshots the batch replaces, by reference.
+        A pair naming an assigned node, or a node named earlier in the
+        batch, raises :class:`NetworkError` and changes nothing."""
         pairs = tuple(pairs)
-        net = self.net
         values = self._values
-        counts = self._unassigned_parents
-        active = self._level_active
+        key = (bytes(self._assigned), tuple([nid for nid, _ in pairs]))
+        entry = self._schedules.get(key)
+        if entry is None:
+            entry = self._schedule(pairs, key)
+        else:
+            assigned = self._assigned
+            for nid, state in pairs:
+                values[nid] = state
+                assigned[nid] = 1
         prod = self.known_factor_product
         exponent = self.known_exponent
-        assigned = self._assigned
-        old_counts, old_active = counts[:], active[:]
-        token = (pairs, prod, exponent, old_counts, old_active)
-        for done, (nid, state) in enumerate(pairs):
-            if values[nid] is not None:
-                for prev, _ in pairs[:done]:
-                    values[prev] = None
-                    assigned[prev] = 0
-                counts[:] = old_counts
-                active[:] = old_active
-                raise NetworkError(f"node {net.nodes[nid].name!r} is already assigned")
-            values[nid] = state
-            assigned[nid] = 1
-            if counts[nid] == 0:
+        token = (pairs, prod, exponent, self._unassigned_parents, self._level_active)
+        steps, self._unassigned_parents, self._level_active = entry
+        net = self.net
+        for nid, completed in steps:
+            if nid is not None:
                 prod *= node_factor(net, nid, values)
-            else:
-                active[net.levels[nid]] += 1
-            for c in net.children[nid]:
-                k = counts[c] - 1
-                counts[c] = k
-                if k == 0 and values[c] is not None:
-                    w = noisy_or_absent(net, c, values)
-                    prod *= 1.0 - w if values[c] else w
-                    active[net.levels[c]] -= 1
+            for c in completed:
+                w = noisy_or_absent(net, c, values)
+                prod *= 1.0 - w if values[c] else w
             if prod < 2.0 ** -512 and prod:
                 # exact power-of-two lift; the constants fold at compile time
                 prod *= 2.0 ** 512
@@ -581,18 +592,59 @@ class Assignment:
         self.known_exponent = exponent
         return token
 
+    def _schedule(self, pairs: tuple[tuple[int, bool], ...], key) -> tuple:
+        """Set the batch's states and flags, and keep and return its schedule
+        under ``key``: per pair that completes a factor, the node id when its
+        own factor completes (else None) and the children whose factors
+        complete, in the order :meth:`assign` folds them; then the counter
+        lists after the batch.  The only walk over the batch nodes'
+        children, on copies of the counter lists.  A rejected batch clears
+        the flags it set and keeps nothing."""
+        net = self.net
+        values = self._values
+        assigned = self._assigned
+        counts = self._unassigned_parents[:]
+        active = self._level_active[:]
+        levels = net.levels
+        steps = []
+        for done, (nid, state) in enumerate(pairs):
+            if values[nid] is not None:
+                for prev, _ in pairs[:done]:
+                    values[prev] = None
+                    assigned[prev] = 0
+                raise NetworkError(f"node {net.nodes[nid].name!r} is already assigned")
+            values[nid] = state
+            assigned[nid] = 1
+            own = counts[nid] == 0
+            if not own:
+                active[levels[nid]] += 1
+            completed = ()
+            for c in net.children[nid]:
+                k = counts[c] - 1
+                counts[c] = k
+                if k == 0 and values[c] is not None:
+                    completed += (c,)
+                    active[levels[c]] -= 1
+            # a pair that completes nothing leaves the product, and so its
+            # lift, as it was
+            if own or completed:
+                steps.append((nid if own else None, completed))
+        entry = self._schedules[key] = (tuple(steps), counts, active)
+        return entry
+
     def undo(self, token) -> None:
         """Reverse the matching :meth:`assign` batch; calls must nest LIFO.
-        Frees the batch's own nodes and restores the counters from the
-        token's copies, so no child of a batch node is visited."""
+        Frees the batch's own nodes and puts back the counter snapshots the
+        token holds, so no child of a batch node is visited and no list is
+        copied."""
         pairs, old_prod, old_exponent, old_counts, old_active = token
         values = self._values
         assigned = self._assigned
         for nid, _ in pairs:
             values[nid] = None
             assigned[nid] = 0
-        self._unassigned_parents[:] = old_counts
-        self._level_active[:] = old_active
+        self._unassigned_parents = old_counts
+        self._level_active = old_active
         self._n_unassigned += len(pairs)
         self.known_factor_product = old_prod
         self.known_exponent = old_exponent

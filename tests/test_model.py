@@ -459,6 +459,83 @@ class TestAssignmentCache:
                     recomputed, rel=1e-12, abs=1e-300
                 )
 
+    def test_schedule_hits_match_a_replay_that_misses(self):
+        # Batches are re-applied over the same nodes, from the same assigned
+        # nodes, with other states, so their schedules are looked up, not
+        # built.  After every step a fresh instance replays the live batches
+        # from empty, where every lookup builds, and the two must agree bit
+        # for bit; a rejected batch after a hit changes nothing.
+        for seed in range(15):
+            net = small_random_net(seed)
+            r = SplitMix64(derive_seed(seed, 0xE1))
+            a = Assignment(net)
+            live: list[tuple[list, object]] = []
+            applied = 0
+
+            def snapshot():
+                return (
+                    a.known_factor_product.hex(),
+                    a.known_exponent,
+                    a.values,
+                    bytes(a._assigned),
+                    list(a.raw_unassigned_parent_counts()),
+                    a.frontier_level(),
+                )
+
+            for _ in range(100):
+                if live and r.random() < 0.5:
+                    # the same nodes in the same order, other states
+                    batch, token = live.pop()
+                    a.undo(token)
+                    batch = [(nid, r.random() < 0.5) for nid, _ in batch]
+                    live.append((batch, a.assign(batch)))
+                    applied += 1
+                    # a node of the batch just applied, alone or after a
+                    # free one, and a free node named twice
+                    before = snapshot()
+                    taken = batch[r.below(len(batch))][0]
+                    rejected = [[(taken, True)]]
+                    free = [i for i in range(len(net)) if a.state(i) is None]
+                    if free:
+                        rejected.append([(free[0], True), (taken, False)])
+                        rejected.append([(free[-1], True), (free[0], False), (free[-1], False)])
+                    for bad in rejected:
+                        with pytest.raises(NetworkError, match="already assigned"):
+                            a.assign(bad)
+                        assert snapshot() == before
+                elif live and r.random() < 0.3:
+                    a.undo(live.pop()[1])
+                elif a.unassigned_count:
+                    free = [i for i in range(len(net)) if a.state(i) is None]
+                    r.shuffle(free)
+                    batch = [(nid, r.random() < 0.5) for nid in free[: 1 + r.below(4)]]
+                    live.append((batch, a.assign(batch)))
+                    applied += 1
+                b = Assignment(net)
+                for batch, _ in live:
+                    b.assign(batch)
+                assert len(b._schedules) == len(live)
+                assert snapshot() == (
+                    b.known_factor_product.hex(),
+                    b.known_exponent,
+                    b.values,
+                    bytes(b._assigned),
+                    b.raw_unassigned_parent_counts(),
+                    b.frontier_level(),
+                )
+                pending = [
+                    sum(a.state(p) is None for p, _ in spec.links) for spec in net.nodes
+                ]
+                assert a.raw_unassigned_parent_counts() == pending
+                expandable = [
+                    net.levels[i]
+                    for i in range(len(net))
+                    if a.state(i) is not None and pending[i]
+                ]
+                assert a.frontier_level() == max(expandable, default=None)
+            # the walk hit: fewer schedules than applied batches
+            assert len(a._schedules) < applied
+
     def test_frontier_level_tracks_deepest_expandable(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
         assert a.frontier_level() == 2
