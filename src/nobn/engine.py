@@ -99,21 +99,24 @@ DEFAULT_SCHEDULE = EpsilonSchedule(tuple(float(f"1e-{k}") for k in range(2, 21, 
 
 _DONE = object()
 
-# The context memo of one call keeps at most _MEMO_CAP contexts per level,
-# the oldest evicted first, and no extension list longer than _MEMO_CAP.  A
-# level is searched directly for the rest of the call once _MEMO_TRIAL
-# lookups have hit less than one time in _MEMO_HIT_RATIO.  On a seed-0
-# bn3-f83 round a lookup that misses costs 5-6 us, about a fifth of the
-# level-1 search a hit saves and a twentieth of the level-2 one (a seventh
-# and a 28th before the level search kept its subproblem plans; in-process
-# timing, 2-core VM), and the level-2 contexts hit 5% of the time (60 of
-# 1,156 lookups): about break-even, so the ratio stays.  Both rules pay
-# (alternating pairs, medians, 2-core VM).  With the memo off, exhaustive
-# wall_s went from 1.61 to 2.20 s (+37%, 3 benchmark pairs), the three
-# 26-finding bn3 cases at 1e-30 from 5.05 to 5.38 s together (+6%, slower
-# in 7 of 8 pairs) and bn3-f26 wall_s by 1.3%, while bn3-f83 moved +0.1%
-# and wide-log -1.4%.  Without the give-up rule, bn3-f83 wall_s rose 5%
-# and bn3-f26 3% (3 benchmark pairs each, slower in every pair).
+# The context memo of one call keeps at most _MEMO_CAP contexts per level, the
+# oldest evicted first, and no extension list longer than _MEMO_CAP.  A level
+# is searched directly for the rest of the call once _MEMO_TRIAL lookups have
+# hit less than one time in _MEMO_HIT_RATIO.  On a seed-0 bn3-f83 round a
+# lookup, with the store once its context is searched, costs 2.3-3.1 us, about
+# a sixth of the mean level-1 search (14 us) and a 14th of the level-2 one
+# (43-44 us, 44-47 us before the level search kept its explanation records;
+# in-process timing around the lookup and each step of the search, 2-core VM,
+# two runs each).  Level 1 hits 399 of 722 lookups and level 2 42 of 1,122
+# (4%), under the one in 14 that would pay; the give-up rule stops level 2 in
+# the 8 calls that reach _MEMO_TRIAL lookups, and the 610 lookups of the other
+# calls cost about 2 ms a round: the ratio stays.  Both rules pay (alternating
+# pairs, medians, 2-core VM).  With the memo off, exhaustive wall_s went from
+# 1.61 to 2.20 s (+37%, 3 benchmark pairs), the three 26-finding bn3 cases at
+# 1e-30 from 5.05 to 5.38 s together (+6%, slower in 7 of 8 pairs) and bn3-f26
+# wall_s by 1.3%, while bn3-f83 moved +0.1% and wide-log -1.4%.  Without the
+# give-up rule, bn3-f83 wall_s rose 5% and bn3-f26 3% (3 benchmark pairs each,
+# slower in every pair).
 _MEMO_CAP = 256
 _MEMO_TRIAL = 64
 _MEMO_HIT_RATIO = 8

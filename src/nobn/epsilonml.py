@@ -113,6 +113,20 @@ extension carries 1.0.  The memo never mixes the two: within one engine call
 every rescaled threshold is 0 or every one is positive, since for a positive
 target ``rescaled_threshold`` returns ``e / p`` with ``e`` at least the
 target and ``p <= 1``.
+
+An explanation reads the states of a few assigned nodes only: the free
+parent's assigned parents and, for each outside ancestor reached through
+unassigned parents outside the subproblem, that ancestor's assigned parents
+and children (:func:`_read_set`).  Which nodes those are depends only on
+which nodes are assigned, so each charged position of a plan keeps every
+record it has priced, keyed by those nodes' states, a context in the sense
+of recursive conditioning (Darwiche, AIJ 2001); a search takes a kept
+record and prices only the records not seen yet (:func:`_recall`).  A
+seed-0 ``bn3-f26`` benchmark round prices 208 records where it priced
+8,672.  With pricing that cheap, the entry check also takes the search's
+one charge, for one present finding whose free parents are all charged
+(:func:`_bind`), and rejects 2,529 of that round's 4,762 searches before
+any inner node, where it rejected 1,453.
 """
 
 from __future__ import annotations
@@ -121,6 +135,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 from .model import Assignment, Network, NetworkError, check_threshold, node_factor, noisy_or_absent
@@ -333,7 +348,9 @@ def _pose(net, a, level):
 
 class _Plan(NamedTuple):
     """What a subproblem's search tables need that depends only on which
-    nodes are assigned (see :func:`_plan`); never changed once built.
+    nodes are assigned (see :func:`_plan`); never changed once built, but
+    for ``explained``, which keeps the charged positions' explanation
+    records as they are priced (see :func:`_recall`).
     Every completed factor is :func:`~nobn.model.node_factor` over the
     search's states, taken at its last free variable's position."""
 
@@ -347,6 +364,11 @@ class _Plan(NamedTuple):
     opens: tuple[bool, ...]  # per position, whether absent opens a factor
     reopens: tuple[tuple[tuple[int, float], ...], ...]  # per position, (id, 1-q)
     open_assigned: tuple[int, ...]  # assigned nodes off the findings, factor open
+    # per charged position, None until first priced, then (None, (states,
+    # first record)), then (key, records) from the second pricing on: key
+    # reads the states of the assigned nodes its explanation can read,
+    # records maps them to (record, watched positions); see _recall
+    explained: list
 
 
 def _plan(net, findings, values, pending):
@@ -376,7 +398,8 @@ def _plan(net, findings, values, pending):
     absent; ``reopens[q]`` the (id, 1-q) of each of these nodes that the
     free parent at q feeds, assigned ones first as found, then free parents
     by position, for the search to fold in when it decides q present and
-    the node is absent."""
+    the node is absent.  ``explained`` starts empty, one slot per position,
+    and :func:`_recall` fills the charged positions' slots."""
     links_omq = net._links_omq
     priors = net._priors
     # 1 - min(1-q) == max(q) exactly (rounding is monotone), and
@@ -458,6 +481,7 @@ def _plan(net, findings, values, pending):
     return _Plan(
         tuple(records), free, pos_of, branch, emission, priced,
         tuple(map(tuple, done)), opens, tuple(map(tuple, reopens)), tuple(open_assigned),
+        [None] * len(free),
     )
 
 
@@ -500,10 +524,23 @@ def _bind(net, plan, values, epsilon, charged=False):
     (h/plain ascending) first, ties by finding index; a finding with h ==
     plain saves nothing and is left out of the picking.
 
-    When ``charged`` at a positive threshold, also take the plan's
-    open-factor tables (see :func:`_plan`), start their bound from the
-    absent assigned nodes and mark the free parents whose explanation it
-    charges (see :func:`_explanation`); otherwise every charge is 1.0."""
+    When ``charged`` at a positive threshold, the entry check also takes
+    the one charge the search applies (see :func:`_dfs`), the smallest
+    explanation h' of a present charged parent, for one present finding f
+    whose free parents are all charged: either none of them is present, and
+    f keeps 1-w, or one is, and the extension's charge is at most that
+    parent's h' over the assignment's states (:func:`_path_charge` of its
+    record, its loosest value).  So f's term becomes max(1-w, plain * max
+    cost[p] * h'(p)) if f was picked, max(1-w, plain * max h'(p)) if not,
+    and the bound may take the smallest ratio of such a term to f's old one.
+    The charge applies once, and its factors are disjoint from the
+    findings' and the priced parents', so the bound stays admissible.  A
+    finding whose 1-w alone leaves the bound at the guard cannot reject and
+    is skipped before any pricing; what the check prices is kept for the
+    search.  Also take the plan's open-factor tables (see :func:`_plan`),
+    start their bound from the absent assigned nodes and mark the free
+    parents whose explanation the search charges; otherwise every charge
+    is 1.0."""
     records = plan.findings
     free = plan.free
     nfree = len(free)
@@ -521,6 +558,9 @@ def _bind(net, plan, values, epsilon, charged=False):
     states = list(values)
 
     guard = epsilon - epsilon * _PRUNE_MARGIN
+    # nor can a charge prune at guard 0, so none is priced (see Extension)
+    charged = charged and guard > 0
+    explain = paths = watchers = None
     # at guard 0 nothing can be pruned, so the bound is not worth finishing
     if guard > 0:
         cost = [1.0] * nfree
@@ -534,6 +574,7 @@ def _bind(net, plan, values, epsilon, charged=False):
                 for pos, omq in plinks:
                     cost[pos] *= omq
         ranked = []
+        olds = []  # (finding, its term in the bound, picked)
         for fi in present:  # every cost is final now
             _, plinks, _, tail = records[fi]
             max_cost = 0.0
@@ -546,6 +587,7 @@ def _bind(net, plan, values, epsilon, charged=False):
                 ranked.append((h / plain, fi, h, plain))
             else:
                 bound *= plain
+                olds.append((fi, plain, False))
         ranked.sort()
         taken: set[int] = set()
         for _, fi, h, plain in ranked:
@@ -553,10 +595,41 @@ def _bind(net, plan, values, epsilon, charged=False):
             if taken.isdisjoint(parents):
                 taken.update(parents)
                 bound *= h
+                olds.append((fi, h, True))
             else:
                 bound *= plain
+                olds.append((fi, plain, False))
         if bound < guard:
             return None
+        # the charged positions' h' records (see _recall), priced when the
+        # entry check or the search first needs one, and per position the
+        # earlier positions whose records deciding this one absent shrinks
+        if charged and any(plan.opens):
+            opens = plan.opens
+            paths = [None] * nfree
+            watchers = [()] * nfree
+            explain = partial(_recall, net, values, plan, {}, watchers)
+            for fi, old, picked in olds:
+                _, plinks, _, tail = records[fi]
+                # f's new term is at least 1-w, so only a finding whose 1-w
+                # alone takes the bound below the guard can reject
+                if bound * (1.0 - w[fi]) / old >= guard or not all(
+                    opens[pos] for pos, _ in plinks
+                ):
+                    continue
+                best = 0.0
+                for pos, _ in plinks:
+                    path = paths[pos]
+                    if path is None:
+                        path = paths[pos] = explain(free[pos], pos)
+                    h = _path_charge(path, values)
+                    if picked:
+                        h *= cost[pos]
+                    if h > best:
+                        best = h
+                # the smallest ratio rejects if any ratio does
+                if bound * (1.0 - w[fi] * tail) * best / old < guard:
+                    return None
 
     # per position, the findings it feeds: absent ones as (finding, 1-q),
     # present ones as (finding, 1-q, tail); a present finding's term treats
@@ -574,22 +647,13 @@ def _bind(net, plan, values, epsilon, charged=False):
                 absent_adj[pos].append((fi, omq))
 
     # when charged, the product of the open factors' bounds before any
-    # decision (see _plan); the charged positions' h' records (see
-    # _explanation), priced when the search first sets the parent present,
-    # and per position the earlier positions whose records deciding this one
-    # absent shrinks
+    # decision (see _plan)
     absent0 = 1.0
-    explain = paths = watchers = None
-    # nor can a charge prune at guard 0, so none is priced (see Extension)
-    if charged and guard > 0:
+    if charged:
         opens, reopens = plan.opens, plan.reopens
         for n in plan.open_assigned:
             if values[n] is False:  # an assigned node's factor is open only if absent
                 absent0 *= noisy_or_absent(net, n, values)
-        if any(opens):
-            paths = [None] * nfree
-            watchers = [()] * nfree
-            explain = partial(_explanation, net, values, plan.pos_of, {}, watchers)
     else:
         opens = (False,) * nfree
         reopens = ((),) * nfree
@@ -599,7 +663,68 @@ def _bind(net, plan, values, epsilon, charged=False):
     )
 
 
-def _explanation(net, values, pos_of, memo, watchers, n, pos):
+def _read_set(net, values, pos_of, n):
+    """The ids, ascending, of the assigned nodes that :func:`_explanation`
+    can read when it prices the free parent ``n``: n's assigned parents
+    and, for every outside ancestor reached through unassigned parents
+    outside the subproblem, that ancestor's assigned parents and assigned
+    children.  It reads ``values`` only for which nodes are assigned, so it
+    holds for the plan."""
+    links_omq = net._links_omq
+    children = net.children
+    read = set()
+    seen = {n}
+    stack = [n]
+    while stack:
+        for g, _ in links_omq[stack.pop()]:
+            if values[g] is not None:
+                read.add(g)
+            elif g not in seen and g not in pos_of:
+                seen.add(g)
+                stack.append(g)
+                for a in children[g]:
+                    if values[a] is not None:
+                        read.add(a)
+    return sorted(read)
+
+
+def _recall(net, values, plan, memo, watchers, n, pos):
+    """The record of :func:`_explanation` for the free parent ``n`` at the
+    charged position ``pos``, listing pos in ``watchers[s]`` for each
+    position s whose decision absent shrinks it.  A record depends only on
+    the states of the few assigned nodes it can read (:func:`_read_set`),
+    so the plan keeps each one with its positions, keyed by those states:
+    a hit is taken as kept, a miss is priced with ``memo`` and kept.  The
+    first record of a position is kept with a copy of the states it was
+    priced under, and the read set, a walk of the outside ancestry, is
+    built only when the position is priced again: a chain poses a plan per
+    level and prices each position once, and building every read set there
+    added a fifth to the pricing time of a 1,200-node chain (cProfile).
+    Threads sharing a plan at worst price a record twice, since a slot or a
+    record is only added whole."""
+    slot = plan.explained[pos]
+    if slot is None:
+        hit = _explanation(net, values, plan.pos_of, memo, n, pos)
+        plan.explained[pos] = (None, (tuple(values), hit))
+    else:
+        key, kept = slot
+        if key is None:
+            first_values, first = kept
+            read = _read_set(net, values, plan.pos_of, n)
+            key = itemgetter(*read) if read else (lambda values: None)
+            kept = {key(first_values): first}
+            plan.explained[pos] = (key, kept)
+        k = key(values)
+        hit = kept.get(k)
+        if hit is None:
+            hit = kept[k] = _explanation(net, values, plan.pos_of, memo, n, pos)
+    path, watched = hit
+    for s in watched:
+        watchers[s] += (pos,)
+    return path
+
+
+def _explanation(net, values, pos_of, memo, n, pos):
     """Bound h'(n), the charge for setting the free parent ``n`` at position
     ``pos`` present.  It is at least the product of n's conditional factor,
     the factors of its unassigned ancestors outside the subproblem, and the
@@ -625,15 +750,17 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos):
     Returns the record ``(leak, plain, best, terms)`` that
     :func:`_path_charge` prices: the leak, ``plain``, the best term that no
     sibling changes, and the terms of the gs that feed another free parent
-    and may still win the max.  Only n keeps such terms, for
-    :func:`_path_charge` to shrink by the siblings decided absent on the
-    path, and lists pos in ``watchers[s]`` for the position s of each such
-    sibling after it; an outside node's explainers count their free
+    and may still win the max; and the positions after pos of those
+    siblings, whose decision absent shrinks the record.  Only n keeps such
+    terms, for :func:`_path_charge` to shrink by the siblings decided
+    absent on the path; an outside node's explainers count their free
     children as 1.  ``memo`` holds the outside nodes' terms within one
-    subproblem.  An outside explainer not in it yet is priced first, on an
+    value pass.  An outside explainer not in it yet is priced first, on an
     explicit stack of the nodes waiting for it, so a long outside ancestry
     costs no call depth.  ``values`` are the assignment's states, never the
-    search's, so the memo holds for the whole subproblem.
+    search's, so the memo holds for the whole subproblem, and the record
+    depends only on the states of the nodes :func:`_read_set` lists, which
+    lets the plan keep it (:func:`_recall`).
     """
     links_omq = net._links_omq
     priors = net._priors
@@ -678,14 +805,15 @@ def _explanation(net, values, pos_of, memo, watchers, n, pos):
             continue
         # a term at most the best static one, or whose h' is the leak, never wins
         shrinking = []
+        watched = []
         for term in terms:
             if term[0] > best and plain * term[0] > leak:
                 shrinking.append(term)
                 for a, _ in term[1]:
                     s = pos_of[a]
-                    if s > pos and pos not in watchers[s]:
-                        watchers[s] += (pos,)
-        return leak, plain, best, shrinking
+                    if s > pos and s not in watched:
+                        watched.append(s)
+        return (leak, plain, best, shrinking), tuple(watched)
 
 
 def _conflicts(net, values, pos_of, g, t):
@@ -821,7 +949,8 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 if opens[d - 1]:
                     path = paths[d - 1]
                     if path is None:
-                        # priced once a node that sets it present survives
+                        # priced at entry, or once a node that sets it
+                        # present survives
                         path = paths[d - 1] = explain(p, d - 1)
                     k = _path_charge(path, states)
             else:

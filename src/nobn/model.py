@@ -103,7 +103,9 @@ class Network:
     level search take from one kept slot per level for the network searched
     last, as long as that network lives (``epsilonml._plans``): each slot is
     an immutable tuple replaced whole, so threads searching at once at worst
-    build a plan again.
+    build a plan again.  A plan's explanation records (``_Plan.explained``)
+    are the one part that grows in place, a whole slot or a whole record
+    added at a time, so the worst a race can do is price a record twice.
     """
 
     __slots__ = (

@@ -903,6 +903,17 @@ class TestSearchCounters:
             return dfs(tables, engine_stats if stats is None else stats)
 
         monkeypatch.setattr(nobn.epsilonml, "_dfs", engine_dfs)
+        # and its searches rejected at entry by wrapping the value pass
+        bind = nobn.epsilonml._bind
+        rejects = 0
+
+        def engine_bind(net, plan, values, epsilon, charged=False):
+            nonlocal rejects
+            tables = bind(net, plan, values, epsilon, charged)
+            rejects += charged and tables is None
+            return tables
+
+        monkeypatch.setattr(nobn.epsilonml, "_bind", engine_bind)
 
         def replayed(n, a, level, eps):
             stats = {}
@@ -941,9 +952,12 @@ class TestSearchCounters:
         # 1 of the 49 expansions reuses a context's extensions
         assert expansions == 49
         # the engine's search drops 238 of the uncharged form's extensions,
-        # and visits fewer inner nodes than the uncharged search
+        # and visits fewer inner nodes than the uncharged search; its entry
+        # check, which also takes the one explanation charge, rejects 21 of
+        # the 48 searches before any inner node
         assert counts == {"searches": 48, "nodes": 2410, "charged": 238}
-        assert engine_stats == {"nodes": 1380}
+        assert engine_stats == {"nodes": 1124}
+        assert rejects == 21
         # one assign per explored state: the evidence, then one batch per
         # applied extension
         assert assigns == res.states_explored

@@ -9,9 +9,11 @@ is exact), the rule the level search's kept plans rely on (states with the
 same frontier level have the same assigned nodes), that an extension's
 product is the factor
 applying it folds into the known product, that the engine's charged
-product bounds the joint of every completion of the extension, and that
-every joint the oracle and the engine report equals the test-side noisy-OR
-reference's.
+product bounds the joint of every completion of the extension, that a
+level search the engine finds empty leaves no completion at the target,
+that every explanation record a plan keeps is the one a fresh pricing
+gives, and that every joint the oracle and the engine report equals the
+test-side noisy-OR reference's.
 
 Needs Hypothesis (the ``test`` extra); skipped without it.
 """
@@ -396,6 +398,93 @@ def test_charged_product_bounds_every_completion(problem):
             a.undo(token)
 
     walk()
+
+
+@_SETTINGS
+@given(deep_problems())
+def test_an_empty_level_search_leaves_no_completion_at_the_target(problem):
+    # Walk the engine's search tree from the evidence.  At each state with
+    # at most 10 unassigned nodes whose level search yields nothing at its
+    # rescaled threshold, whether its entry check or its inner search found
+    # it empty, no completion's joint, by the oracle, reaches the target
+    # even shrunk by 1e-12 for rounding: every bound the engine prunes
+    # with, the entry check's explanation charge included, is admissible.
+    net, evidence, epsilon = problem
+    hypothesis.assume(epsilon > 0)
+    a = Assignment.from_evidence(net, evidence)
+    visited = 0
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        eps_new = a.rescaled_threshold(epsilon)
+        if level is None or eps_new is None or visited >= 300:
+            return
+        visited += 1
+        exts = list(iter_level_extensions(net, a, level, eps_new))
+        if not exts and a.unassigned_count <= 10:
+            values = a.raw_values()
+            assigned = [(nid, state) for nid, state in enumerate(values) if state is not None]
+            for _, joint in enumerate_consistent(net, assigned):
+                assert joint * (1.0 - 1e-12) < epsilon
+        for ext in exts:
+            token = a.assign(ext.parent_states)
+            walk()
+            a.undo(token)
+
+    walk()
+
+
+def _float_bits(x):
+    """``x`` with every float, at any depth of tuples and lists, as hex."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_float_bits(y) for y in x]
+    return x
+
+
+@_SETTINGS
+@given(deep_problems())
+def test_kept_explanation_records_equal_a_fresh_pricing(problem):
+    # Walk the engine's search tree from the evidence: every explanation
+    # record the charged search takes from its plan (epsilonml._recall),
+    # kept from an earlier state or priced now, equals bit for bit the
+    # record _explanation prices with a fresh memo, and lists its position
+    # under the watchers of exactly the positions that pricing returns.
+    net, evidence, epsilon = problem
+    hypothesis.assume(epsilon > 0)
+    recall = nobn.epsilonml._recall
+    explanation = nobn.epsilonml._explanation
+
+    def checked(net, values, plan, memo, watchers, n, pos):
+        before = list(watchers)
+        path = recall(net, values, plan, memo, watchers, n, pos)
+        fresh, watched = explanation(net, values, plan.pos_of, {}, n, pos)
+        assert _float_bits(path) == _float_bits(fresh)
+        assert [now[len(was):] for now, was in zip(watchers, before)] == [
+            (pos,) if s in watched else () for s in range(len(watchers))
+        ]
+        return path
+
+    a = Assignment.from_evidence(net, evidence)
+    visited = 0
+
+    def walk():
+        nonlocal visited
+        level = a.frontier_level()
+        eps_new = a.rescaled_threshold(epsilon)
+        if level is None or eps_new is None or visited >= 300:
+            return
+        visited += 1
+        for ext in list(iter_level_extensions(net, a, level, eps_new)):
+            token = a.assign(ext.parent_states)
+            walk()
+            a.undo(token)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nobn.epsilonml, "_recall", checked)
+        walk()
 
 
 @_SETTINGS

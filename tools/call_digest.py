@@ -14,6 +14,16 @@ each joint in hex, the mass in hex and the posteriors in hex.  Two checkouts
 whose lines match made the same calls and got every answer bit for bit,
 which is what a speed-up must keep.  Each line reads
 ``<workload> seed <seed> calls <n> <sha256>``.
+
+    python3 tools/call_digest.py --workload bn3-f26 --counts
+
+With ``--counts`` each workload's line is followed by the exact work the
+engine's level search did in that round: ``searches`` (its
+``iter_level_extensions`` calls; context-memo hits make none), ``rejects``
+(searches rejected at entry, before any inner node), ``nodes`` (inner nodes
+of its ``_dfs``) and ``explanations`` (``_explanation`` calls, the charges
+priced from scratch).  They are counted by wrapping those functions for the
+round, so the digest is the same with or without the option.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import nobn.engine  # noqa: E402
+import nobn.epsilonml  # noqa: E402
 from nobn import cli  # noqa: E402
 from nobn.engine import SearchResult, top_epsilon  # noqa: E402
 from nobn.model import Network  # noqa: E402
@@ -91,6 +103,49 @@ def _recorded(workloads, h):
         workloads.top_epsilon, cli.top_epsilon = saved
 
 
+@contextmanager
+def counted():
+    """Count the engine's level-search work while the block runs: yields a
+    dict of ``searches``, ``rejects``, ``nodes`` and ``explanations`` (see the
+    module notes).  Only the engine's searches are counted, the ones its
+    ``iter_level_extensions`` calls pose; the two-step form
+    (``iter_extensions``) charges nothing and keeps its own stats."""
+    counts = dict.fromkeys(("searches", "rejects", "nodes", "explanations"), 0)
+    eml = nobn.epsilonml
+    level_search, bind, dfs, explanation = (
+        nobn.engine.iter_level_extensions, eml._bind, eml._dfs, eml._explanation
+    )
+    engine = [False]  # inside the engine's call, which creates its _dfs
+
+    def searched(*args):
+        counts["searches"] += 1
+        engine[0] = True
+        try:
+            return level_search(*args)
+        finally:
+            engine[0] = False
+
+    def bound(net, plan, values, epsilon, charged=False):
+        tables = bind(net, plan, values, epsilon, charged)
+        counts["rejects"] += engine[0] and tables is None
+        return tables
+
+    def walked(tables, stats):
+        return dfs(tables, counts if engine[0] else stats)
+
+    def explained(*args):
+        counts["explanations"] += 1
+        return explanation(*args)
+
+    nobn.engine.iter_level_extensions = searched
+    eml._bind, eml._dfs, eml._explanation = bound, walked, explained
+    try:
+        yield counts
+    finally:
+        nobn.engine.iter_level_extensions = level_search
+        eml._bind, eml._dfs, eml._explanation = bind, dfs, explanation
+
+
 def workload_digest(name: str, seed: int) -> tuple[int, str]:
     """(search calls, SHA-256) of one round of the named workload."""
     import workloads
@@ -110,10 +165,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--counts", action="store_true",
+                    help="also print the engine's level-search work per workload")
     args = ap.parse_args(argv)
     for name in args.workload or list(workloads.WORKLOADS):
-        calls, digest = workload_digest(name, args.seed)
+        # set-up poses no search, so the counts are the round's
+        with counted() if args.counts else nullcontext() as counts:
+            calls, digest = workload_digest(name, args.seed)
         print(f"{name} seed {args.seed} calls {calls} {digest}", flush=True)
+        if counts is not None:
+            print(f"{name} seed {args.seed} " + " ".join(f"{k} {v}" for k, v in counts.items()),
+                  flush=True)
     return 0
 
 
