@@ -15,11 +15,15 @@ evidence state included, whether or not it reaches the target; each one is
 counted, tested once against the target, and then accepted if complete or
 expanded if not.  Once no level has anything to expand, the unassigned nodes
 are those outside the evidence ancestry; the run lists them once, by level
-then id, and branches on each in turn.  Accepted instantiations add their
-joint to a :class:`~nobn.model.Tally` of mass and per-node present-score,
-whose ratio is the posterior estimate, and are kept, when asked for, as
-(node-state tuple, joint) pairs.  With a target of zero the run is
-exhaustive and the mass equals the exact evidence probability.
+then id, and branches on each in turn.  Accepted instantiations count
+their joint into the mass of a :class:`~nobn.model.Tally`, and are kept,
+when asked for, as (node-state tuple, joint) pairs.  Per-node present-scores
+are credited once per subtree, not once per accepted instantiation: each
+applied batch reads the tally's mark, and when its subtree closes, if
+anything was counted under it, adds that mass to the nodes it set present;
+the evidence is credited once at the end.  Score over mass is the posterior
+estimate.  With a target of zero the run is exhaustive and the mass equals
+the exact evidence probability.
 
 The stack holds one extension iterator per expansion, never a materialized
 frontier of states.  When level L is the frontier, every deeper node is
@@ -141,8 +145,10 @@ def top_epsilon(
     them.
     """
     check_threshold(epsilon_target, "epsilon_target")
+    evidence = tuple(evidence)
     a = Assignment.from_evidence(net, evidence)
     tally = Tally(len(net.nodes))
+    start = tally.mark
     accepted: list[tuple[tuple[bool, ...], float]] | None = [] if keep_accepted else None
     accepted_count = 0
     states_explored = 0
@@ -172,8 +178,12 @@ def top_epsilon(
                 ))
             nid = forced[len(forced) - a.unassigned_count]
             for state in (True, False):
-                token = a.assign(((nid, state),))
+                pairs = ((nid, state),)
+                token = a.assign(pairs)
+                mark = tally.mark
                 yield None
+                if tally.mark is not mark:
+                    tally.credit(pairs, mark)
                 a.undo(token)
             return
         # The level's extensions come from the context memo when the context
@@ -203,8 +213,12 @@ def top_epsilon(
         for ext in exts:
             if kept is not None and len(kept) <= _MEMO_CAP:
                 kept.append(ext)
-            token = a.assign(ext.parent_states)
+            pairs = ext.parent_states
+            token = a.assign(pairs)
+            mark = tally.mark
             yield None
+            if tally.mark is not mark:
+                tally.credit(pairs, mark)
             a.undo(token)
         if kept is not None and len(kept) <= _MEMO_CAP:
             # A searched context keeps its extensions once the search ends; it
@@ -231,9 +245,10 @@ def top_epsilon(
             continue
         accepted_count += 1
         joint, exponent = a.known_factor_product, a.known_exponent
-        tally.add(values, joint, exponent)
+        tally.count(joint, exponent)
         if accepted is not None:
             accepted.append((tuple(values), math.ldexp(joint, exponent)))
+    tally.credit(evidence, start)
 
     return SearchResult(
         epsilon_target=epsilon_target,

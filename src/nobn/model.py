@@ -19,7 +19,9 @@ fold in one parent's 1-q at a time as the search decides it, and
 ``_explanation``'s ``plain``, a bound with every parent present rather than
 a fold over states.  :class:`Tally` is the only accumulator of
 probability mass and per-node present-score; its sums are exact, so they do
-not depend on the order in which the joints arrive.
+not depend on the order or the grouping in which the joints arrive, and a
+search credits each node's score once per subtree rather than once per
+joint.
 
 Probabilities are doubles multiplied in linear space.  An assignment keeps
 its product scaled by a power of two, so deep joints never underflow, and
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, compress
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -669,52 +670,83 @@ class Tally:
     joints so far, so no addition rounds and no sum depends on the order of
     the joints (exact summation, as in Shewchuk, DCG 1997, with Python ints
     in place of float expansions).  Reading a sum divides it by the unit, an
-    int true division, which rounds once.  The mass is kept in the extra
-    slot after the ``n`` node slots, so one loop serves both.
+    int true division, which rounds once.
+
+    Since no sum depends on grouping, a node's score can be credited a whole
+    subtree at a time (the subtree accumulation of recursive conditioning,
+    Darwiche, AIJ 2001).  :meth:`count` adds a joint to the mass only and
+    replaces ``mark``, the mass so far in its unit; :meth:`credit` adds the
+    mass counted since a mark to every node a batch of ``(id, state)``
+    pairs sets present.  A search that reads ``mark`` when it applies a
+    batch and credits the batch when the batch's subtree closes credits
+    each counted joint once to each of its present nodes, since exactly one
+    batch on the joint's path sets each node.  :meth:`add` counts and
+    credits one complete instantiation.
     """
 
-    __slots__ = ("_sums", "_ids", "_mass_slot", "_bits")
+    __slots__ = ("_scores", "_mass", "_bits", "mark")
 
     def __init__(self, n: int):
-        self._sums = [0] * (n + 1)
-        self._ids = range(n)
-        self._mass_slot = (n,)
+        self._scores = [0] * n
+        self._mass = 0
         self._bits = 0
+        # (mass, bits): a new tuple whenever a nonzero joint is counted, so
+        # an unchanged mark (by identity) means nothing was counted since
+        self.mark = (0, 0)
 
-    def add(self, values: Sequence[bool | None], joint: float, exponent: int = 0) -> None:
-        """Count one complete instantiation (``values`` in node-id order)."""
+    def count(self, joint: float, exponent: int = 0) -> None:
+        """Add one joint to the mass, crediting no node."""
         if not joint:
             return
         num, den = joint.as_integer_ratio()
         # den is a power of two, so the joint is num units of 2**-bits
         bits = den.bit_length() - 1 - exponent
-        if bits > self._bits:
-            # a finer unit: every sum so far counts units of it from now on
-            self._sums = [s << bits - self._bits for s in self._sums]
-            self._bits = bits
+        unit = self._bits
+        if bits > unit:
+            # a finer unit: every sum so far counts units of it from now on;
+            # a mark taken before keeps its own unit (see credit)
+            self._scores = [s << bits - unit for s in self._scores]
+            self._mass <<= bits - unit
+            self._bits = unit = bits
         else:
-            num <<= self._bits - bits
-        sums = self._sums
-        for i in chain(compress(self._ids, values), self._mass_slot):
-            sums[i] += num
+            num <<= unit - bits
+        mass = self._mass = self._mass + num
+        self.mark = (mass, unit)
+
+    def credit(self, pairs: Iterable[tuple[int, bool]], mark: tuple[int, int]) -> None:
+        """Add the mass counted since ``mark`` to the score of each node the
+        ``(id, state)`` pairs set present."""
+        mass, bits = mark
+        num = self._mass - (mass << self._bits - bits)
+        scores = self._scores
+        for nid, state in pairs:
+            if state:
+                scores[nid] += num
+
+    def add(self, values: Sequence[bool | None], joint: float, exponent: int = 0) -> None:
+        """Count one complete instantiation (``values`` in node-id order)
+        and credit its present nodes."""
+        mark = self.mark
+        self.count(joint, exponent)
+        self.credit(enumerate(values), mark)
 
     @property
     def mass(self) -> float:
-        return self._sums[-1] / (1 << self._bits)
+        return self._mass / (1 << self._bits)
 
     def scores(self) -> tuple[float, ...]:
         unit = 1 << self._bits
-        return tuple(s / unit for s in self._sums[:-1])
+        return tuple(s / unit for s in self._scores)
 
     def posteriors(self) -> tuple[float, ...] | None:
         """Per node, score over mass, both rounded at the power-of-two scale
         that puts the mass in [0.5, 1); None when no mass was counted."""
-        m = self._sums[-1]
+        m = self._mass
         if not m:
             return None
         unit = 1 << m.bit_length()
         mass = m / unit
-        return tuple(s / unit / mass for s in self._sums[:-1])
+        return tuple(s / unit / mass for s in self._scores)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ Deliberately unsophisticated: this is the gold standard every search result
 is checked against, so simplicity beats speed.  The only concessions are a
 free-node cap (2^free instantiations is real money), exact summation
 through the same :class:`~nobn.model.Tally` the search engine uses (posteriors
-here back tolerances down to 1e-9), and a counting loop instead of recursion,
-so the depth of the network never limits the enumeration.  Factors come from
+here back tolerances down to 1e-9), a counting loop instead of recursion,
+so the depth of the network never limits the enumeration, and scores
+credited once per subtree of that loop rather than once per instantiation:
+a free node is credited with the mass counted while it was present when
+the carry turns it absent, and the evidence once at the end.  The same
+loop, without a tally, serves the plain enumerations.  Factors come from
 :func:`~nobn.model.node_factor`, the search engine's own arithmetic, so the
 tests check this module's joints against an independent reference written
 from the noisy-OR definition (``tests/reference.py``).  An instantiation
@@ -60,11 +64,15 @@ class ExactResult:
 
 
 def _enum_values(
-    net: Network, evidence: Iterable[tuple[int, bool]], cap: int
+    net: Network, evidence: Iterable[tuple[int, bool]], cap: int, tally: Tally | None = None
 ) -> Iterator[tuple[list[bool], float]]:
     """Yield (live value list, joint) for every instantiation consistent with
     the evidence, in binary-counting order over the free nodes (id order,
-    absent first).  The list is reused between yields; copy to keep it."""
+    absent first).  The list is reused between yields; copy to keep it.
+    With a ``tally``, each joint is counted into it before it is yielded,
+    and each free node is credited once per run of instantiations in which
+    it is present, when the carry turns it absent again; the caller credits
+    the evidence."""
     evidence = tuple(evidence)
     validate_evidence(net, evidence)
     n = len(net.nodes)
@@ -80,14 +88,16 @@ def _enum_values(
     for x in range(n):
         last = max((p for p, _ in net.nodes[x].links), default=-1)
         trigger[max(x, last)].append(x)
-    return _binary_count(net, values, free, trigger)
+    return _binary_count(net, values, free, trigger, tally)
 
 
-def _binary_count(net, values, free, trigger) -> Iterator[tuple[list[bool], float]]:
+def _binary_count(net, values, free, trigger, tally) -> Iterator[tuple[list[bool], float]]:
     # prefix[i] is the product of the factors triggered by ids 0..i-1, folded
     # left to right; a counting step only refolds from the flipped id on.
+    # marks[k] is the tally's mark when free digit k last turned present.
     n = len(values)
     prefix = [1.0] * (n + 1)
+    marks = [None] * len(free)
     for i in free:
         values[i] = False
     start = 0
@@ -97,15 +107,21 @@ def _binary_count(net, values, free, trigger) -> Iterator[tuple[list[bool], floa
             for x in trigger[i]:
                 p *= node_factor(net, x, values)
             prefix[i + 1] = p
+        if tally is not None:
+            tally.count(prefix[n])
         yield values, prefix[n]
         # binary increment, the highest free id being the lowest digit
         k = len(free) - 1
         while k >= 0 and values[free[k]]:
             values[free[k]] = False
+            if tally is not None:
+                tally.credit(((free[k], True),), marks[k])
             k -= 1
         if k < 0:
             return
         values[free[k]] = True
+        if tally is not None:
+            marks[k] = tally.mark
         start = free[k]
 
 
@@ -128,11 +144,13 @@ def exact_inference(
 ) -> ExactResult:
     """Evidence probability and per-node present-posteriors by exhaustive
     enumeration.  Raises :class:`ImpossibleEvidenceError` on zero mass."""
+    evidence = tuple(evidence)
     tally = Tally(len(net.nodes))
+    start = tally.mark
     count = 0
-    for values, joint in _enum_values(net, evidence, cap):
+    for _ in _enum_values(net, evidence, cap, tally):
         count += 1
-        tally.add(values, joint)
+    tally.credit(evidence, start)
     posteriors = tally.posteriors()
     if posteriors is None:
         raise ImpossibleEvidenceError(

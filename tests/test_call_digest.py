@@ -1,17 +1,23 @@
 """``tools/call_digest.py``: its digest of search calls repeats, and moves
 when an input of a call moves; ``--counts`` counts the engine's level-search
-work without changing an answer."""
+work without changing an answer; a round that calls the oracle adds a line
+hashing each oracle answer."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
 import nobn.engine
 import nobn.epsilonml
-from nobn import Assignment, parse_evidence, parse_network, top_epsilon
+from nobn import (
+    Assignment, exact_inference, gen_network, parse_evidence, parse_network, top_epsilon,
+)
 from nobn.epsilonml import build_subproblem, iter_extensions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +81,36 @@ def test_counts_line_of_a_workload_round(call_digest, capsys):
     calls, sha = call_digest.workload_digest("bn3-f26", 0)
     assert digest == f"bn3-f26 seed 0 calls {calls} {sha}"
     assert work == "bn3-f26 seed 0 searches 4762 rejects 2529 nodes 89872 explanations 208"
+
+
+def test_oracle_record_follows_every_answer(call_digest, golden_case):
+    net, evidence = golden_case
+    exact = exact_inference(net, evidence)
+    record = call_digest.oracle_record(evidence, exact)
+    assert record == call_digest.oracle_record(iter(evidence), exact_inference(net, evidence))
+    nudged = list(exact.posteriors)
+    nudged[-1] = math.nextafter(nudged[-1], 0.0)
+    for changed in (
+        dataclasses.replace(exact, posteriors=tuple(nudged)),
+        dataclasses.replace(exact, evidence_probability=math.nextafter(
+            exact.evidence_probability, 1.0)),
+        dataclasses.replace(exact, instantiation_count=exact.instantiation_count + 1),
+    ):
+        assert call_digest.oracle_record(evidence, changed) != record
+    assert call_digest.oracle_record(evidence[1:], exact) != record
+
+
+def test_oracle_line_of_an_exhaustive_round(call_digest, capsys):
+    import workloads
+
+    saved = workloads.exact_inference
+    assert call_digest.main(["--workload", "exhaustive", "--seed", "7"]) == 0
+    assert workloads.exact_inference is saved
+    search, oracle = capsys.readouterr().out.splitlines()
+    assert search.startswith("exhaustive seed 7 calls 4 ")
+    # one record per case, in case order, computed here without the tool
+    w = workloads.WORKLOADS["exhaustive"]
+    h = hashlib.sha256()
+    for _, net, evidence in workloads.sample_cases(w, workloads.relabel(gen_network(w.shape), 7)):
+        h.update(call_digest.oracle_record(evidence, exact_inference(net, evidence)))
+    assert oracle == f"exhaustive seed 7 oracle calls 4 {h.hexdigest()}"

@@ -290,6 +290,108 @@ class TestTally:
             assert t.mass == t.scores()[0] == float(exact)
             assert t.posteriors() == (1.0,)
 
+    def test_a_finer_unit_between_mark_and_credit_loses_nothing(self):
+        # the second and third joints each arrive in a finer unit than every
+        # sum so far, after the marks and before their credits; the inner
+        # mark is taken right after a joint that brought a finer unit
+        t = Tally(3)
+        t.add((False, False, True), 1.0)
+        outer = t.mark
+        t.count(2.0**-60)
+        inner = t.mark
+        t.count(0.75, -1100)
+        t.credit(((1, True),), inner)
+        t.credit(((0, True), (1, False)), outer)
+        t.credit(((2, True),), outer)
+        deep = Fraction(3, 4) * Fraction(2) ** -1100
+        subtree = Fraction(2) ** -60 + deep
+        unit = Fraction(2) ** -t._bits
+        assert [s * unit for s in t._scores] == [subtree, deep, 1 + subtree]
+        assert t._mass * unit == 1 + subtree
+        assert t.scores() == (float(subtree), float(deep), float(1 + subtree))
+
+    def test_nested_credits_equal_fraction_sums(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        n = 5
+        joints = st.tuples(
+            st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 2.0**-53, 2.0**-1074]),
+            st.sampled_from([0, 0, -1, -512, -1024]),
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            # a random tree of batches: each batch sets some of the nodes
+            # still free on its path, counts some joints, then its children
+            t, flat = Tally(n), Tally(n)
+            mass, scores = Fraction(0), [Fraction(0)] * n
+
+            def batch(free, present, depth):
+                nonlocal mass
+                k = data.draw(st.integers(0, len(free)))
+                states = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+                pairs = tuple(zip(free[:k], states))
+                present = present + [nid for nid, state in pairs if state]
+                mark = t.mark
+                for joint, exponent in data.draw(st.lists(joints, max_size=3)):
+                    t.count(joint, exponent)
+                    flat.add([i in present for i in range(n)], joint, exponent)
+                    value = Fraction(joint) * Fraction(2) ** exponent
+                    mass += value
+                    for nid in present:
+                        scores[nid] += value
+                if depth < 3:
+                    for _ in range(data.draw(st.integers(0, 2))):
+                        batch(free[k:], present, depth + 1)
+                # an unguarded credit of an empty subtree adds nothing
+                if t.mark is not mark or data.draw(st.booleans()):
+                    t.credit(pairs, mark)
+
+            batch(list(range(n)), [], 0)
+            unit = Fraction(2) ** -t._bits
+            assert t._mass * unit == mass
+            assert [s * unit for s in t._scores] == scores
+            assert t.mass == flat.mass == float(mass)
+            assert t.scores() == flat.scores() == tuple(map(float, scores))
+            assert t.posteriors() == flat.posteriors()
+
+        check()
+
+    def test_counting_zero_keeps_the_mark(self):
+        t = Tally(1)
+        mark = t.mark
+        t.count(0.0)
+        t.count(0.0, -1024)
+        t.add((True,), 0.0)
+        assert t.mark is mark
+        t.count(0.5)
+        assert t.mark is not mark
+        mark = t.mark
+        t.count(0.0)
+        assert t.mark is mark
+        assert t.mass == 0.5 and t.scores() == (0.0,)
+
+    def test_add_is_count_then_credit(self):
+        entries = [
+            ((True, False, None), 0.25, 0),
+            ((False, True, True), 0.6, -1024),
+            ((True, True, False), 0.0, 0),
+            ((True, None, True), math.ldexp(0.2, 512), -1536),
+            ((False, False, False), 2.0**-53, 0),
+        ]
+        added, split = Tally(3), Tally(3)
+        for values, joint, exponent in entries:
+            added.add(values, joint, exponent)
+            mark = split.mark
+            split.count(joint, exponent)
+            split.credit(enumerate(values), mark)
+            assert (added._mass, added._bits, added._scores) == (
+                split._mass, split._bits, split._scores
+            )
+        assert added.posteriors() == split.posteriors()
+
 
 class TestNps:
     def test_noisy_or_without_leak(self):

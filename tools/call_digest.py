@@ -15,6 +15,12 @@ whose lines match made the same calls and got every answer bit for bit,
 which is what a speed-up must keep.  Each line reads
 ``<workload> seed <seed> calls <n> <sha256>``.
 
+A round that calls the oracle (``exact_inference``; of the four workloads,
+only ``exhaustive``) adds a line ``<workload> seed <seed> oracle calls <n>
+<sha256>``, hashing per call in call order the evidence, the instantiation
+count, the evidence probability in hex and the posteriors in hex.  A round
+without oracle calls prints no such line.
+
     python3 tools/call_digest.py --workload bn3-f26 --counts
 
 With ``--counts`` each workload's line is followed by the exact work the
@@ -45,6 +51,7 @@ import nobn.epsilonml  # noqa: E402
 from nobn import cli  # noqa: E402
 from nobn.engine import SearchResult, top_epsilon  # noqa: E402
 from nobn.model import Network  # noqa: E402
+from nobn.oracle import ExactResult, exact_inference  # noqa: E402
 
 
 def _hex(x: float | None) -> str:
@@ -71,6 +78,18 @@ def call_record(evidence: Iterable[tuple[int, bool]], epsilon: float, res: Searc
     return ("\n".join(lines) + "\n\n").encode("ascii")
 
 
+def oracle_record(evidence: Iterable[tuple[int, bool]], res: ExactResult) -> bytes:
+    """The canonical text of one ``exact_inference`` call's inputs and
+    answers."""
+    lines = [
+        "evidence " + " ".join(f"{nid}={int(state)}" for nid, state in evidence),
+        f"instantiations {res.instantiation_count}",
+        f"probability {_hex(res.evidence_probability)}",
+        "posteriors " + " ".join(map(_hex, res.posteriors)),
+    ]
+    return ("\n".join(lines) + "\n\n").encode("ascii")
+
+
 def case_digest(net: Network, evidence, schedule: Iterable[float]) -> str:
     """SHA-256 over ``top_epsilon`` at each threshold of ``schedule``."""
     evidence = tuple(evidence)
@@ -81,10 +100,12 @@ def case_digest(net: Network, evidence, schedule: Iterable[float]) -> str:
 
 
 @contextmanager
-def _recorded(workloads, h):
+def _recorded(workloads, h, oracle_h):
     """Route the round's search calls through a recorder that keeps each
-    accepted set and hashes each call as it returns."""
-    calls = [0]
+    accepted set and hashes each call into ``h`` as it returns, and its
+    oracle calls through one that hashes each into ``oracle_h``.  Yields
+    the [search, oracle] call counts."""
+    calls = [0, 0]
 
     def recording(net, evidence, epsilon_target, keep_accepted=False):
         evidence = tuple(evidence)
@@ -95,12 +116,21 @@ def _recorded(workloads, h):
             res.accepted = None
         return res
 
-    saved = workloads.top_epsilon, cli.top_epsilon
+    def oracle(net, evidence, *args, **kwargs):
+        evidence = tuple(evidence)
+        res = exact_inference(net, evidence, *args, **kwargs)
+        oracle_h.update(oracle_record(evidence, res))
+        calls[1] += 1
+        return res
+
+    saved = workloads.top_epsilon, cli.top_epsilon, workloads.exact_inference, cli.exact_inference
     workloads.top_epsilon = cli.top_epsilon = recording
+    workloads.exact_inference = cli.exact_inference = oracle
     try:
         yield calls
     finally:
-        workloads.top_epsilon, cli.top_epsilon = saved
+        (workloads.top_epsilon, cli.top_epsilon,
+         workloads.exact_inference, cli.exact_inference) = saved
 
 
 @contextmanager
@@ -146,16 +176,22 @@ def counted():
         eml._bind, eml._dfs, eml._explanation = bind, dfs, explanation
 
 
-def workload_digest(name: str, seed: int) -> tuple[int, str]:
-    """(search calls, SHA-256) of one round of the named workload."""
+def round_digests(name: str, seed: int) -> tuple[tuple[int, str], tuple[int, str]]:
+    """(search calls, SHA-256) and (oracle calls, SHA-256) of one round of
+    the named workload."""
     import workloads
 
     w = workloads.WORKLOADS[name]
-    h = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp, _recorded(workloads, h) as calls:
+    h, oracle_h = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp, _recorded(workloads, h, oracle_h) as calls:
         inputs = workloads.setup(w, seed, Path(tmp))
         workloads.run_round(w, inputs)
-    return calls[0], h.hexdigest()
+    return (calls[0], h.hexdigest()), (calls[1], oracle_h.hexdigest())
+
+
+def workload_digest(name: str, seed: int) -> tuple[int, str]:
+    """(search calls, SHA-256) of one round of the named workload."""
+    return round_digests(name, seed)[0]
 
 
 def main(argv=None) -> int:
@@ -171,8 +207,11 @@ def main(argv=None) -> int:
     for name in args.workload or list(workloads.WORKLOADS):
         # set-up poses no search, so the counts are the round's
         with counted() if args.counts else nullcontext() as counts:
-            calls, digest = workload_digest(name, args.seed)
+            (calls, digest), (oracle_calls, oracle_digest) = round_digests(name, args.seed)
         print(f"{name} seed {args.seed} calls {calls} {digest}", flush=True)
+        if oracle_calls:
+            print(f"{name} seed {args.seed} oracle calls {oracle_calls} {oracle_digest}",
+                  flush=True)
         if counts is not None:
             print(f"{name} seed {args.seed} " + " ".join(f"{k} {v}" for k, v in counts.items()),
                   flush=True)
