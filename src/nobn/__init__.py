@@ -33,10 +33,6 @@ from .oracle import (
 from .epsilonml import (
     Extension,
     NoFindingsError,
-    Subproblem,
-    build_subproblem,
-    iter_extensions,
-    upper_bound,
 )
 from .engine import (
     DEFAULT_SCHEDULE,

@@ -23,7 +23,7 @@ from .engine import (
     format_accepted,
     top_epsilon,
 )
-from .epsilonml import Extension, NoFindingsError, build_subproblem, iter_extensions
+from .epsilonml import Extension, NoFindingsError, iter_level_extensions
 from .model import (
     Assignment,
     Network,
@@ -93,12 +93,32 @@ def _check_writable(*paths: str | Path | None) -> None:
 
 
 def _same_file(a: str | Path, b: str | Path) -> bool:
-    """Whether two output paths name one file, links and relative spellings
+    """Whether two paths name one file, links and relative spellings
     included, whether or not it exists yet."""
     try:
         return os.path.samefile(a, b)
     except OSError:
         return Path(a).resolve() == Path(b).resolve()
+
+
+def _clash(command: str, outputs, inputs) -> bool:
+    """Whether an output path names an input file or an earlier output, each
+    as a (name, path) pair, output paths None when unset; if so, says which
+    on stderr, so that the command can exit 1 before it reads or writes
+    anything."""
+    named = list(inputs)
+    for name, path in outputs:
+        if path is None:
+            continue
+        for other, taken in named:
+            if _same_file(path, taken):
+                print(
+                    f"nobn {command}: error: {name} {path} is also the {other} {taken}",
+                    file=sys.stderr,
+                )
+                return True
+        named.append((name, path))
+    return False
 
 
 def _load_network(path: str) -> Network:
@@ -267,7 +287,9 @@ def _cmd_eml(args) -> int:
     evidence = _load_case(net, args.evidence)
     a = Assignment.from_evidence(net, evidence)
     try:
-        exts = iter_extensions(net, build_subproblem(net, a, 1), args.epsilon)
+        # every free parent of a two-level net is a root, so no extension
+        # carries a charge and this is the exact set
+        exts = iter_level_extensions(net, a, 1, args.epsilon)
     except NoFindingsError:
         # no finding has a free parent: the one extension is the empty one,
         # and it completes no factor
@@ -294,12 +316,11 @@ def _infer_gold(pruned, evidence, cap):
 
 def _cmd_infer(args) -> int:
     post_path = Path(args.post or args.evidence + ".post")
-    if args.dump_accepted is not None and _same_file(post_path, args.dump_accepted):
-        print(
-            f"nobn infer: error: --dump-accepted {args.dump_accepted} is also the "
-            f"posterior output {post_path}",
-            file=sys.stderr,
-        )
+    outputs = [
+        ("--post" if args.post else "posterior output", post_path),
+        ("--dump-accepted", args.dump_accepted),
+    ]
+    if _clash("infer", outputs, [("network", args.network), ("evidence", args.evidence)]):
         return 1
     net = _load_network(args.network)
     evidence = _load_case(net, args.evidence)
@@ -366,6 +387,8 @@ def _bench_case(job):
 
 
 def _cmd_bench(args) -> int:
+    if _clash("bench", [("--summary", args.summary)], [("network", args.network)]):
+        return 1
     net = _load_network(args.network)
     _check_writable(args.summary)
     jobs = []

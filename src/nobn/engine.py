@@ -109,13 +109,13 @@ _DONE = object()
 # hit less than one time in _MEMO_HIT_RATIO.  On a seed-0 bn3-f83 round a
 # lookup, with the store once its context is searched, costs 2.3-3.1 us, about
 # a sixth of the mean level-1 search (14 us) and a 14th of the level-2 one
-# (43-44 us, 44-47 us before the level search kept its explanation records;
-# in-process timing around the lookup and each step of the search, 2-core VM,
-# two runs each).  Level 1 hits 399 of 722 lookups and level 2 42 of 1,122
-# (4%), under the one in 14 that would pay; the give-up rule stops level 2 in
-# the 8 calls that reach _MEMO_TRIAL lookups, and the 610 lookups of the other
-# calls cost about 2 ms a round: the ratio stays.  Both rules pay (alternating
-# pairs, medians, 2-core VM).  With the memo off, exhaustive wall_s went from
+# (43-44 us; in-process timing around the lookup and each step of the search,
+# 2-core VM, two runs each).  Level 1 hits 399 of 722 lookups and level 2 42
+# of 1,122 (4%), under the one in 14 that would pay; the give-up rule stops
+# level 2 in the 8 calls that reach _MEMO_TRIAL lookups, and the 610 lookups
+# of the other calls cost about 2 ms a round: the ratio stays.  Both rules pay
+# (alternating pairs, medians, 2-core VM).  With the memo off, exhaustive
+# wall_s went from
 # 1.61 to 2.20 s (+37%, 3 benchmark pairs), the three 26-finding bn3 cases at
 # 1e-30 from 5.05 to 5.38 s together (+6%, slower in 7 of 8 pairs) and bn3-f26
 # wall_s by 1.3%, while bn3-f83 moved +0.1% and wide-log -1.4%.  Without the

@@ -7,9 +7,8 @@ these may have arcs among them, see below).  The search
 is depth-first over the free parents with an admissible per-node upper bound,
 so it returns exactly the set { parent assignment : product >= epsilon }
 while storing only its tables and one copy of the assignment's state list,
-which carries its current decision path.  :func:`upper_bound` folds
-that bound from the search's own tables in the order of the leaf product;
-the search keeps it incrementally, groups the products differently, and so
+which carries its current decision path.  The search keeps that bound
+incrementally, groups the products differently from a leaf's fold, and so
 prunes only with a margin (``_PRUNE_MARGIN``).
 
 Two orders of the free parents are kept apart.  The *emission order*,
@@ -70,11 +69,8 @@ driving engine relies on, and no extension leaves the engine a child whose
 known product already misses the target.
 
 Every subproblem is posed from an assignment and a level and runs the same
-``_pose`` -> ``_bind`` -> ``_dfs`` path.  :func:`build_subproblem` snapshots
-the assignment's states and its kept plan into a :class:`Subproblem`, whose
-plan :func:`iter_extensions` and :func:`upper_bound` bind later, with the
-exact set semantics above.
-:func:`iter_level_extensions`, the engine's one-call form, reads the live
+``_pose`` -> ``_bind`` -> ``_dfs`` path.
+:func:`iter_level_extensions`, the engine's form, reads the live
 assignment and adds one prune for the engine alone: it charges each
 extension a bound on factors the extension leaves open, which the product
 counts as 1.  A present free parent that is not a root and has a parent
@@ -103,7 +99,7 @@ Both only shrink as the search goes deeper, an absent bound as it decides
 parents present and an explanation as it decides the explainer's other free
 children absent, so they prune inner nodes as well as leaves.  A dropped
 extension therefore has no completion that reaches the engine's target, and
-the engine's form yields the two-step form's extensions whose charged
+the engine's form yields the exact set's extensions whose charged
 product (:meth:`Extension.clears`) clears the threshold, in the same order
 and with the same products: a subset, not the same set.  A charge depends
 on the assignment and the extension alone, never on a positive threshold,
@@ -122,11 +118,14 @@ which nodes are assigned, so each charged position of a plan keeps every
 record it has priced, keyed by those nodes' states, a context in the sense
 of recursive conditioning (Darwiche, AIJ 2001); a search takes a kept
 record and prices only the records not seen yet (:func:`_recall`).  A
-seed-0 ``bn3-f26`` benchmark round prices 208 records where it priced
-8,672.  With pricing that cheap, the entry check also takes the search's
-one charge, for one present finding whose free parents are all charged
-(:func:`_bind`), and rejects 2,529 of that round's 4,762 searches before
-any inner node, where it rejected 1,453.
+seed-0 ``bn3-f26`` benchmark round prices 208 records.  With pricing that
+cheap, the entry check also takes the search's one charge, for one present
+finding whose free parents are all charged (:func:`_bind`), and rejects
+2,529 of that round's 4,762 searches before any inner node.
+
+:func:`build_subproblem` snapshots the assignment's states and its kept
+plan into a :class:`Subproblem`, which :func:`iter_extensions` searches
+later, uncharged, for the exact set above; the package never calls them.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import Assignment, Network, NetworkError, check_threshold, node_factor, noisy_or_absent
 
@@ -146,15 +145,14 @@ __all__ = [
     "Extension",
     "build_subproblem",
     "iter_extensions",
-    "upper_bound",
 ]
 
-# Pruning slack.  _dfs keeps upper_bound's per-node bound incrementally, as
-# 1 - w * tail per present finding (tail the product of its later parents'
-# 1-q) and rp for the factors completed so far, where upper_bound folds
-# every product left to right in the leaf's order.  The groupings can differ
-# in the last bits, so prune only with this much margin.  Leaves are tested
-# exactly; the margin can only retain extra branches.  This regrouped copy
+# Pruning slack.  _dfs keeps its per-node bound incrementally, as 1 - w *
+# tail per present finding (tail the product of its later parents' 1-q) and
+# rp for the factors completed so far, where a leaf's product folds each
+# finding's parents into w one at a time.  The groupings can differ in the
+# last bits, so prune only with this much margin.  Leaves are tested
+# exactly; the margin can only retain extra branches.  The regrouped bound
 # stays because it is cheaper: pruning with the exact left-to-right fold
 # (each present finding's term refolded over its later parents) took a
 # median 42% longer (per-pair IQR 34-49%, 19 of 20 pairs) over the 4,762
@@ -175,18 +173,11 @@ class Subproblem:
 
     ``values`` copies the assignment's state list and ``plan`` is the kept
     plan of its assigned nodes (see the module notes), never changed once
-    built; the search reads only these and ``findings``, so later changes
-    to the assignment do not reach it.
-
-    ``findings`` are the assigned nodes at the level whose factor is not
-    yet known (they still have unassigned parents); nodes whose parents are
-    all assigned already contributed their factor to the driving state's
-    product.  ``free_parents`` lists the free parents in search order (see
-    the module notes), the order :func:`upper_bound`'s prefixes follow; an
-    extension lists them in emission order.
+    built; the search reads only these, so later changes to the assignment
+    do not reach it.  ``free_parents`` lists the free parents in search
+    order (see the module notes); an extension lists them in emission order.
     """
 
-    findings: tuple[tuple[int, bool], ...]
     free_parents: tuple[int, ...]
     values: tuple[bool | None, ...]
     plan: _Plan = field(compare=False, repr=False)
@@ -249,10 +240,7 @@ def build_subproblem(net: Network, a: Assignment, level: int) -> Subproblem:
     shallower level.
     """
     plan = _pose(net, a, level)
-    values = tuple(a.raw_values())
-    return Subproblem(
-        tuple((rec[0], values[rec[0]]) for rec in plan.findings), plan.free, values, plan
-    )
+    return Subproblem(plan.free, tuple(a.raw_values()), plan)
 
 
 def iter_extensions(
@@ -303,12 +291,13 @@ def _drop_plans(owner: weakref.ref) -> None:
 def iter_level_extensions(
     net: Network, a: Assignment, level: int, epsilon: float
 ) -> Iterator[Extension]:
-    """build_subproblem + iter_extensions on the live assignment, without
-    the snapshot, charged for the factors an extension leaves open (see
-    the module notes); the engine's per-state hot path.  It yields the
-    two-step form's extensions whose charged product clears ``epsilon``,
-    each with its charge, in the same order and as soon as found; a
-    subproblem rejected at entry costs this one call and no generator.
+    """The extensions of the subproblem at ``level`` of the live assignment
+    ``a``, charged for the factors an extension leaves open (see the module
+    notes); the engine's per-state hot path.  It yields the exact set's
+    extensions whose charged product clears ``epsilon``, each with its
+    charge, in search order and as soon as found; a subproblem rejected at
+    entry costs this one call and no generator.  Raises
+    :class:`NoFindingsError` when the level has nothing to expand.
 
     Charges are priced while the search runs and read ``a``, so ``a`` must
     be as it was at the call whenever the generator resumes, as the engine
@@ -971,50 +960,3 @@ def _dfs(tables, stats) -> Iterator[Extension]:
                 yield new(Extension, (tuple([(q, states[q]) for q in emission]), e, c))
             continue
         iters.append(iter(branch[d]))
-
-
-def upper_bound(
-    net: Network, sub: Subproblem, decided: Mapping[int, bool]
-) -> float:
-    """Admissible bound: at least the new factor product of every completion
-    of a prefix decision over ``free_parents``.
-
-    This is the per-node bound the search prunes with, folded in the order
-    of the leaf product from the tables that the search's plan and value
-    pass (``_plan``, ``_bind``) fill from the same snapshot, so on a
-    complete decision it equals the extension product exactly.  Present
-    findings are bounded by treating every undecided parent as present,
-    absent findings by treating them as absent.  Every other factor the
-    extension completes, a root's or pseudo-root's included, is
-    :func:`~nobn.model.node_factor` over the decided states once the
-    decision covers its last free variable, and 1 before.
-    At entry (the empty decision) the search also applies the tighter
-    cheapest-explanation bound, so a subproblem can end with no node
-    expanded even though this bound clears epsilon.
-    """
-    # at epsilon 0 the entry check never rejects
-    free, _, _, done, states, w, absent_adj, present_adj, *_ = _bind(
-        net, sub.plan, sub.values, 0.0
-    )
-    k = len(decided)
-    if k > len(free) or any(p not in decided for p in free[:k]):
-        raise NetworkError("decided states must cover a prefix of free_parents")
-    for p in free[:k]:
-        states[p] = decided[p]
-    # _bind folded the fixed parents into w; the free ones follow in search
-    # order, a present one into every finding it feeds, an undecided one into
-    # the present findings only
-    rp = 1.0
-    for pos, p in enumerate(free):
-        state = states[p]
-        if state is not None:
-            for n in done[pos]:
-                rp *= node_factor(net, n, states)
-        if state:
-            for fi, omq in absent_adj[pos]:
-                w[fi] *= omq
-        if state is not False:
-            for fi, omq, _ in present_adj[pos]:
-                w[fi] *= omq
-    terms = [1.0 - wf if present else wf for wf, (_, present) in zip(w, sub.findings)]
-    return math.prod(terms) * rp

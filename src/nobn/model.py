@@ -100,13 +100,7 @@ class Network:
 
     Node ids are indices into ``nodes`` (declaration order).  Construction
     validates the whole structure; instances are safe to share read-only
-    across threads.  So are the subproblem plans that both forms of the
-    level search take from one kept slot per level for the network searched
-    last, as long as that network lives (``epsilonml._plans``): each slot is
-    an immutable tuple replaced whole, so threads searching at once at worst
-    build a plan again.  A plan's explanation records (``_Plan.explained``)
-    are the one part that grows in place, a whole slot or a whole record
-    added at a time, so the worst a race can do is price a record twice.
+    across threads.
     """
 
     __slots__ = (
@@ -680,8 +674,7 @@ class Tally:
     pairs sets present.  A search that reads ``mark`` when it applies a
     batch and credits the batch when the batch's subtree closes credits
     each counted joint once to each of its present nodes, since exactly one
-    batch on the joint's path sets each node.  :meth:`add` counts and
-    credits one complete instantiation.
+    batch on the joint's path sets each node.
     """
 
     __slots__ = ("_scores", "_mass", "_bits", "mark")
@@ -722,13 +715,6 @@ class Tally:
         for nid, state in pairs:
             if state:
                 scores[nid] += num
-
-    def add(self, values: Sequence[bool | None], joint: float, exponent: int = 0) -> None:
-        """Count one complete instantiation (``values`` in node-id order)
-        and credit its present nodes."""
-        mark = self.mark
-        self.count(joint, exponent)
-        self.credit(enumerate(values), mark)
 
     @property
     def mass(self) -> float:

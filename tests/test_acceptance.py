@@ -22,15 +22,20 @@ from nobn import (
     exact_inference,
     gen_network,
     instantiations_above,
-    iter_extensions,
     print_network,
     top_epsilon,
-    upper_bound,
 )
 from nobn.cli import main as cli_main
+from nobn.epsilonml import iter_extensions
 from conftest import pruned_with_evidence, random_evidence, small_random_net
 
-from test_epsilonml import _brute_extensions, _ext_key, _two_level_subproblem
+from test_epsilonml import (
+    _assert_found_at_own_product,
+    _best_completions,
+    _brute_extensions,
+    _ext_key,
+    _two_level_subproblem,
+)
 
 
 def _announce(number: int, name: str):
@@ -122,19 +127,12 @@ class TestAcceptance:
             if len(free) > 10:
                 continue
             brute = _brute_extensions(net, sub)
-            # bound dominates every completion of every prefix, exactly
+            # the bound the search prunes with dominates every completion of
+            # every prefix, exactly: each prefix's best completion survives
+            # a search at its own product
             all_exts = list(iter_extensions(net, sub, 0.0))
             assert {_ext_key(sub, e) for e in all_exts} == set(brute)
-            best_by_prefix: dict[tuple, float] = {}
-            for ext in all_exts:
-                states = dict(ext.parent_states)
-                for k in range(len(free) + 1):
-                    key = tuple(states[p] for p in free[:k])
-                    if ext.new_factor_product > best_by_prefix.get(key, -1.0):
-                        best_by_prefix[key] = ext.new_factor_product
-            for key, best in best_by_prefix.items():
-                decided = dict(zip(free, key))
-                assert upper_bound(net, sub, decided) >= best
+            _assert_found_at_own_product(net, sub, _best_completions(sub, all_exts))
             # no qualifying extension is pruned at a random threshold
             eps = 10.0 ** (-12.0 * r.random())
             got = {_ext_key(sub, e) for e in iter_extensions(net, sub, eps)}

@@ -440,6 +440,34 @@ class TestBadInput:
         assert target.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--post", "{net}"),
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--post", "{ev}"),
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--dump-accepted", "{net}"),
+            ("infer", "{net}", "{ev}", "--epsilon", "0", "--dump-accepted", "./c.ev"),
+            ("bench", "{net}", "--cases", "1", "--findings", "1", "--summary", "{net}"),
+        ],
+        ids=["post-network", "post-evidence", "dump-network", "dump-evidence", "summary"],
+    )
+    def test_output_naming_an_input_exits_1(
+        self, capsys, tmp_path, chain3_files, monkeypatch, argv
+    ):
+        # the output would overwrite the file the run reads its input from
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched although an output names an input")
+
+        monkeypatch.setattr(nobn.cli, "top_epsilon", no_search)
+        monkeypatch.chdir(tmp_path)
+        net, ev = chain3_files
+        inputs = {path: Path(path).read_bytes() for path in (net, ev)}
+        code, out, err = run_cli(capsys, *(a.format(net=net, ev=ev) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert "is also the" in err
+        assert {path: Path(path).read_bytes() for path in inputs} == inputs
+
+    @pytest.mark.parametrize(
         "argv, option",
         [
             (("exact", "{net}", "{ev}", "--cap", "-1"), "--cap"),

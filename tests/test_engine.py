@@ -19,12 +19,10 @@ from nobn import (
     NetworkError,
     NodeSpec,
     SplitMix64,
-    build_subproblem,
     derive_seed,
     exact_inference,
     format_accepted,
     instantiations_above,
-    iter_extensions,
     parse_network,
     prune_barren,
     top_epsilon,
@@ -35,6 +33,7 @@ import nobn.epsilonml
 import reference
 from nobn.cli import _schedule_rows
 from nobn.engine import DEFAULT_SCHEDULE
+from nobn.epsilonml import build_subproblem, iter_extensions
 from conftest import (
     bn3_case,
     pruned_with_evidence,

@@ -14,19 +14,16 @@ from nobn import (
     NetworkError,
     NoFindingsError,
     SplitMix64,
-    build_subproblem,
     derive_seed,
     gen_network,
     instantiations_above,
-    iter_extensions,
     make_case,
     parse_network,
     top_epsilon,
-    upper_bound,
 )
 import nobn.engine
 import nobn.epsilonml
-from nobn.epsilonml import iter_level_extensions
+from nobn.epsilonml import build_subproblem, iter_extensions, iter_level_extensions
 import reference
 from conftest import bn3_case, pruned_with_evidence, random_evidence, small_random_net
 
@@ -55,7 +52,7 @@ def _brute_extensions(net, sub):
     """
     free = sub.free_parents
     values = sub.values
-    for nid, _ in sub.findings:
+    for nid in _findings(sub):
         for p, _ in net.nodes[nid].links:
             assert values[p] is not None or p in free, (
                 "a finding's parent is neither free nor assigned"
@@ -73,6 +70,51 @@ def _brute_extensions(net, sub):
                 prod *= reference.factor(net, nid, states)
         out[bits] = prod
     return out
+
+
+def _findings(sub):
+    """The ids of the findings the subproblem's plan holds: the assigned
+    nodes at its level that still have unassigned parents."""
+    return [record[0] for record in sub.plan.findings]
+
+
+def _empty_decision_bound(net, sub):
+    """The search's per-node bound before any decision, from the noisy-OR
+    definition: each present finding's factor with its free parents all
+    present, each absent finding's with them all absent, every other factor
+    1."""
+    bound = 1.0
+    for nid in _findings(sub):
+        states = list(sub.values)
+        for p in sub.free_parents:
+            states[p] = sub.values[nid]
+        bound *= reference.factor(net, nid, states)
+    return bound
+
+
+def _best_completions(sub, exts):
+    """Of ``exts``, every extension of ``sub`` as found at 0, those that are
+    the best completion of some proper prefix of the search order, each
+    once."""
+    free = sub.free_parents
+    best = {}
+    for ext in exts:
+        states = dict(ext.parent_states)
+        for k in range(len(free)):
+            key = tuple(states[p] for p in free[:k])
+            if key not in best or ext.new_factor_product > best[key].new_factor_product:
+                best[key] = ext
+    return list({ext.parent_states: ext for ext in best.values()}.values())
+
+
+def _assert_found_at_own_product(net, sub, exts):
+    """The search at a threshold equal to each extension's product still
+    yields it, with the same bits.  For a prefix's best completion, no bound
+    on its path may fall below it by more than the search's margin, so over
+    the best completions of every prefix this checks the bound the search
+    prunes with at every prefix."""
+    for ext in exts:
+        assert ext in iter_extensions(net, sub, ext.new_factor_product)
 
 
 def _charged(net, a, level, exts, eps):
@@ -108,8 +150,9 @@ def _ext_key(sub, ext):
     return tuple(states[p] for p in sub.free_parents)
 
 
-def _two_level_subproblem(seed: int):
-    """Random two-level network with sampled bottom-level evidence."""
+def _two_level_case(seed: int):
+    """Random two-level network and the assignment of its sampled
+    bottom-level evidence."""
     r = SplitMix64(derive_seed(seed, 0xF0))
     shape = NetShape(
         levels=2,
@@ -121,7 +164,12 @@ def _two_level_subproblem(seed: int):
     net = gen_network(shape)
     bottom = len(net.level_nodes[1])
     case = make_case(net, derive_seed(seed, 0xF2), 1 + r.below(bottom))
-    a = Assignment.from_evidence(net, case.evidence)
+    return net, Assignment.from_evidence(net, case.evidence)
+
+
+def _two_level_subproblem(seed: int):
+    """The level-1 subproblem of :func:`_two_level_case`."""
+    net, a = _two_level_case(seed)
     return net, build_subproblem(net, a, 1)
 
 
@@ -199,14 +247,14 @@ class TestBuildSubproblem:
     def test_chain3_level2(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
         sub = build_subproblem(chain3, a, 2)
-        assert sub.findings == ((2, True),)
+        assert _findings(sub) == [2]
         assert sub.free_parents == (1,)
         assert sub.values == (None, None, True)
 
     def test_chain3_level1_after_b(self, chain3):
         a = Assignment.from_evidence(chain3, [(1, True), (2, True)])
         sub = build_subproblem(chain3, a, 1)
-        assert sub.findings == ((1, True),)
+        assert _findings(sub) == [1]
         assert sub.free_parents == (0,)
 
     def test_no_expandable_findings(self, chain3):
@@ -225,23 +273,29 @@ class TestBuildSubproblem:
         )
         a = Assignment.from_evidence(net, [(0, True), (2, True)])
         sub = build_subproblem(net, a, 1)
-        assert sub.findings == ((2, True),)
+        assert _findings(sub) == [2]
         assert sub.free_parents == (1,)
         assert sub.values == (True, None, True)
 
     def test_subproblem_is_a_snapshot(self):
         # assigning and undoing nodes on the assignment after posing the
-        # subproblem changes neither its extensions nor its bounds
+        # subproblem changes neither its extensions nor where its bounds
+        # prune: the inner nodes searched at the median extension product
         checked = 0
         for seed in range(6):
             for net, a, _, sub in _diagnostic_subproblems(seed):
                 exts = list(iter_extensions(net, sub, 0.0))
-                decisions = [{}] + [dict(e.parent_states) for e in exts]
-                bounds = [upper_bound(net, sub, d) for d in decisions]
+                eps = sorted(e.new_factor_product for e in exts)[len(exts) // 2]
+
+                def searched():
+                    stats = {}
+                    found = list(iter_extensions(net, sub, eps, stats))
+                    return list(iter_extensions(net, sub, 0.0)), found, stats
+
+                before = searched()
 
                 def unchanged():
-                    assert list(iter_extensions(net, sub, 0.0)) == exts
-                    assert [upper_bound(net, sub, d) for d in decisions] == bounds
+                    assert searched() == before
 
                 parents = a.assign(exts[-1].parent_states)
                 unchanged()
@@ -343,6 +397,21 @@ class TestIterLevelExtensions:
                 checked += 1
                 stack.extend(path + (ext.parent_states,) for ext in fused)
         assert checked >= 300
+
+    def test_equals_the_exact_set_on_two_level_nets(self):
+        # on a two-level net every free parent is a root, so the engine's
+        # search charges nothing and yields the exact set, element for
+        # element; nobn eml relies on it
+        extensions = 0
+        for seed in range(200):
+            net, a = _two_level_case(seed)
+            sub = build_subproblem(net, a, 1)
+            for eps in (0.0, 1e-9, 1e-3, 0.5):
+                exts = list(iter_level_extensions(net, a, 1, eps))
+                assert exts == list(iter_extensions(net, sub, eps))
+                assert all(ext.charge == 1.0 for ext in exts)
+                extensions += len(exts)
+        assert extensions >= 5000
 
     def test_no_findings_raises(self, chain3):
         a = Assignment.from_evidence(chain3, [(2, True)])
@@ -674,18 +743,11 @@ class TestEpsilonMl:
             checked += 1
         assert checked >= 10
 
-    def test_extension_product_recomputes(self):
-        for seed in range(10):
-            net, sub = _two_level_subproblem(seed)
-            for ext in iter_extensions(net, sub, 1e-9):
-                assert upper_bound(net, sub, dict(ext.parent_states)) == (
-                    ext.new_factor_product
-                )
-
     def test_matches_brute_force_in_diagnostic_regime(self):
         # thresholds at, just above and just below each subproblem's best
         # product, plus powers of ten; some of them must be rejected at entry
-        # although the per-node bound of the empty decision clears them, and
+        # although the per-node bound of the empty decision clears them
+        # (computed here from the noisy-OR definition), and
         # the one-call form must yield the two-step form's extensions that
         # clear each once charged
         checked = rejected_at_entry = 0
@@ -713,7 +775,7 @@ class TestEpsilonMl:
                     assert got ^ {k for k, p in brute.items() if p >= eps} <= {
                         k for k, p in brute.items() if abs(p - eps) <= 1e-12 * eps
                     }
-                    if stats["nodes"] == 0 and upper_bound(net, sub, {}) >= eps:
+                    if stats["nodes"] == 0 and _empty_decision_bound(net, sub) >= eps:
                         rejected_at_entry += 1
                 checked += 1
         assert checked >= 400
@@ -744,7 +806,6 @@ class TestEpsilonMl:
         assert [e.parent_states for e in exts] == [((1, True),)]
         assert list(iter_level_extensions(net, a, 2, 0.02)) == exts
         for ext in iter_extensions(net, sub, 0.0):
-            assert upper_bound(net, sub, dict(ext.parent_states)) == ext.new_factor_product
             # the engine folds in the same factors once the extension is applied
             before = a.known_factor_product
             token = a.assign(ext.parent_states)
@@ -794,18 +855,21 @@ class TestEpsilonMl:
             assert [p for p, _ in ext.parent_states] == [1, 0]
             states = dict(ext.parent_states)
             assert ext.new_factor_product == pytest.approx(hand(states[1], states[0]), rel=1e-12)
-            assert upper_bound(net, sub, states) == ext.new_factor_product
             token = a.assign(ext.parent_states)
             assert a.known_factor_product == pytest.approx(ext.new_factor_product, rel=1e-15)
             a.undo(token)
+        _assert_found_at_own_product(net, sub, exts)
         # once R is decided present it brings its prior 0.3 and completes E's
         # factor; P's counts as 1 until P is decided, and F treats P as
-        # present
-        bound = upper_bound(net, sub, {0: True})
-        assert bound == pytest.approx(
-            (1.0 - 0.95 * 0.1 * 0.6) * 0.3 * (1.0 - 0.8 * 0.5), rel=1e-15
-        )
+        # present.  R absent (tried first) is pruned at once, 0.905 * 0.7 *
+        # 0.2 = 0.127; R present is expanded to both leaves just below its
+        # bound and pruned just above it
+        bound = (1.0 - 0.95 * 0.1 * 0.6) * 0.3 * (1.0 - 0.8 * 0.5)
         assert bound >= max(hand(p, True) for p in (False, True))
+        for eps, nodes in ((bound * (1 - 1e-6), 4), (bound * (1 + 1e-6), 2)):
+            stats = {}
+            assert list(iter_extensions(net, sub, eps, stats)) == []
+            assert stats == {"nodes": nodes}
 
     def test_search_order_apart_from_emission_order(self):
         # B, then C, then A by activation (q 0.9, 0.6, 0.5); C and A feed F
@@ -843,10 +907,10 @@ class TestEpsilonMl:
 
     def test_rejected_at_entry_still_fills_stats(self):
         # an explanation by the rare root costs its prior, and the leak alone
-        # gives 0.01; the per-node bound of the empty decision reads 0.998
+        # gives 0.01; the per-node bound of the empty decision reads 0.999
         net = parse_network("node R prior 0.001\nnode F leak 0.01 parents R:0.999\n")
         sub = build_subproblem(net, Assignment.from_evidence(net, [(1, True)]), 1)
-        assert upper_bound(net, sub, {}) > 0.5
+        assert _empty_decision_bound(net, sub) == pytest.approx(1 - 0.99 * 0.001, rel=1e-15)
         stats = {}
         assert list(iter_extensions(net, sub, 0.5, stats)) == []
         assert stats == {"nodes": 0}
@@ -988,62 +1052,71 @@ class TestSearchCounters:
 
 
 class TestUpperBound:
+    """The per-node bound the search prunes with, seen through the search:
+    where it prunes (inner nodes searched) and what it keeps (an extension
+    at a threshold equal to its own product)."""
+
     def test_single_finding_no_leak(self):
+        # P present brings F its factor 0.9 and nothing else; with no leak,
+        # P absent leaves F present impossible
         net = parse_network(
             "node R prior 0.5\nnode P leak 0.1 parents R:0.5\n"
             "node F leak 0 parents P:0.9\n"
         )
         a = Assignment.from_evidence(net, [(2, True)])
         sub = build_subproblem(net, a, 2)
-        assert upper_bound(net, sub, {}) == pytest.approx(0.9, abs=1e-15)
+        exts = list(iter_extensions(net, sub, 0.0))
+        assert [(e.parent_states, e.new_factor_product) for e in exts] == [
+            (((1, True),), pytest.approx(0.9, abs=1e-15)), (((1, False),), 0.0)
+        ]
+        assert list(iter_extensions(net, sub, exts[0].new_factor_product)) == exts[:1]
 
     def test_undecided_root_counts_as_1(self):
         # a root's factor counts as 1 until it is decided, as every factor
-        # does before its last free variable is
-        net = parse_network("node R prior 0.2\nnode F leak 0.1 parents R:0.9\n")
-        sub = build_subproblem(net, Assignment.from_evidence(net, [(1, True)]), 1)
-        assert upper_bound(net, sub, {}) == pytest.approx(0.91, abs=1e-15)
-        assert upper_bound(net, sub, {0: True}) == pytest.approx(0.91 * 0.2, abs=1e-15)
+        # does before its last free variable is: R is decided first (absent
+        # first, its likelier state), and with R present the bound reads
+        # F's term with S present, 1 - 0.9 * 0.1 * 0.5, times R's prior
+        # 0.2, not times S's likelier factor 0.5 too.  Just below it the
+        # search expands R present to both leaves, just above it prunes it
+        net = parse_network(
+            "node R prior 0.2\nnode S prior 0.5\n"
+            "node F leak 0.1 parents R:0.9 S:0.5\n"
+        )
+        sub = build_subproblem(net, Assignment.from_evidence(net, [(2, True)]), 1)
+        assert sub.free_parents == (0, 1)
+        bound = (1.0 - 0.9 * 0.1 * 0.5) * 0.2
+        for eps, nodes in ((bound * (1 - 1e-6), 6), (bound * (1 + 1e-6), 4)):
+            stats = {}
+            exts = list(iter_extensions(net, sub, eps, stats))
+            # only R absent, S present (0.55 * 0.8 * 0.5) clears either
+            assert [e.parent_states for e in exts] == [((0, False), (1, True))]
+            assert stats == {"nodes": nodes}
 
     def test_chain3_empty_decision_dominates(self, chain3):
+        # both completions, 0.82 * 0.2 and 0.1 * 0.8, survive a search at
+        # their own product
         a = Assignment.from_evidence(chain3, [(1, True), (2, True)])
         sub = build_subproblem(chain3, a, 1)
-        bound = upper_bound(chain3, sub, {})
-        assert bound >= 0.82 * 0.2
-        assert bound >= 0.1 * 0.8
+        exts = list(iter_extensions(chain3, sub, 0.0))
+        assert sorted(e.new_factor_product for e in exts) == pytest.approx(
+            [0.1 * 0.8, 0.82 * 0.2], abs=1e-15
+        )
+        _assert_found_at_own_product(chain3, sub, exts)
 
     def test_complete_decision_equals_product(self):
+        # at a complete decision the bound is the extension's product, bit
+        # for bit, so the search at that threshold keeps every extension
         for net, sub in _bound_subproblems(15):
-            for ext in iter_extensions(net, sub, 0.0):
-                assert upper_bound(net, sub, dict(ext.parent_states)) == (
-                    ext.new_factor_product
-                )
+            _assert_found_at_own_product(net, sub, iter_extensions(net, sub, 0.0))
 
     def test_admissible_on_every_prefix(self):
-        # exact domination of all completions, checked exhaustively
+        # exact domination of all completions, checked exhaustively: the
+        # best completion of every prefix survives a search at its product
         for net, sub in _bound_subproblems(25):
             if len(sub.free_parents) > 10:
                 continue
-            free = sub.free_parents
             exts = list(iter_extensions(net, sub, 0.0))
-            by_prefix: dict[tuple, float] = {}
-            for ext in exts:
-                states = dict(ext.parent_states)
-                key = ()
-                prod = ext.new_factor_product
-                for k in range(len(free) + 1):
-                    key = tuple(states[p] for p in free[:k])
-                    if prod > by_prefix.get(key, -1.0):
-                        by_prefix[key] = prod
-            for key, best in by_prefix.items():
-                decided = {p: s for p, s in zip(free, key)}
-                assert upper_bound(net, sub, decided) >= best
-
-    def test_prefix_requirement(self, chain3):
-        a = Assignment.from_evidence(chain3, [(2, True)])
-        sub = build_subproblem(chain3, a, 2)
-        with pytest.raises(NetworkError, match="prefix"):
-            upper_bound(chain3, sub, {99: True})
+            _assert_found_at_own_product(net, sub, _best_completions(sub, exts))
 
 
 class TestUniformPriorRanking:

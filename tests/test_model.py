@@ -219,13 +219,21 @@ def _nps_holds(p_ab, p_notab_notb, p_a_notb, p_nota_b):
     return p_ab * p_notab_notb < p_a_notb * p_nota_b
 
 
+def _add(tally, values, joint, exponent=0):
+    """Count one complete instantiation (``values`` in node-id order) and
+    credit its present nodes."""
+    mark = tally.mark
+    tally.count(joint, exponent)
+    tally.credit(enumerate(values), mark)
+
+
 class TestTally:
     def test_compensates_tiny_addends(self):
         t = Tally(1)
         naive = 1.0
-        t.add((True,), 1.0)
+        _add(t, (True,), 1.0)
         for _ in range(10_000):
-            t.add((True,), 1e-17)
+            _add(t, (True,), 1e-17)
             naive += 1e-17
         exact = math.fsum([1.0] + [1e-17] * 10_000)
         assert naive == 1.0
@@ -235,8 +243,8 @@ class TestTally:
 
     def test_scores_count_present_nodes_only(self):
         t = Tally(3)
-        t.add((True, False, True), 0.25)
-        t.add((False, False, True), 0.5)
+        _add(t, (True, False, True), 0.25)
+        _add(t, (False, False, True), 0.5)
         assert t.mass == 0.75
         assert t.scores() == (0.25, 0.0, 0.75)
 
@@ -248,7 +256,7 @@ class TestTally:
         for order in ((first, second), (second, first)):
             t = Tally(2)
             for values, joint, exponent in order:
-                t.add(values, joint, exponent)
+                _add(t, values, joint, exponent)
             tallies.append(t)
         a, b = tallies
         assert a.posteriors() == b.posteriors() == pytest.approx((0.75, 0.25), abs=1e-15)
@@ -260,7 +268,7 @@ class TestTally:
         for order in itertools.permutations(joints):
             t = Tally(1)
             for joint in order:
-                t.add((True,), joint)
+                _add(t, (True,), joint)
             assert t.mass.hex() == t.scores()[0].hex() == math.fsum(joints).hex()
         assert math.fsum(joints).hex() == "0x1.0000000000001p+0"
 
@@ -273,7 +281,7 @@ class TestTally:
         for order in itertools.permutations(joints):
             t = Tally(0)
             for joint in order:
-                t.add((), joint)
+                _add(t, (), joint)
             masses.add(t.mass.hex())
         assert masses == {math.fsum(joints).hex()}
 
@@ -286,7 +294,7 @@ class TestTally:
         for order in itertools.permutations(joints):
             t = Tally(1)
             for joint, exponent in order:
-                t.add((True,), joint, exponent)
+                _add(t, (True,), joint, exponent)
             assert t.mass == t.scores()[0] == float(exact)
             assert t.posteriors() == (1.0,)
 
@@ -295,7 +303,7 @@ class TestTally:
         # sum so far, after the marks and before their credits; the inner
         # mark is taken right after a joint that brought a finer unit
         t = Tally(3)
-        t.add((False, False, True), 1.0)
+        _add(t, (False, False, True), 1.0)
         outer = t.mark
         t.count(2.0**-60)
         inner = t.mark
@@ -337,7 +345,7 @@ class TestTally:
                 mark = t.mark
                 for joint, exponent in data.draw(st.lists(joints, max_size=3)):
                     t.count(joint, exponent)
-                    flat.add([i in present for i in range(n)], joint, exponent)
+                    _add(flat, [i in present for i in range(n)], joint, exponent)
                     value = Fraction(joint) * Fraction(2) ** exponent
                     mass += value
                     for nid in present:
@@ -364,7 +372,7 @@ class TestTally:
         mark = t.mark
         t.count(0.0)
         t.count(0.0, -1024)
-        t.add((True,), 0.0)
+        _add(t, (True,), 0.0)
         assert t.mark is mark
         t.count(0.5)
         assert t.mark is not mark
@@ -372,25 +380,6 @@ class TestTally:
         t.count(0.0)
         assert t.mark is mark
         assert t.mass == 0.5 and t.scores() == (0.0,)
-
-    def test_add_is_count_then_credit(self):
-        entries = [
-            ((True, False, None), 0.25, 0),
-            ((False, True, True), 0.6, -1024),
-            ((True, True, False), 0.0, 0),
-            ((True, None, True), math.ldexp(0.2, 512), -1536),
-            ((False, False, False), 2.0**-53, 0),
-        ]
-        added, split = Tally(3), Tally(3)
-        for values, joint, exponent in entries:
-            added.add(values, joint, exponent)
-            mark = split.mark
-            split.count(joint, exponent)
-            split.credit(enumerate(values), mark)
-            assert (added._mass, added._bits, added._scores) == (
-                split._mass, split._bits, split._scores
-            )
-        assert added.posteriors() == split.posteriors()
 
 
 class TestNps:

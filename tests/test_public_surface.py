@@ -1,7 +1,8 @@
 """Every name the package exports is used by the package or its benchmark.
 
 A function that only tests call belongs with the tests (``reference.py``
-holds their noisy-OR arithmetic), not in ``src/``.
+holds their noisy-OR arithmetic), not in ``src/``.  Exports are the names
+``nobn/__init__.py`` imports and the ``__all__`` of every module.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ SRC = ROOT / "src" / "nobn"
 
 # Reference implementations the tests compare the search against; nothing in
 # the package or the benchmark calls them.
-REFERENCES = {"upper_bound", "instantiations_above", "enumerate_consistent"}
+REFERENCES = {"instantiations_above", "enumerate_consistent"}
 
 
 def _exported() -> set[str]:
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                names.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+    return names
 
 
 def _referenced() -> set[str]:

@@ -1,10 +1,9 @@
 """Scores are credited once per subtree: ``top_epsilon`` and
 ``exact_inference`` count each joint into the mass with ``Tally.count`` and
 credit a batch's present nodes with ``Tally.credit`` when the batch's subtree
-closes, never calling ``Tally.add``.  Each of the engine's batches credits
-at most once, and only when its subtree counted a nonzero joint; the
-oracle credits each run of a free node's presence once; both credit the
-evidence once at the end.  Both read their evidence twice, so a one-shot
+closes.  Each of the engine's batches credits at most once, and only when
+its subtree counted a nonzero joint; the oracle credits each run of a free
+node's presence once; both credit the evidence once at the end.  Both read their evidence twice, so a one-shot
 iterator must give the same bits as a tuple."""
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def exhaustive_case():
 class _Recorder:
     """Wraps ``Tally.credit`` and ``Assignment.assign`` for one block: counts
     applied batches, credits, credited slots, and credits whose mark had not
-    moved; makes ``Tally.add`` fail."""
+    moved."""
 
     def __init__(self, monkeypatch):
         self.batches = self.credits = self.slots = 0
@@ -65,11 +64,7 @@ class _Recorder:
             recorder.batches += 1
             return assign(a, pairs)
 
-        def refused_add(*args, **kwargs):
-            raise AssertionError("Tally.add called")
-
         monkeypatch.setattr(Tally, "credit", recorded_credit)
-        monkeypatch.setattr(Tally, "add", refused_add)
         monkeypatch.setattr(Assignment, "assign", recorded_assign)
 
 
