@@ -722,6 +722,20 @@ class TestEpsilonMl:
                     assert previous <= keys
                 previous = keys
 
+    def test_extension_product_recomputes(self):
+        # each extension's product is the noisy-OR product recomputed from
+        # its parent states, and the search at a threshold equal to it
+        # recomputes it bit for bit and keeps the extension
+        for seed in range(10):
+            net, sub = _two_level_subproblem(seed)
+            brute = _brute_extensions(net, sub)
+            exts = list(iter_extensions(net, sub, 1e-9))
+            for ext in exts:
+                assert ext.new_factor_product == pytest.approx(
+                    brute[_ext_key(sub, ext)], rel=1e-12
+                )
+            _assert_found_at_own_product(net, sub, exts)
+
     def test_mixed_level_fixed_parents_from_random_networks(self):
         # subproblems exactly as the engine would pose them
         checked = 0
